@@ -79,9 +79,6 @@ class Forest:
         """Array of event log-weights from a callable event -> float."""
         return np.array([event_logw(ev) for ev in self.events], dtype=float)
 
-    def edge_weight(self, e, eventw):
-        return sum(eventw[k] for k in self.edge_events[e])
-
     def edge_weights(self, eventw):
         """Log-weight of every edge (sum of its events), vectorized."""
         if not hasattr(self, "_ev_flat"):
@@ -102,17 +99,6 @@ class Forest:
         sums = np.add.reduceat(values, self._ev_off)
         sums[self._ev_len == 0] = 0.0
         return sums
-
-    def dump(self):
-        """One line per item with its viable incoming edges, for debugging."""
-        lines = []
-        for i in self.topo:
-            lines.append("%s" % (self.items[i],))
-            for e in self.head_edges[i]:
-                tails = [self.items[t] for t in self.edge_tails[e]]
-                events = [self.events[k] for k in self.edge_events[e]]
-                lines.append("  <- %s  %s" % (tails, events))
-        return "\n".join(lines)
 
 
 def build_forest(goal, expand):
@@ -188,7 +174,6 @@ def build_forest(goal, expand):
             if all(viable[t] for t in tails):
                 forest.add_edge(iid, tails, events)
     forest.topo = [i for i in topo if viable[i]]
-    forest.viable = viable
     return forest
 
 

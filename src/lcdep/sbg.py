@@ -268,12 +268,19 @@ def dmv_sentence_automata(tags, params):
         ht = tags[h - 1]
         for side in (LEFT, RIGHT):
             deps = range(1, h) if side == LEFT else range(h + 1, n + 1)
-            stop_adj = params.stop[ht, side, True]
-            stop_non = params.stop[ht, side, False]
+            try:
+                stop_adj = params.stop[ht, side, True]
+                stop_non = params.stop[ht, side, False]
+                attach = params.attach[ht, side]
+            except KeyError:
+                raise ValueError(
+                    "tag %r (token %d) has no DMV parameters: the model was "
+                    "not trained on it" % (ht, h)
+                ) from None
             final = {0: _log(stop_adj), 1: _log(stop_non)}
             trans = []
             for d in deps:
-                att = _log(params.attach[ht, side].get(tags[d - 1], 0.0))
+                att = _log(attach.get(tags[d - 1], 0.0))
                 trans.append((0, d, 1, att + _log(1.0 - stop_adj)))
                 trans.append((1, d, 1, att + _log(1.0 - stop_non)))
             sent.add_machine(side, h, {0: 0.0}, final, trans)
@@ -566,12 +573,6 @@ class Chart:
         self.forest = forest
         self.inside = inside
         self.eventw = eventw
-
-    def item_value(self, item):
-        iid = self.forest.item_index.get(item)
-        if iid is None:
-            return NEG_INF
-        return self.inside[iid]
 
 
 def _arcs_of_edge(forest, n):

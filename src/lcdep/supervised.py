@@ -11,12 +11,13 @@ a shift pushes).
 import dataclasses
 import random
 from concurrent import futures
+from itertools import repeat
+from operator import itemgetter
 
-from . import transition
 from .transition import (
     ARC_EAGER,
     ARC_STANDARD,
-    INSERT,
+    LC_ACTIONS,
     LC_REDUCE_ACTIONS,
     LEFT_CORNER,
     SHIFT,
@@ -92,57 +93,73 @@ def _compile(templates):
 
 _SHARED = _compile(_SHARED_TEMPLATES)
 _ADDITIONAL = _compile(_ADDITIONAL_TEMPLATES)
+_TEMPLATES = {LIMITED: _SHARED, FULL: _SHARED + _ADDITIONAL}
+
+
+def _for_feature_set(by_set, feature_set):
+    try:
+        return by_set[feature_set]
+    except KeyError:
+        raise ValueError("unknown feature set %r" % feature_set) from None
 
 
 def lc_templates(feature_set):
-    if feature_set == LIMITED:
-        return _SHARED
-    if feature_set == FULL:
-        return _SHARED + _ADDITIONAL
-    raise ValueError("unknown feature set %r" % feature_set)
+    return _for_feature_set(_TEMPLATES, feature_set)
 
 
-def _token_view(tok, forms, tags):
-    if tok is None or not (1 <= tok <= len(forms)):
-        return {}
-    return {("", "w"): forms[tok - 1], ("", "t"): tags[tok - 1]}
+# One configuration fills a flat vector of slots, one per (address, role,
+# leaf) component, each NULL unless its view has it: the incomplete stack
+# elements s0 and s1 (roles p, gp, gg, l, l2), then q0 (the token or the
+# completed element itself, then l, r), then the buffer tokens q1 and q2,
+# each as a form/tag pair.  Components naming a role or leaf that no view
+# has get slots of their own, which always read NULL.
+_VIEWS = (
+    ("s0", ("p", "gp", "gg", "l", "l2")),
+    ("s1", ("p", "gp", "gg", "l", "l2")),
+    ("q0", ("", "l", "r")),
+    ("q1", ("",)),
+    ("q2", ("",)),
+)
 
 
-def _incomplete_view(spine, forms, tags):
-    view = {}
-
-    def put(role, tok):
-        view[role, "w"] = forms[tok - 1]
-        view[role, "t"] = tags[tok - 1]
-
-    nodes = spine.nodes
-    if len(nodes) >= 1:
-        put("p", nodes[-1])
-    if len(nodes) >= 2:
-        put("gp", nodes[-2])
-    if len(nodes) >= 3:
-        put("gg", nodes[-3])
-    left = spine.dummy.left
-    if len(left) >= 1:
-        put("l", left[0])
-    if len(left) >= 2:
-        put("l2", left[1])
-    return view
+def _slot_layout():
+    slots = {}
+    for addr, roles in _VIEWS:
+        for role in roles:
+            for leaf in ("w", "t"):
+                slots[addr, role, leaf] = len(slots)
+    for template in _TEMPLATES[FULL]:
+        for comp in template:
+            slots.setdefault(comp, len(slots))
+    return slots
 
 
-def _complete_view(spine, arcs, forms, tags):
-    root = spine.nodes[0]
-    view = {("", "w"): forms[root - 1], ("", "t"): tags[root - 1]}
-    children = sorted(d for h, d in arcs if h == root)
-    if children:
-        view["l", "w"] = forms[children[0] - 1]
-        view["l", "t"] = tags[children[0] - 1]
-        view["r", "w"] = forms[children[-1] - 1]
-        view["r", "t"] = tags[children[-1] - 1]
-    if len(children) >= 2:
-        view["l2", "w"] = forms[children[1] - 1]
-        view["l2", "t"] = tags[children[1] - 1]
-    return view
+_SLOT = _slot_layout()
+_N_SLOTS = len(_SLOT)
+_S0, _S1, _Q0, _Q1 = (_SLOT[a, roles[0], "w"] for a, roles in _VIEWS[:4])
+
+
+def _getters(templates):
+    """(prefix, getter) per template; the getter picks the template's slot
+    values as a sequence, ready for "|".join."""
+    out = []
+    for idx, template in enumerate(templates):
+        slots = [_SLOT[c] for c in template]
+        getter = (itemgetter(*slots) if len(slots) > 1
+                  else itemgetter(slice(slots[0], slots[0] + 1)))
+        out.append(("%d=" % idx, getter))
+    return tuple(out)
+
+
+_GETTERS = {fs: _getters(t) for fs, t in _TEMPLATES.items()}
+
+
+def _put(vals, at, toks, forms, tags):
+    """Write the form and tag of each token into consecutive slot pairs."""
+    for tok in toks:
+        vals[at] = forms[tok - 1]
+        vals[at + 1] = tags[tok - 1]
+        at += 2
 
 
 def extract_lc_features(config, forms, tags, feature_set=FULL):
@@ -151,42 +168,44 @@ def extract_lc_features(config, forms, tags, feature_set=FULL):
     Absent addresses and roles contribute a NULL placeholder rather than
     suppressing the template.
     """
+    getters = _for_feature_set(_GETTERS, feature_set)
+    vals = [NULL] * _N_SLOTS
     spines = config.spines
-    reduce_mode = bool(spines) and spines[-1].is_complete
-    views = {}
-    if reduce_mode:
-        views["q0"] = _complete_view(spines[-1], config.arcs, forms, tags)
-        stack_below = spines[:-1]
-        buffer_from = config.buffer_pos
+    pos = config.buffer_pos
+    n = len(forms)
+    if spines and spines[-1].dummy is None:
+        # reduce mode: the completed element on top is q0, with its
+        # leftmost and rightmost children as l and r
+        root = spines[-1].nodes[0]
+        kids = [d for h, d in config.arcs if h == root]
+        _put(vals, _Q0, [root, min(kids), max(kids)] if kids else [root],
+             forms, tags)
+        spines = spines[:-1]
+        after = pos
     else:
-        views["q0"] = _token_view(
-            config.buffer_pos if not config.buffer_empty else None, forms, tags
-        )
-        stack_below = spines
-        buffer_from = config.buffer_pos + 1
-    if len(stack_below) >= 1:
-        views["s0"] = _incomplete_view(stack_below[-1], forms, tags)
-    if len(stack_below) >= 2:
-        views["s1"] = _incomplete_view(stack_below[-2], forms, tags)
-    views.setdefault("q1", _token_view(buffer_from, forms, tags))
-    views.setdefault("q2", _token_view(buffer_from + 1, forms, tags))
-
-    feats = []
-    for idx, template in enumerate(lc_templates(feature_set)):
-        vals = []
-        for addr, role, leaf in template:
-            view = views.get(addr)
-            vals.append(view.get((role, leaf), NULL) if view else NULL)
-        feats.append("%d=%s" % (idx, "|".join(vals)))
-    return feats
+        if pos <= config.n:
+            _put(vals, _Q0, range(pos, min(pos, n) + 1), forms, tags)
+        after = pos + 1
+    # the stack elements: parent chain p, gp, gg, then left children l, l2
+    for at, spine in zip((_S0, _S1), spines[:-3:-1]):
+        _put(vals, at, spine.nodes[:-4:-1], forms, tags)
+        _put(vals, at + 6, spine.dummy.left[:2], forms, tags)
+    # buffer positions start at 1, so only the sentence end cuts q1 and q2
+    _put(vals, _Q1, range(after, min(after + 1, n) + 1), forms, tags)
+    return [prefix + "|".join(get(vals)) for prefix, get in getters]
 
 
 # ---------------------------------------------------------------------------
 # transition systems behind one decoding interface
 
 
+def _action_ids(actions):
+    return {a: i for i, a in enumerate(actions)}
+
+
 class _LcSystem:
     name = LEFT_CORNER
+    action_ids = _action_ids(LC_ACTIONS)
 
     def __init__(self, feature_set=FULL):
         self.feature_set = feature_set
@@ -247,6 +266,7 @@ def _flat_wt(tok, forms, tags):
 
 class _AsSystem:
     name = ARC_STANDARD
+    action_ids = _action_ids((SHIFT, "leftArc", "rightArc"))
 
     def initial(self, n):
         return _FlatState(stack=(), front=1, n=n, arcs=frozenset())
@@ -329,6 +349,7 @@ class _AsSystem:
 
 class _AeSystem:
     name = ARC_EAGER
+    action_ids = _action_ids((SHIFT, "leftArc", "rightArc", "reduce"))
 
     def initial(self, n):
         return _FlatState(stack=(), front=1, n=n, arcs=frozenset())
@@ -439,22 +460,23 @@ def _system(name, feature_set=FULL):
 # beam search
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class BeamState:
     state: object
     score: float
     actions: tuple
     parent: object = None
-    step_feats: tuple = ()
+    feats: list = ()  # features of the parent's configuration
 
-    def feature_log(self):
-        """All conjoined features on the path to this state."""
+    def path_features(self):
+        """(features, action) of every step on the path to this state, in
+        order."""
         out = []
         node = self
-        while node is not None:
-            out.extend(node.step_feats)
+        while node.parent is not None:
+            out.append((node.feats, node.actions[-1]))
             node = node.parent
-        return out
+        return out[::-1]
 
 
 def _single_rooted(heads):
@@ -471,47 +493,87 @@ def _single_rooted(heads):
     return tuple(out)
 
 
-def _score(weights, feats, action):
-    return sum(weights.get(f + ">" + action, 0.0) for f in feats)
+# Weights are kept as a scoring table: feature -> list of weights indexed by
+# the system's action ids, so one lookup per feature serves every action.
+# Model files and ParserModel hold the flat "feature>action" form.
 
 
-def _beam_run(sys_, weights, forms, tags, beam_size, depth_bound, depth_measure,
+def _table(weights, action_ids):
+    """Scoring table of a flat ``feature>action -> weight`` dict; keys whose
+    action the system lacks can never score and are left out."""
+    table = {}
+    width = len(action_ids)
+    split = map(str.rpartition, weights, repeat(">"))
+    for (feat, sep, action), w in zip(split, weights.values()):
+        aid = action_ids.get(action)
+        if sep and aid is not None:
+            row = table.get(feat)
+            if row is None:
+                row = table[feat] = [0.0] * width
+            row[aid] = w
+    return table
+
+
+def _score(table, feats, actions):
+    """Score of each action id in ``actions`` for one configuration.
+
+    ``table`` maps a feature to a row that starts with its weights by
+    action id.  Each sum runs over the features in template order with the
+    builtin sum, so it equals, bit for bit, the sum of
+    ``weights.get(f + ">" + action, 0.0)`` over the flat weights: the
+    entries left out would only add zeros.
+    """
+    rows = [row for row in map(table.get, feats) if row is not None]
+    return [sum([row[a] for row in rows], 0.0) for a in actions]
+
+
+def _beam_run(sys_, table, forms, tags, beam_size, depth_bound, depth_measure,
               relax_c=1, record=None):
     """Run beam search; returns (best final or None, best partial).
 
-    ``record`` (a list, when given) receives the beam's best cumulative
-    score after every round, which training uses to find violations.
+    Every valid action of every state is scored, but successors are built
+    and depth-checked only in rank order until the beam is full.
+    ``record`` (a list, when given) receives the beam's best state after
+    every round, which training uses to find violations.
     """
     n = len(forms)
+    ids = sys_.action_ids
     beam = [BeamState(sys_.initial(n), 0.0, ())]
     finals = []
     best_partial = beam[0]
     for _ in range(4 * n + 8):
-        expansions = []
-        for st in beam:
+        # (-score, parent's actions, action, parent index): all parents hold
+        # equally many actions, so this orders as (-score, actions) does
+        candidates = []
+        base = []
+        for k, st in enumerate(beam):
             if sys_.is_terminal(st.state):
                 finals.append(st)
+                base.append(None)
                 continue
-            base = sys_.features(st.state, forms, tags)
-            for action in sys_.valid(st.state):
-                new_state = sys_.apply(st.state, action)
-                if not sys_.depth_ok(
-                    new_state, action, depth_bound, depth_measure, relax_c
-                ):
-                    continue
-                expansions.append(
-                    BeamState(
-                        new_state,
-                        st.score + _score(weights, base, action),
-                        st.actions + (action,),
-                        parent=st,
-                        step_feats=tuple(f + ">" + action for f in base),
-                    )
-                )
-        if not expansions:
+            feats = sys_.features(st.state, forms, tags)
+            base.append(feats)
+            valid = sys_.valid(st.state)
+            scores = _score(table, feats, [ids[a] for a in valid])
+            for action, step in zip(valid, scores):
+                candidates.append((-(st.score + step), st.actions, action, k))
+        candidates.sort()
+        survivors = []
+        for neg, actions, action, k in candidates:
+            parent = beam[k]
+            new_state = sys_.apply(parent.state, action)
+            if not sys_.depth_ok(
+                new_state, action, depth_bound, depth_measure, relax_c
+            ):
+                continue
+            survivors.append(BeamState(
+                new_state, -neg, actions + (action,), parent, base[k]
+            ))
+            if len(survivors) == beam_size:
+                break
+        if not survivors:
             break
-        expansions.sort(key=lambda s: (-s.score, s.actions))
-        beam = expansions[:beam_size]
+        beam = survivors
         if record is not None:
             record.append(beam[0])
         best_partial = min(
@@ -523,17 +585,8 @@ def _beam_run(sys_, weights, forms, tags, beam_size, depth_bound, depth_measure,
     return best_final, best_partial
 
 
-def beam_decode(sentence, weights, beam_size=8, depth_bound=None,
-                depth_measure=RAW, system=LEFT_CORNER, feature_set=FULL,
-                relax_c=1):
-    """Highest-scoring parse within the beam as a DepTree.
-
-    ``sentence`` is a DepTree (gold heads ignored) or a (forms, tags) pair.
-    Equal scores break toward the lexicographically smaller action-name
-    sequence, so zero weights give a deterministic parse.  When the depth
-    bound kills every completion, the best partial state is repaired into a
-    tree (headless tokens attach to the first root).
-    """
+def _decode(sentence, sys_, table, beam_size, depth_bound, depth_measure,
+            relax_c):
     if hasattr(sentence, "forms"):
         forms, tags = list(sentence.forms), list(sentence.tags)
     else:
@@ -541,14 +594,30 @@ def beam_decode(sentence, weights, beam_size=8, depth_bound=None,
     n = len(forms)
     if n == 0:
         return tree_from_heads(())
-    sys_ = _system(system, feature_set)
     best_final, best_partial = _beam_run(
-        sys_, weights, forms, tags, beam_size, depth_bound, depth_measure,
+        sys_, table, forms, tags, beam_size, depth_bound, depth_measure,
         relax_c,
     )
     chosen = best_final if best_final is not None else best_partial
     heads = _single_rooted(sys_.read_heads(chosen.state, n))
     return tree_from_heads(heads, tags=tags, forms=forms)
+
+
+def beam_decode(sentence, weights, beam_size=8, depth_bound=None,
+                depth_measure=RAW, system=LEFT_CORNER, feature_set=FULL,
+                relax_c=1):
+    """Highest-scoring parse within the beam as a DepTree.
+
+    ``sentence`` is a DepTree (gold heads ignored) or a (forms, tags) pair;
+    ``weights`` maps ``feature>action`` to a weight.  Equal scores break
+    toward the lexicographically smaller action-name sequence, so zero
+    weights give a deterministic parse.  When the depth bound kills every
+    completion, the best partial state is repaired into a tree (headless
+    tokens attach to the first root).
+    """
+    sys_ = _system(system, feature_set)
+    return _decode(sentence, sys_, _table(weights, sys_.action_ids),
+                   beam_size, depth_bound, depth_measure, relax_c)
 
 
 # ---------------------------------------------------------------------------
@@ -566,16 +635,17 @@ class ParserModel:
     snapshots: list = None
 
 
-def _gold_path(sys_, tree, weights, forms, tags):
+def _gold_path(sys_, tree, table, forms, tags):
     """Replay the oracle actions, scoring each prefix; returns the list of
-    (cumulative score, conjoined features of the step, action)."""
+    (cumulative score, features of the step's configuration, action)."""
+    ids = sys_.action_ids
     state = sys_.initial(tree.n)
     score = 0.0
     path = []
     for action in sys_.gold_actions(tree):
         base = sys_.features(state, forms, tags)
-        score += _score(weights, base, action)
-        path.append((score, tuple(f + ">" + action for f in base), action))
+        score += _score(table, base, (ids[action],))[0]
+        path.append((score, base, action))
         state = sys_.apply(state, action)
     return path
 
@@ -593,10 +663,13 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
     """
     corpus = list(corpus)
     sys_ = _system(system, feature_set)
+    ids = sys_.action_ids
+    width = len(ids)
     rng = random.Random(seed)
-    weights = {}
-    totals = {}   # lazily accumulated snapshot sums
-    stamp = {}    # visit at which the current value of a key took effect
+    # feature -> [weight per action id, then the lazily accumulated sum of
+    # its snapshots per action id, then the visit at which the current
+    # weight took effect per action id]
+    table = {}
     visit = 0
     n_updates = 0
     snapshots = [] if keep_snapshots else None
@@ -607,10 +680,10 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
             visit += 1
             tree = corpus[idx]
             forms, tags = list(tree.forms), list(tree.tags)
-            gold = _gold_path(sys_, tree, weights, forms, tags)
+            gold = _gold_path(sys_, tree, table, forms, tags)
             record = []
             best_final, _ = _beam_run(
-                sys_, weights, forms, tags, beam_size, None, RAW, record=record
+                sys_, table, forms, tags, beam_size, None, RAW, record=record
             )
             gold_actions = [a for _, _, a in gold]
             horizon = min(len(gold), len(record))
@@ -622,33 +695,55 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
                     range(horizon),
                     key=lambda t: (record[t].score - gold[t][0], t),
                 )
+                # both paths take t_star + 1 steps; up to their first
+                # differing action they pass the same configurations, whose
+                # features cancel, so the update starts there
+                beam_path = record[t_star].path_features()
+                start = 0
+                while start <= t_star and beam_path[start][1] == gold[start][2]:
+                    start += 1
                 delta = {}
-                for _, fs, _ in gold[: t_star + 1]:
+                for _, fs, action in gold[start: t_star + 1]:
                     for f in fs:
-                        delta[f] = delta.get(f, 0) + 1
-                for f in record[t_star].feature_log():
-                    delta[f] = delta.get(f, 0) - 1
-                for f, d in delta.items():
+                        delta[f, action] = delta.get((f, action), 0) + 1
+                for fs, action in beam_path[start:]:
+                    for f in fs:
+                        delta[f, action] = delta.get((f, action), 0) - 1
+                for (f, action), d in delta.items():
                     if d == 0:
                         continue
-                    old = weights.get(f, 0.0)
-                    totals[f] = totals.get(f, 0.0) + old * (
-                        visit - stamp.get(f, visit)
-                    )
-                    stamp[f] = visit
-                    new = old + d
-                    if new == 0.0:
-                        weights.pop(f, None)
-                    else:
-                        weights[f] = new
+                    row = table.get(f)
+                    if row is None:
+                        row = table[f] = [0.0] * (2 * width) + [0] * width
+                    j = ids[action]
+                    old = row[j]
+                    row[width + j] += old * (visit - row[2 * width + j])
+                    row[2 * width + j] = visit
+                    row[j] = old + d
                 n_updates += 1
             if snapshots is not None:
-                snapshots.append(dict(weights))
-    for f, w in weights.items():
-        totals[f] = totals.get(f, 0.0) + w * (visit - stamp.get(f, visit) + 1)
-    averaged = (
-        {k: v / visit for k, v in totals.items() if v != 0.0} if visit else {}
-    )
+                snapshots.append({
+                    f + ">" + a: row[j]
+                    for f, row in table.items() for a, j in ids.items()
+                    if row[j]
+                })
+    # the flat "feature>action" dicts, sharing one key string per entry;
+    # rows are dropped as they are read, so the table and the dicts do
+    # not peak together
+    weights, averaged = {}, {}
+    while table:
+        f, row = table.popitem()
+        for action, j in ids.items():
+            w, total = row[j], row[width + j]
+            if w:
+                total += w * (visit - row[2 * width + j] + 1)
+            if not (w or total):
+                continue
+            key = f + ">" + action
+            if w:
+                weights[key] = w
+            if total:
+                averaged[key] = total / visit
     return ParserModel(
         system=system,
         feature_set=feature_set if system == LEFT_CORNER else "",
@@ -663,30 +758,26 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
 def decode_corpus(corpus, model, beam_size=None, depth_bound=None,
                   depth_measure=RAW, relax_c=1, jobs=1):
     """Parse every sentence with the trained model; parallel over sentences
-    when jobs > 1 (decoding is read-only)."""
-    beam_size = beam_size or model.beam_size
-    args = [
-        (tree, model, beam_size, depth_bound, depth_measure, relax_c)
-        for tree in corpus
-    ]
-    if jobs <= 1 or len(args) < 2 * jobs:
-        return [_decode_one(a) for a in args]
+    when jobs > 1 (decoding is read-only), each worker taking one
+    contiguous share of the corpus."""
+    corpus = list(corpus)
+    sys_ = _system(model.system, model.feature_set or FULL)
+    setting = (sys_, _table(model.weights, sys_.action_ids),
+               beam_size or model.beam_size, depth_bound, depth_measure,
+               relax_c)
+    if jobs <= 1 or len(corpus) < 2 * jobs:
+        return _decode_share((corpus,) + setting)
+    step = -(-len(corpus) // jobs)
+    shares = [(corpus[k:k + step],) + setting
+              for k in range(0, len(corpus), step)]
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_decode_one, args))
+        return [tree for part in pool.map(_decode_share, shares)
+                for tree in part]
 
 
-def _decode_one(arg):
-    tree, model, beam_size, depth_bound, depth_measure, relax_c = arg
-    return beam_decode(
-        tree,
-        model.weights,
-        beam_size=beam_size,
-        depth_bound=depth_bound,
-        depth_measure=depth_measure,
-        system=model.system,
-        feature_set=model.feature_set or FULL,
-        relax_c=relax_c,
-    )
+def _decode_share(arg):
+    trees, *setting = arg
+    return [_decode(tree, *setting) for tree in trees]
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,15 @@ def valid_lc_actions(config):
 
 
 def lc_apply(config, action):
-    """Apply one left-corner action, checking its preconditions."""
+    """Apply one left-corner action, checking its preconditions.
+
+    Only insert and rightComp add arcs; every other action shares the arc
+    set of ``config``.
+    """
     spines, beta, arcs, starts = (
         config.spines,
         config.buffer_pos,
-        set(config.arcs),
+        config.arcs,
         config.starts,
     )
     top = spines[-1] if spines else None
@@ -165,10 +169,10 @@ def lc_apply(config, action):
             starts = starts + (j,)
         else:
             _require(top is not None, action, "needs a dummy node to fill")
+            added = [(j, k) for k in top.dummy.left]
             if top.nodes:
-                arcs.add((top.nodes[-1], j))
-            for k in top.dummy.left:
-                arcs.add((j, k))
+                added.append((top.nodes[-1], j))
+            arcs = arcs.union(added)
             spines = spines[:-1] + (Spine(nodes=top.nodes + (j,)),)
         beta += 1
     elif action in LC_REDUCE_ACTIONS:
@@ -192,10 +196,10 @@ def lc_apply(config, action):
                     dummy=Dummy(second.dummy.left + (top.head,)),
                 )
             else:
+                added = [(top.head, k) for k in second.dummy.left]
                 if second.nodes:
-                    arcs.add((second.nodes[-1], top.head))
-                for k in second.dummy.left:
-                    arcs.add((top.head, k))
+                    added.append((second.nodes[-1], top.head))
+                arcs = arcs.union(added)
                 merged = Spine(nodes=second.nodes + (top.head,), dummy=Dummy())
             spines = spines[:-2] + (merged,)
             starts = starts[:-1]
@@ -206,7 +210,7 @@ def lc_apply(config, action):
         spines=spines,
         buffer_pos=beta,
         n=config.n,
-        arcs=frozenset(arcs),
+        arcs=arcs,
         starts=starts,
     )
 

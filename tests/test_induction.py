@@ -396,6 +396,19 @@ def test_decode_is_plain_viterbi_under_the_model():
         assert tree.heads == heads
 
 
+def test_decoding_an_unseen_tag_names_it():
+    corpus = [("N", "V"), ("V", "N", "N")]
+    cfg = induction.TrainConfig(em_iterations=1, depth_bound=1, size_cutoff=3)
+    model = induction.train(corpus, cfg)
+    unseen = [("N", "X", "V")]
+    with pytest.raises(ValueError, match="'X'"):
+        induction.decode(model.params, unseen)
+    with pytest.raises(ValueError, match="'X'"):
+        induction.decode_constrained(
+            model.params, unseen, cfg.constraint_set(), cfg.policy()
+        )
+
+
 def test_evaluate_uas_counts_root_and_skips_punctuation():
     gold = [tree_from_heads((2, 0, 2), tags=("NOUN", "VERB", "PUNCT"))]
     pred = [tree_from_heads((2, 0, 1), tags=("NOUN", "VERB", "PUNCT"))]

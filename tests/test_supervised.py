@@ -1,5 +1,7 @@
 """Tests for beam-search parsing and perceptron training."""
 
+import random
+
 import pytest
 
 from lcdep import supervised as sp
@@ -13,10 +15,11 @@ from lcdep.transition import (
     lc_apply,
     max_step_depth,
     run_lc_oracle,
+    valid_lc_actions,
 )
 from lcdep.treebank import tree_from_heads
 
-from tests.util import random_projective_tree
+from tests.util import random_projective_tree, reference_lc_features
 
 
 def _sent(tags, heads):
@@ -127,6 +130,66 @@ def test_shift_mode_dummy_parent_and_left_child():
     assert feats["0"] == sp.NULL   # s0.p.w: dummy is the element root
     assert feats["12"] == "b"      # q0.w = buffer front
     assert feats["22"] == "a|b"    # s0.l.w q0.w
+
+
+def _random_walk_configs(n, seed):
+    """Configurations met along a random sequence of valid left-corner
+    actions: deeper stacks and odder shapes than oracle replay reaches."""
+    rng = random.Random(seed)
+    cfg = initial_config(n)
+    out = [cfg]
+    valid = valid_lc_actions(cfg)
+    while valid:  # ends at a terminal or a dead end
+        cfg = lc_apply(cfg, rng.choice(valid))
+        out.append(cfg)
+        valid = valid_lc_actions(cfg)
+    return out
+
+
+@pytest.mark.parametrize("feature_set", ["full", "limited"])
+def test_compiled_features_match_reference(feature_set):
+    # forms carry the separators "|", ">" and "=" to catch any reparsing
+    for seed in range(12):
+        n = 2 + seed % 9
+        tree = random_projective_tree(n, seed=seed)
+        forms = ["f%d|>=%d" % (seed, i) for i in range(n)]
+        tags = ["T%d" % (i % 3) for i in range(n)]
+        configs = [initial_config(n)]
+        for step in run_lc_oracle(tree).steps:
+            configs.append(lc_apply(configs[-1], step.action))
+        configs += _random_walk_configs(n, seed)
+        for cfg in configs:
+            assert sp.extract_lc_features(cfg, forms, tags, feature_set) == (
+                reference_lc_features(cfg, forms, tags, feature_set))
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_score_equals_flat_weight_sum(system):
+    # one lookup per feature must reproduce, bit for bit, the sum of the
+    # conjoined weights taken feature by feature in template order
+    sys_ = sp._system(system)
+    rng = random.Random(5)
+    for seed in range(6):
+        tree = random_projective_tree(4 + seed, seed=seed)
+        forms, tags = list(tree.forms), list(tree.tags)
+        state = sys_.initial(tree.n)
+        weights = {}
+        visited = []
+        for action in sys_.gold_actions(tree):
+            feats = sys_.features(state, forms, tags)
+            for f in feats:
+                for a in sys_.action_ids:
+                    if rng.random() < 0.7:
+                        weights[f + ">" + a] = rng.uniform(-3.0, 3.0) / 7.0
+            visited.append((state, feats))
+            state = sys_.apply(state, action)
+        table = sp._table(weights, sys_.action_ids)
+        for state, feats in visited:
+            valid = sys_.valid(state)
+            got = sp._score(table, feats, [sys_.action_ids[a] for a in valid])
+            want = [sum(weights.get(f + ">" + a, 0.0) for f in feats)
+                    for a in valid]
+            assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +345,13 @@ def test_updates_stop_after_convergence():
 
 
 def test_decode_corpus_parallel_matches_serial():
-    corpus = [random_projective_tree(5, seed=s) for s in range(6)]
+    # seven sentences: the two workers take shares of four and three
+    corpus = [random_projective_tree(5, seed=s) for s in range(7)]
     model = sp.train_perceptron(corpus[:2], epochs=2, beam_size=2, seed=0)
-    serial = sp.decode_corpus(corpus, model, jobs=1)
-    parallel = sp.decode_corpus(corpus, model, jobs=2)
-    assert [p.heads for p in serial] == [p.heads for p in parallel]
+    for kw in ({}, {"depth_bound": 2}):
+        serial = sp.decode_corpus(corpus, model, jobs=1, **kw)
+        parallel = sp.decode_corpus(corpus, model, jobs=2, **kw)
+        assert [p.heads for p in serial] == [p.heads for p in parallel]
 
 
 def test_limited_feature_set_trains():

@@ -167,3 +167,81 @@ def random_single_root_tree(n, seed, tags=None):
         else:
             heads[tok - 1] = order[rng.randrange(k)]
     return tree_from_heads(heads, tags=tags)
+
+
+def _lc_token_view(tok, forms, tags):
+    if tok is None or not (1 <= tok <= len(forms)):
+        return {}
+    return {("", "w"): forms[tok - 1], ("", "t"): tags[tok - 1]}
+
+
+def _lc_incomplete_view(spine, forms, tags):
+    view = {}
+
+    def put(role, tok):
+        view[role, "w"] = forms[tok - 1]
+        view[role, "t"] = tags[tok - 1]
+
+    nodes = spine.nodes
+    if len(nodes) >= 1:
+        put("p", nodes[-1])
+    if len(nodes) >= 2:
+        put("gp", nodes[-2])
+    if len(nodes) >= 3:
+        put("gg", nodes[-3])
+    left = spine.dummy.left
+    if len(left) >= 1:
+        put("l", left[0])
+    if len(left) >= 2:
+        put("l2", left[1])
+    return view
+
+
+def _lc_complete_view(spine, arcs, forms, tags):
+    root = spine.nodes[0]
+    view = {("", "w"): forms[root - 1], ("", "t"): tags[root - 1]}
+    children = sorted(d for h, d in arcs if h == root)
+    if children:
+        view["l", "w"] = forms[children[0] - 1]
+        view["l", "t"] = tags[children[0] - 1]
+        view["r", "w"] = forms[children[-1] - 1]
+        view["r", "t"] = tags[children[-1] - 1]
+    if len(children) >= 2:
+        view["l2", "w"] = forms[children[1] - 1]
+        view["l2", "t"] = tags[children[1] - 1]
+    return view
+
+
+def reference_lc_features(config, forms, tags, feature_set):
+    """Left-corner feature strings computed view by view: a dict of
+    (role, leaf) values per address, read back template by template."""
+    from lcdep.supervised import NULL, lc_templates
+
+    spines = config.spines
+    reduce_mode = bool(spines) and spines[-1].is_complete
+    views = {}
+    if reduce_mode:
+        views["q0"] = _lc_complete_view(spines[-1], config.arcs, forms, tags)
+        stack_below = spines[:-1]
+        buffer_from = config.buffer_pos
+    else:
+        views["q0"] = _lc_token_view(
+            config.buffer_pos if not config.buffer_empty else None, forms, tags
+        )
+        stack_below = spines
+        buffer_from = config.buffer_pos + 1
+    if len(stack_below) >= 1:
+        views["s0"] = _lc_incomplete_view(stack_below[-1], forms, tags)
+    if len(stack_below) >= 2:
+        views["s1"] = _lc_incomplete_view(stack_below[-2], forms, tags)
+    views["q1"] = _lc_token_view(buffer_from, forms, tags)
+    views["q2"] = _lc_token_view(buffer_from + 1, forms, tags)
+
+    feats = []
+    for idx, template in enumerate(lc_templates(feature_set)):
+        vals = []
+        for addr, role, leaf in template:
+            view = views.get(addr)
+            vals.append(view.get((role, leaf), NULL) if view else NULL)
+        feats.append("%d=%s" % (idx, "|".join(vals)))
+    return feats
