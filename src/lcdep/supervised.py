@@ -173,7 +173,7 @@ def extract_lc_features(config, forms, tags, feature_set=FULL):
     spines = config.spines
     pos = config.buffer_pos
     n = len(forms)
-    if spines and spines[-1].dummy is None:
+    if spines and spines[-1].is_complete:
         # reduce mode: the completed element on top is q0, with its
         # leftmost and rightmost children as l and r
         root = spines[-1].nodes[0]
@@ -183,8 +183,8 @@ def extract_lc_features(config, forms, tags, feature_set=FULL):
         spines = spines[:-1]
         after = pos
     else:
-        if pos <= config.n:
-            _put(vals, _Q0, range(pos, min(pos, n) + 1), forms, tags)
+        if pos <= n:
+            _put(vals, _Q0, (pos,), forms, tags)
         after = pos + 1
     # the stack elements: parent chain p, gp, gg, then left children l, l2
     for at, spine in zip((_S0, _S1), spines[:-3:-1]):
@@ -569,7 +569,7 @@ def _beam_run(sys_, table, forms, tags, beam_size, depth_bound, depth_measure,
             survivors.append(BeamState(
                 new_state, -neg, actions + (action,), parent, base[k]
             ))
-            if len(survivors) == beam_size:
+            if len(survivors) >= beam_size:
                 break
         if not survivors:
             break
@@ -583,6 +583,11 @@ def _beam_run(sys_, table, forms, tags, beam_size, depth_bound, depth_measure,
     finals.sort(key=lambda s: (-s.score, s.actions))
     best_final = finals[0] if finals else None
     return best_final, best_partial
+
+
+def _check_beam(beam_size):
+    if beam_size < 1:
+        raise ValueError("beam size must be at least 1, not %r" % (beam_size,))
 
 
 def _decode(sentence, sys_, table, beam_size, depth_bound, depth_measure,
@@ -615,6 +620,7 @@ def beam_decode(sentence, weights, beam_size=8, depth_bound=None,
     completion, the best partial state is repaired into a tree (headless
     tokens attach to the first root).
     """
+    _check_beam(beam_size)
     sys_ = _system(system, feature_set)
     return _decode(sentence, sys_, _table(weights, sys_.action_ids),
                    beam_size, depth_bound, depth_measure, relax_c)
@@ -661,6 +667,7 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
     snapshots taken after every sentence visit (every update opportunity),
     so once updates stop the mean converges toward the final vector.
     """
+    _check_beam(beam_size)
     corpus = list(corpus)
     sys_ = _system(system, feature_set)
     ids = sys_.action_ids
@@ -758,26 +765,33 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
 def decode_corpus(corpus, model, beam_size=None, depth_bound=None,
                   depth_measure=RAW, relax_c=1, jobs=1):
     """Parse every sentence with the trained model; parallel over sentences
-    when jobs > 1 (decoding is read-only), each worker taking one
-    contiguous share of the corpus."""
+    when jobs > 1 (decoding is read-only).  Workers receive the scoring
+    table once, then take sentences one at a time as they free up."""
     corpus = list(corpus)
+    beam_size = beam_size or model.beam_size
+    _check_beam(beam_size)
     sys_ = _system(model.system, model.feature_set or FULL)
-    setting = (sys_, _table(model.weights, sys_.action_ids),
-               beam_size or model.beam_size, depth_bound, depth_measure,
-               relax_c)
+    setting = (sys_, _table(model.weights, sys_.action_ids), beam_size,
+               depth_bound, depth_measure, relax_c)
     if jobs <= 1 or len(corpus) < 2 * jobs:
-        return _decode_share((corpus,) + setting)
-    step = -(-len(corpus) // jobs)
-    shares = [(corpus[k:k + step],) + setting
-              for k in range(0, len(corpus), step)]
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [tree for part in pool.map(_decode_share, shares)
-                for tree in part]
+        return [_decode(tree, *setting) for tree in corpus]
+    with futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_set_worker_setting, initargs=(setting,)
+    ) as pool:
+        return list(pool.map(_decode_in_worker, corpus))
 
 
-def _decode_share(arg):
-    trees, *setting = arg
-    return [_decode(tree, *setting) for tree in trees]
+# decoding setting of a worker process, set once by its initializer
+_worker_setting = None
+
+
+def _set_worker_setting(setting):
+    global _worker_setting
+    _worker_setting = setting
+
+
+def _decode_in_worker(tree):
+    return _decode(tree, *_worker_setting)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,19 @@ def test_zero_weight_lc_beam_sizes_agree():
     assert narrow.heads == wide.heads
 
 
+@pytest.mark.parametrize("beam_size", [0, -1])
+def test_beam_size_below_one_rejected(beam_size):
+    corpus = toy_corpus()
+    with pytest.raises(ValueError, match="beam size"):
+        sp.beam_decode(corpus[0], {}, beam_size=beam_size)
+    with pytest.raises(ValueError, match="beam size"):
+        sp.train_perceptron(corpus, epochs=1, beam_size=beam_size)
+    # a model file whose header gives the size
+    model = sp.parser_from_lines(["# beam: %d" % beam_size])
+    with pytest.raises(ValueError, match="beam size"):
+        sp.decode_corpus(corpus, model)
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gold_actions_replayable(system, seed):
@@ -345,7 +358,7 @@ def test_updates_stop_after_convergence():
 
 
 def test_decode_corpus_parallel_matches_serial():
-    # seven sentences: the two workers take shares of four and three
+    # seven sentences, handed to two workers one at a time
     corpus = [random_projective_tree(5, seed=s) for s in range(7)]
     model = sp.train_perceptron(corpus[:2], epochs=2, beam_size=2, seed=0)
     for kw in ({}, {"depth_bound": 2}):
