@@ -27,6 +27,8 @@ from .transition import (
 )
 from .treebank import (
     DEFAULT_PUNCT_TAGS,
+    GOOGLE_FUNCTION_TAGS,
+    UD_FUNCTION_TAGS,
     parse_conll,
     projectivize,
     serialize_conll,
@@ -89,9 +91,9 @@ def _tag_list(text):
     if lowered in ("", "none"):
         return ()
     if lowered == "ud":
-        return tuple(sorted(induction.UD_FUNCTION_TAGS))
+        return tuple(sorted(UD_FUNCTION_TAGS))
     if lowered == "google":
-        return tuple(sorted(induction.GOOGLE_FUNCTION_TAGS))
+        return tuple(sorted(GOOGLE_FUNCTION_TAGS))
     return tuple(p.strip() for p in t.split(",") if p.strip())
 
 
@@ -417,6 +419,12 @@ def _train_config(resolved):
     )
 
 
+def _lbfgs_summary(run):
+    return "%d L-BFGS iterations, %s (status %d: %s)" % (
+        run.iterations, "converged" if run.converged else "not converged",
+        run.status, run.message)
+
+
 def _cmd_train_dmv(resolved, args):
     if resolved["init"] not in ("harmonic", "uniform"):
         raise CliError("unknown init %r (expected harmonic/uniform)" % resolved["init"])
@@ -434,6 +442,12 @@ def _cmd_train_dmv(resolved, args):
         handle.write("iter\tobjective\tskipped\n")
         for it, objective, skipped in model.history:
             handle.write("%d\t%.6f\t%d\n" % (it, objective, skipped))
+    runs = dict(model.mstep_runs)
+    if 0 in runs:
+        log.info("initial M-step: %s", _lbfgs_summary(runs[0]))
+    for it, objective, skipped in model.history:
+        log.info("EM iteration %d: objective %.6f, skipped %d, M-step %s",
+                 it, objective, skipped, _lbfgs_summary(runs[it]))
     log.info("wrote %s and %s", model_path, metrics_path)
     return 0
 

@@ -15,7 +15,6 @@ the unconstrained model.
 import collections
 import dataclasses
 import math
-import random
 from concurrent import futures
 
 import numpy as np
@@ -31,8 +30,6 @@ ROOT_HEAD = "$"
 STOP = "stop"
 CONTINUE = "continue"
 
-UD_FUNCTION_TAGS = frozenset({"ADP", "AUX", "CONJ", "DET", "PART", "SCONJ"})
-GOOGLE_FUNCTION_TAGS = frozenset({"DET", "CONJ", "PRT"})
 VERB_ROOT_TAGS = frozenset({"VERB"})
 NOUN_ROOT_TAGS = frozenset({"NOUN", "PRON", "PROPN"})
 
@@ -172,8 +169,25 @@ def mstep_objective(space, w, context_counts, sigma2=10.0):
     return obj, grad
 
 
+@dataclasses.dataclass(frozen=True)
+class LbfgsRun:
+    """How one M-step's L-BFGS run ended: scipy's iteration count, status
+    (0 converged, 1 iteration or evaluation limit reached, 2 stopped for
+    another reason) and message."""
+
+    iterations: int
+    status: int
+    message: str
+
+    @property
+    def converged(self):
+        return self.status == 0
+
+
 def mstep(space, counts, w0, sigma2=10.0, maxiter=100):
-    """Fit feature weights to expected counts with L-BFGS."""
+    """Fit feature weights to expected counts with L-BFGS.
+
+    Returns (weights, LbfgsRun)."""
     cvecs = space.context_counts(counts)
 
     def neg(w):
@@ -187,7 +201,7 @@ def mstep(space, counts, w0, sigma2=10.0, maxiter=100):
         method="L-BFGS-B",
         options={"maxiter": maxiter, "ftol": 1e-13, "gtol": 1e-9},
     )
-    return res.x
+    return res.x, LbfgsRun(int(res.nit), int(res.status), str(res.message))
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +313,7 @@ def _estep_chunk(args):
             skipped += mult
             continue
         loglik += mult * logz
-        for key, c in counts.attach.items():
-            total.attach[key] += mult * c
-        for key, c in counts.stop.items():
-            total.stop[key] += mult * c
-        for key, c in counts.cont.items():
-            total.cont[key] += mult * c
-        for key, c in counts.root.items():
-            total.root[key] += mult * c
+        total.merge(counts, mult)
     return total, loglik, skipped
 
 
@@ -358,10 +365,7 @@ def harmonic_counts(groups):
         events, _ = sbg.eisner_expected_counts(
             tags, sent, forest=_eisner_forest_cached(tags, sent)
         )
-        counts = sbg.dmv_counts_from_events(events, tags)
-        for field in ("attach", "stop", "cont", "root"):
-            for key, c in getattr(counts, field).items():
-                getattr(total, field)[key] += mult * c
+        total.merge(sbg.dmv_counts_from_events(events, tags), mult)
     return total
 
 
@@ -412,6 +416,9 @@ class TrainedModel:
     params: DmvParams
     config: TrainConfig
     history: list  # (iteration, objective, skipped)
+    # (iteration, LbfgsRun) of every M-step; iteration 0 is the fit to the
+    # harmonic initialisation's counts
+    mstep_runs: list = dataclasses.field(default_factory=list)
 
 
 def train(corpus, cfg=None):
@@ -430,11 +437,13 @@ def train(corpus, cfg=None):
     cs = cfg.constraint_set()
     policy = cfg.policy()
     w = np.zeros(space.n_features)
+    mstep_runs = []
     if cfg.init == "harmonic":
-        w = mstep(
+        w, run = mstep(
             space, harmonic_counts(groups), w, cfg.sigma2,
             cfg.lbfgs_iterations,
         )
+        mstep_runs.append((0, run))
     elif cfg.init != "uniform":
         raise ValueError("unknown init %r" % cfg.init)
     params = space.weights_to_params(w)
@@ -449,12 +458,13 @@ def train(corpus, cfg=None):
             raise ValueError("every sentence has zero constrained mass")
         objective = loglik - float(w @ w) / (2.0 * cfg.sigma2)
         history.append((it, objective, skipped))
-        w = mstep(space, counts, w, cfg.sigma2, cfg.lbfgs_iterations)
+        w, run = mstep(space, counts, w, cfg.sigma2, cfg.lbfgs_iterations)
+        mstep_runs.append((it, run))
         params = space.weights_to_params(w)
         if prev is not None and abs(objective - prev) < cfg.tol:
             break
         prev = objective
-    return TrainedModel(space, w, params, cfg, history)
+    return TrainedModel(space, w, params, cfg, history, mstep_runs)
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def lc_viterbi(tags, sent, policy=None, forest=None, blocked=()):
     chart, score = lc_inside(
         tags, sent, policy, semiring="max", forest=forest, blocked=blocked
     )
-    if score == NEG_INF:
+    if not score > NEG_INF:  # -inf, or NaN from NaN weights
         raise ValueError("no derivation has nonzero weight")
     edges = hypergraph.backtrace(chart.forest, chart.best_edge)
     heads = _heads_from_edges(chart.forest, edges, len(tags))

@@ -640,7 +640,7 @@ def eisner_viterbi(tags, sent, forest=None):
     """Best projective tree as a DepTree; ties prefer the arc list whose
     sorted (dependent, head) pairs are lexicographically smaller."""
     chart, score = eisner_inside(tags, sent, semiring="max", forest=forest)
-    if score == NEG_INF:
+    if not score > NEG_INF:  # -inf, or NaN from NaN weights
         raise ValueError("no derivation has nonzero weight")
     edges = hypergraph.backtrace(chart.forest, chart.best_edge)
     heads = _heads_from_edges(chart.forest, edges, len(tags))
@@ -667,15 +667,12 @@ class DmvCounts:
             root=collections.defaultdict(float),
         )
 
-    def merge(self, other):
-        for key, c in other.attach.items():
-            self.attach[key] += c
-        for key, c in other.stop.items():
-            self.stop[key] += c
-        for key, c in other.cont.items():
-            self.cont[key] += c
-        for key, c in other.root.items():
-            self.root[key] += c
+    def merge(self, other, mult=1):
+        """Add ``mult`` times the counts of ``other`` to these."""
+        for field in ("attach", "stop", "cont", "root"):
+            mine = getattr(self, field)
+            for key, c in getattr(other, field).items():
+                mine[key] += mult * c
         return self
 
 

@@ -5,6 +5,7 @@ calls it wraps, honor config files with flag overrides, and fail with a
 one-line reason and nonzero exit status.
 """
 
+import logging
 import os
 
 import pytest
@@ -151,6 +152,25 @@ def test_train_dmv_writes_model_and_metrics(corpus_file, tmp_path, capsys):
     cfg = induction.TrainConfig(init="uniform", em_iterations=3)
     model = induction.train(corpus, cfg)
     assert model_lines == induction.model_to_lines(model)
+
+
+def test_train_dmv_logs_each_m_step(corpus_file, tmp_path, capsys, caplog):
+    path, _ = corpus_file
+    caplog.set_level(logging.INFO, logger="lcdep")
+    code, _, _ = run(
+        ["train-dmv", "--em-iters", "2", "--lbfgs-iters", "3", "--tol", "0",
+         "--out", str(tmp_path / "run"), path],
+        capsys,
+    )
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records
+             if "L-BFGS iterations" in r.getMessage()]
+    assert lines[0].startswith("initial M-step: 3 L-BFGS iterations, "
+                               "not converged (status 1: ")
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "EM iteration 1", "EM iteration 2"]
+    assert all("M-step 3 L-BFGS iterations, not converged" in line
+               for line in lines[1:])
 
 
 def test_parse_dmv_roundtrip(corpus_file, tmp_path, capsys):

@@ -121,7 +121,8 @@ def test_mstep_reaches_a_stationary_point():
     space = induction.FeatureSpace(("A", "B"))
     counts = random_counts(space, rng)
     cvecs = space.context_counts(counts)
-    w = induction.mstep(space, counts, np.zeros(space.n_features))
+    w, run = induction.mstep(space, counts, np.zeros(space.n_features))
+    assert run.converged and run.iterations > 0
     obj, grad = induction.mstep_objective(space, w, cvecs, sigma2=10.0)
     obj0, _ = induction.mstep_objective(
         space, np.zeros(space.n_features), cvecs, sigma2=10.0
@@ -465,3 +466,44 @@ def test_model_file_roundtrip_preserves_params():
             assert math.isclose(p, reloaded.attach[key][d], abs_tol=1e-12)
     for key, p in model.params.stop.items():
         assert math.isclose(p, reloaded.stop[key], abs_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# M-step observability and degenerate weights
+
+
+def test_mstep_runs_record_lbfgs_iterations_and_status():
+    rng = random.Random(3)
+    corpus = random_corpus(rng, n_sent=6, max_len=4)
+    capped = induction.train(corpus, induction.TrainConfig(
+        em_iterations=2, tol=0.0, lbfgs_iterations=2))
+    assert [it for it, _ in capped.mstep_runs] == [0, 1, 2]
+    for _, run in capped.mstep_runs:
+        assert run.iterations == 2
+        assert run.status == 1 and not run.converged
+    free = induction.train(corpus, induction.TrainConfig(
+        init="uniform", em_iterations=1, lbfgs_iterations=15000))
+    [(it, run)] = free.mstep_runs
+    assert it == 1 and run.converged and 2 < run.iterations < 15000
+
+
+def _params_with(tagset, value):
+    """DMV parameters whose every probability is ``value``."""
+    base = sbg.uniform_dmv_params(tagset)
+    return sbg.DmvParams(
+        attach={k: {d: value for d in row} for k, row in base.attach.items()},
+        stop={k: value for k in base.stop},
+        root={d: value for d in base.root},
+    )
+
+
+@pytest.mark.parametrize("prob", [float("nan"), 0.0], ids=["nan", "zero"])
+@pytest.mark.parametrize("policy", [None, DepthPolicy(1, 3)],
+                         ids=["eisner", "depth1"])
+def test_degenerate_weights_skip_the_sentence(prob, policy, recwarn):
+    tags = ("DET", "NOUN", "VERB", "NOUN")
+    params = _params_with(set(tags), prob)
+    counts, logz = induction.sentence_expectations(
+        tags, params, induction.ConstraintSet(), policy)
+    assert counts is None and logz == NEG_INF
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -5,8 +5,12 @@ The degree oracle here searches for the zig-zag derivation pattern directly
 arithmetic the production code uses.
 """
 
+import math
 import random
 
+import numpy as np
+
+from lcdep.hypergraph import NEG_INF
 from lcdep.treebank import tree_from_heads
 
 
@@ -245,3 +249,154 @@ def reference_lc_features(config, forms, tags, feature_set):
             vals.append(view.get((role, leaf), NULL) if view else NULL)
         feats.append("%d=%s" % (idx, "|".join(vals)))
     return feats
+
+
+# ---------------------------------------------------------------------------
+# sequential hypergraph passes
+
+
+class ListForest:
+    """The list layout the sequential reference passes walk, read off an
+    array ``hypergraph.Forest``: the same item, event and edge ids, derivable
+    items in a topological order, and per-edge tail and event tuples."""
+
+    def __init__(self, forest):
+        self.goal_id = forest.goal_id
+        self.n_items = forest.n_items
+        self.events = forest.events
+        self.edge_head = forest.edge_head.tolist()
+        self.edge_tails = [
+            tuple(t for t in tails if t != forest.sentinel)
+            for tails in forest.edge_tail.T.tolist()
+        ]
+        events = forest.edge_events
+        self.edge_events = [events[e] for e in range(forest.n_edges)]
+        self.head_edges = [[] for _ in range(self.n_items)]
+        for e, h in enumerate(self.edge_head):
+            self.head_edges[h].append(e)
+        self.topo = []
+        for h in self.edge_head:
+            if not self.topo or self.topo[-1] != h:
+                self.topo.append(h)
+        self.edge_weights = forest.edge_weights
+
+    @property
+    def n_edges(self):
+        return len(self.edge_head)
+
+
+def reference_inside_logsum(forest, eventw):
+    """Inside log-weights per item (log-sum over derivations)."""
+    inside = np.full(forest.n_items, NEG_INF)
+    edge_tails = forest.edge_tails
+    ew = forest.edge_weights(eventw)
+    for iid in forest.topo:
+        acc = NEG_INF
+        for e in forest.head_edges[iid]:
+            w = ew[e]
+            for t in edge_tails[e]:
+                w += inside[t]
+            acc = np.logaddexp(acc, w)
+        inside[iid] = acc
+    return inside
+
+
+def reference_inside_count(forest):
+    """Number of derivations per item (exact Python integers)."""
+    count = [0] * forest.n_items
+    for iid in forest.topo:
+        total = 0
+        for e in forest.head_edges[iid]:
+            prod = 1
+            for t in forest.edge_tails[e]:
+                prod *= count[t]
+            total += prod
+        count[iid] = total
+    return count
+
+
+def reference_inside_max(forest, eventw, edge_arcs=None):
+    """Viterbi pass.
+
+    Returns (scores, best_edge).  With ``edge_arcs`` (callable edge id ->
+    tuple of (dep, head) arcs) exact score ties are broken by preferring the
+    derivation whose sorted arc tuple is lexicographically smaller, which
+    realizes the "lower head index first" decoding contract.
+    """
+    scores = np.full(forest.n_items, NEG_INF)
+    best_edge = [-1] * forest.n_items
+    keys = [None] * forest.n_items if edge_arcs is not None else None
+    ew = forest.edge_weights(eventw)
+    for iid in forest.topo:
+        for e in forest.head_edges[iid]:
+            w = ew[e]
+            dead = False
+            for t in forest.edge_tails[e]:
+                if scores[t] == NEG_INF:
+                    dead = True
+                    break
+                w += scores[t]
+            if dead or w == NEG_INF:
+                continue
+            if keys is None:
+                if w > scores[iid]:
+                    scores[iid] = w
+                    best_edge[iid] = e
+                continue
+            key = list(edge_arcs(e))
+            for t in forest.edge_tails[e]:
+                key.extend(keys[t])
+            key = tuple(sorted(key))
+            if (
+                w > scores[iid] + 1e-12
+                or best_edge[iid] < 0
+                or (w > scores[iid] - 1e-12 and key < keys[iid])
+            ):
+                scores[iid] = w
+                best_edge[iid] = e
+                keys[iid] = key
+    return scores, best_edge
+
+
+def reference_outside_logsum(forest, eventw, inside):
+    outside = np.full(forest.n_items, NEG_INF)
+    outside[forest.goal_id] = 0.0
+    ew = forest.edge_weights(eventw)
+    for iid in reversed(forest.topo):
+        out_h = outside[iid]
+        if out_h == NEG_INF:
+            continue
+        for e in forest.head_edges[iid]:
+            tails = forest.edge_tails[e]
+            w = out_h + ew[e]
+            for t in tails:
+                w += inside[t]
+            if w == NEG_INF:
+                continue
+            for t in tails:
+                outside[t] = np.logaddexp(outside[t], w - inside[t])
+    return outside
+
+
+def reference_event_posteriors(forest, eventw):
+    """(log marginal, expected count per event id) under the forest weights."""
+    inside = reference_inside_logsum(forest, eventw)
+    logz = inside[forest.goal_id]
+    post = np.zeros(len(forest.events))
+    if logz == NEG_INF:
+        return logz, post
+    outside = reference_outside_logsum(forest, eventw, inside)
+    ew = forest.edge_weights(eventw)
+    for e in range(forest.n_edges):
+        head = forest.edge_head[e]
+        if outside[head] == NEG_INF:
+            continue
+        w = outside[head] - logz + ew[e]
+        for t in forest.edge_tails[e]:
+            w += inside[t]
+        if w == NEG_INF:
+            continue
+        mass = math.exp(w)
+        for k in forest.edge_events[e]:
+            post[k] += mass
+    return logz, post
