@@ -189,7 +189,6 @@ def _command_table():
                 Opt("lbfgs-iters", int, 100),
                 Opt("sigma2", float, 10.0),
                 Opt("tol", float, 1e-6),
-                Opt("seed", int, 0),
                 Opt("jobs", int, 1),
             ),
             ("input",),
@@ -402,15 +401,24 @@ def _cmd_oracle_trace(resolved, args):
     return 0
 
 
+def _constraint_fields(resolved):
+    """The ``TrainConfig`` fields set by the constraint options."""
+    if resolved["root"] not in induction.ROOT_MODES:
+        raise CliError("unknown root constraint %r" % resolved["root"])
+    return dict(
+        root_constraint=resolved["root"],
+        function_words=tuple(resolved["function-words"]),
+        adp_head=resolved["adp-head"],
+    )
+
+
 def _train_config(resolved):
     return induction.TrainConfig(
         init=resolved["init"],
         depth_bound=resolved["depth"],
         size_cutoff=resolved["relax-c"],
         length_bias=resolved["beta"],
-        root_constraint=resolved["root"],
-        function_words=tuple(resolved["function-words"]),
-        adp_head=resolved["adp-head"],
+        **_constraint_fields(resolved),
         em_iterations=resolved["em-iters"],
         lbfgs_iterations=resolved["lbfgs-iters"],
         sigma2=resolved["sigma2"],
@@ -470,13 +478,7 @@ def _plain_sentences(corpus, resolved):
 
 
 def _constraints(resolved):
-    if resolved["root"] not in ("none", "verb-or-noun", "verb-otherwise-noun"):
-        raise CliError("unknown root constraint %r" % resolved["root"])
-    return induction.ConstraintSet(
-        stop_one_tags=frozenset(resolved["function-words"]),
-        must_head_tags=frozenset({"ADP"}) if resolved["adp-head"] else frozenset(),
-        root_mode=resolved["root"],
-    )
+    return induction.TrainConfig(**_constraint_fields(resolved)).constraint_set()
 
 
 def _cmd_parse(resolved, args):

@@ -8,6 +8,16 @@ decisions (automaton init/final/transition uses) charged at that step.
 stored as flat integer arrays, so a forest built once for a sentence shape
 can be re-weighted cheaply on every training iteration.
 
+Build.  One depth-first pass pops items from a stack, expands each once and
+interns its tails and events into flat int lists; each item's edges are
+contiguous, in expansion order.  Derivability and levels are then decided
+over those arrays in numpy, one wavefront at a time (Kahn's algorithm): an
+item is decided once every tail of its edges is, an edge is derivable when
+all its tails are, an item when one of its edges is.  A cycle leaves items
+undecided, which is an error.  Charts should emit only items that can be
+derived (see ``lc_chart`` and ``sbg``): every dead item is expanded all the
+same and then dropped.
+
 Array layout.  Items keep the ids they were interned with (``items[i]``);
 id ``n_items`` is a sentinel whose value is 0 in log space (1 in the count
 semiring).  Every derivable item gets a topological *level*: 0 when all its
@@ -65,8 +75,8 @@ class Forest:
     def __init__(self, goal, items, events, level, edges):
         """``level`` gives each item's level (-1 when not derivable);
         ``edges`` is (heads, first tails, second tails, event counts, event
-        ids) of the derivable edges as flat lists in expansion order, with
-        missing tails set to the sentinel ``len(items)``."""
+        ids) of the derivable edges as flat sequences in expansion order,
+        with missing tails set to the sentinel ``len(items)``."""
         self.goal = goal
         self.goal_id = 0
         self.items = items
@@ -175,108 +185,127 @@ def build_forest(goal, expand):
     at most two tails each.  Items whose every expansion bottoms out in a
     dead end are pruned (their edges are dropped), so passes only ever see
     derivable items.  Raises ValueError on a cyclic expansion.
+
+    One depth-first pass expands every reachable item once and records its
+    edges as flat int lists; ``_levels`` then decides derivability and
+    levels over those arrays.
     """
     items = [goal]
     item_index = {goal: 0}
     events = []
     event_index = {}
-
-    def item_id(item):
-        idx = item_index.get(item)
-        if idx is None:
-            idx = item_index[item] = len(items)
-            items.append(item)
-        return idx
-
-    def event_id(event):
-        idx = event_index.get(event)
-        if idx is None:
-            idx = event_index[event] = len(events)
-            events.append(event)
-        return idx
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {0: WHITE}
-    raw_edges = {}
-    topo = []
-    stack = [(0, None)]
-    while stack:
-        iid, pending = stack.pop()
-        if pending is None:
-            if color.get(iid, WHITE) == BLACK:
-                continue
-            if color.get(iid) == GRAY:
-                raise ValueError(
-                    "cyclic chart expansion at %s" % (items[iid],)
-                )
-            color[iid] = GRAY
-            edges = []
-            children = []
-            for tails, evs in expand(items[iid]):
-                if len(tails) > 2:
-                    raise ValueError("edge with %d tails at %s"
-                                     % (len(tails), items[iid]))
-                tail_ids = tuple(item_id(t) for t in tails)
-                edges.append((tail_ids, tuple(event_id(ev) for ev in evs)))
-                children.extend(tail_ids)
-            raw_edges[iid] = edges
-            stack.append((iid, True))
-            for t in children:
-                if color.get(t, WHITE) == WHITE:
-                    stack.append((t, None))
-                elif color.get(t) == GRAY:
-                    raise ValueError(
-                        "cyclic chart expansion at %s" % (items[t],)
-                    )
-        else:
-            if color[iid] == BLACK:
-                continue
-            # all children must be finished before this item is
-            unfinished = [
-                t
-                for tails, _ in raw_edges[iid]
-                for t in tails
-                if color.get(t, WHITE) != BLACK
-            ]
-            if unfinished:
-                stack.append((iid, True))
-                for t in unfinished:
-                    if color.get(t, WHITE) == WHITE:
-                        stack.append((t, None))
-                continue
-            color[iid] = BLACK
-            topo.append(iid)
-
-    # viability and level in one bottom-up pass: an edge survives when all
-    # its tails are derivable, an item when one of its edges survives
-    sentinel = len(items)
-    level = [-1] * sentinel
     head, tail0, tail1, n_ev, flat = [], [], [], [], []
-    for iid in topo:
-        top = -1
-        for tails, evs in raw_edges[iid]:
-            above = 0
+    # an item's edges are contiguous, from first[item] on
+    first = {}
+    stack = [0]
+    while stack:
+        iid = stack.pop()
+        if iid in first:
+            continue
+        first[iid] = len(head)
+        children = []
+        for tails, evs in expand(items[iid]):
+            if len(tails) > 2:
+                raise ValueError("edge with %d tails at %s"
+                                 % (len(tails), items[iid]))
+            ids = []
             for t in tails:
-                lt = level[t]
-                if lt < 0:
-                    break
-                if lt >= above:
-                    above = lt + 1
-            else:
-                head.append(iid)
-                tail0.append(tails[0] if tails else sentinel)
-                tail1.append(tails[1] if len(tails) == 2 else sentinel)
-                n_ev.append(len(evs))
-                flat.extend(evs)
-                if above > top:
-                    top = above
-        level[iid] = top
+                tid = item_index.get(t)
+                if tid is None:
+                    tid = item_index[t] = len(items)
+                    items.append(t)
+                ids.append(tid)
+            children += ids
+            ids += (-1, -1)
+            head.append(iid)
+            tail0.append(ids[0])
+            tail1.append(ids[1])
+            n_ev.append(len(evs))
+            for ev in evs:
+                eid = event_index.get(ev)
+                if eid is None:
+                    eid = event_index[ev] = len(events)
+                    events.append(ev)
+                flat.append(eid)
+        stack += [t for t in children if t not in first]
     # free the build's dicts first, which lowers the peak while the arrays
     # are made
-    for table in (raw_edges, color, item_index, event_index):
-        table.clear()
+    item_index.clear()
+    event_index.clear()
+
+    sentinel = len(items)
+    head = np.array(head, dtype=np.intp)
+    tails = np.array((tail0, tail1), dtype=np.intp)
+    tails[tails < 0] = sentinel
+    start = np.zeros(sentinel, dtype=np.intp)
+    start[list(first)] = list(first.values())
+    level = _levels(items, head, tails, start)
+    n_ev = np.array(n_ev, dtype=np.intp)
+    flat = np.array(flat, dtype=np.intp)
+    # an edge survives when all its tails are derivable
+    keep = (np.append(level, 0)[tails] >= 0).all(axis=0)
     return Forest(goal, items, events, level,
-                  (head, tail0, tail1, n_ev, flat))
+                  (head[keep], tails[0, keep], tails[1, keep], n_ev[keep],
+                   flat[np.repeat(keep, n_ev)]))
+
+
+def _ranges(starts, counts):
+    """Concatenation of ``arange(starts[k], starts[k] + counts[k])``."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - ends + counts, counts)
+
+
+def _levels(items, head, tails, start):
+    """Level of every item (-1 when not derivable), decided one wavefront
+    at a time: an item is decided once every tail of its edges is.
+
+    ``head`` and ``tails`` (2 x edges, the sentinel ``len(items)`` for a
+    missing tail) are the edges, each item's edges contiguous from
+    ``start[item]``.  Raises ValueError naming an item on a cycle when a
+    cycle leaves items undecided.
+    """
+    n = len(items)
+    counts = np.bincount(head, minlength=n)
+    # the uses of each item as a tail, as the heads of the using edges
+    real = tails.reshape(-1) != n
+    used = tails.reshape(-1)[real]
+    order = np.argsort(used, kind="stable")
+    users = np.tile(head, 2)[real][order]
+    use_count = np.bincount(used, minlength=n)
+    use_start = np.cumsum(use_count) - use_count
+    pending = np.bincount(users, minlength=n)
+    # -3 undecided, -2 not derivable; the sentinel is -1, so an edge's level
+    # is 1 + the max of its tails' levels and a dead tail makes it < -1
+    level = np.full(n + 1, -3, dtype=np.intp)
+    level[n] = -1
+    front = np.flatnonzero(pending == 0)
+    while len(front):
+        k = counts[front]
+        e = _ranges(start[front], k)
+        l0, l1 = level[tails[0, e]], level[tails[1, e]]
+        edge_level = np.maximum(l0, l1) + 1
+        edge_level[np.minimum(l0, l1) < -1] = -2
+        some = k > 0
+        best = np.full(len(front), -2, dtype=np.intp)
+        best[some] = np.maximum.reduceat(edge_level, (np.cumsum(k) - k)[some])
+        level[front] = best
+        up = users[_ranges(use_start[front], use_count[front])]
+        up, hits = np.unique(up, return_counts=True)
+        pending[up] -= hits
+        front = up[pending[up] == 0]
+    if (level == -3).any():
+        # walk down undecided tails until an item repeats: it is on a cycle
+        iid, seen = int(np.argmax(level == -3)), set()
+        while iid not in seen:
+            seen.add(iid)
+            a = start[iid]
+            iid = next(t for t in tails[:, a:a + counts[iid]].T.ravel()
+                       if level[t] == -3)
+        raise ValueError("cyclic chart expansion at %s" % (items[iid],))
+    level = level[:n]
+    level[level < 0] = -1
+    return level
 
 
 def _logsumexp_groups(w, starts, sizes):
@@ -356,26 +385,26 @@ def inside_max(forest, eventw, edge_arcs=None):
             continue
         # an edge with a dead tail is skipped even when its score is NaN
         alive = (s0 != NEG_INF) & (s1 != NEG_INF) & (w != NEG_INF)
+        rows = (w.tolist(), alive.tolist(), t0[lo:hi].tolist(),
+                t1[lo:hi].tolist())
         for g in np.flatnonzero(redo).tolist():
             a, b = int(starts[g]), int(starts[g] + sizes[g])
             iid = int(heads[g])
             score, edge, key = _sequential_max(
-                forest, best, keys, edge_arcs, lo + a, w[a:b].tolist(),
-                alive[a:b].tolist())
+                forest, best, keys, edge_arcs, lo + a,
+                *(row[a:b] for row in rows))
             scores[iid], best[iid] = score, edge
             if edge >= 0:
                 keys[iid] = key
     return scores[:-1], best.tolist()
 
 
-def _sequential_max(forest, best, keys, edge_arcs, a, ws, alive):
+def _sequential_max(forest, best, keys, edge_arcs, a, ws, alive, t0, t1):
     """(score, edge, arc key) of the best of the edges ``a, a + 1, ...`` of
-    one head (scores ``ws``), taken one at a time: the first live edge is
-    kept until a clearly better one or a tied one with a smaller arc key
-    comes."""
+    one head (scores ``ws``, tails ``t0``, ``t1``), taken one at a time: the
+    first live edge is kept until a clearly better one or a tied one with a
+    smaller arc key comes."""
     sentinel = forest.sentinel
-    t0 = forest.edge_tail[0, a:a + len(ws)].tolist()
-    t1 = forest.edge_tail[1, a:a + len(ws)].tolist()
     score, edge, best_key = NEG_INF, -1, None
     for j, w in enumerate(ws):
         if not alive[j]:

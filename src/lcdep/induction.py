@@ -30,6 +30,7 @@ ROOT_HEAD = "$"
 STOP = "stop"
 CONTINUE = "continue"
 
+ROOT_MODES = ("none", "verb-or-noun", "verb-otherwise-noun")
 VERB_ROOT_TAGS = frozenset({"VERB"})
 NOUN_ROOT_TAGS = frozenset({"NOUN", "PRON", "PROPN"})
 
@@ -214,7 +215,7 @@ class ConstraintSet:
 
     stop_one_tags: frozenset = frozenset()
     must_head_tags: frozenset = frozenset()
-    root_mode: str = "none"  # none | verb-or-noun | verb-otherwise-noun
+    root_mode: str = "none"  # one of ROOT_MODES
 
     def root_allowed(self, tags):
         """Allowed root positions, or None when unrestricted."""

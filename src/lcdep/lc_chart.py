@@ -44,6 +44,9 @@ bigger item always stores the forward *source* state.
 
 Weights live on the same (side, h, init/final/trans) events as the head-split
 chart, so forests can be cached per sentence length and re-priced per model.
+Items are emitted only when their automaton states are reachable, judged from
+the transition structure alone (see ``_lc_expand``), so re-pricing a cached
+forest never needs an item that was skipped.
 """
 
 import dataclasses
@@ -79,9 +82,24 @@ class DepthPolicy:
 
 
 def _lc_expand(sent, policy, blocked):
+    """Backward-chaining expansion of the depth-bounded chart.
+
+    An ``RQ(q, h, j)`` item is emitted only when its state is reachable:
+    with no right dependent yet (j == h) q must be initial, otherwise some
+    transition on a dependent in h+1..j must enter q
+    (``SentenceAutomata.may_reach``).  Every derivable item passes, so the
+    forest keeps every edge; the items skipped, and the ``PR``/``HPR``
+    items they would lead to, would have been dead.  For the same reason a
+    ``PR(r, i, j, p, q, d, v)`` item with v False (p has a left dependent,
+    which lies in i+1..j) is emitted only when j > i.
+    """
     n = sent.n
     C = policy.size_cutoff
     D = policy.max_depth if policy.max_depth is not None else max(1, n)
+    reach = sent.may_reach
+
+    def pr_flags(i, j):
+        return (True, False) if j > i else (True,)
 
     def expand(item):
         kind = item[0]
@@ -105,9 +123,10 @@ def _lc_expand(sent, policy, blocked):
         if kind == "RF":
             _, h, j, d = item
             for q, _ in sent.final_states(RIGHT, h):
-                edges.append(
-                    ((("RQ", q, h, j, d),), ((RIGHT, h, "final", q),))
-                )
+                if reach(RIGHT, h, q, h + 1, j):
+                    edges.append(
+                        ((("RQ", q, h, j, d),), ((RIGHT, h, "final", q),))
+                    )
             return edges
 
         if kind == "RQ":
@@ -125,7 +144,7 @@ def _lc_expand(sent, policy, blocked):
                 for qR, _ in sent.init_states(RIGHT, j):
                     if qR not in finals_r:
                         continue
-                    for v in (True, False):
+                    for v in pr_flags(h, j - 1):
                         if v and j in blocked:
                             continue
                         edges.append(
@@ -205,6 +224,8 @@ def _lc_expand(sent, policy, blocked):
                     return edges
                 # p was just predicted as a right dependent of i
                 for r0, _ in sent.steps_into(RIGHT, i, r, p):
+                    if not reach(RIGHT, i, r0, i + 1, j):
+                        continue
                     edges.append(
                         (
                             (("RQ", r0, i, j, d),),
@@ -223,7 +244,9 @@ def _lc_expand(sent, policy, blocked):
                     for q0, _ in sent.init_states(LEFT, h):
                         for qpp, _ in sent.final_states(RIGHT, h):
                             for qp, _ in sent.steps_into(RIGHT, h, qpp, p):
-                                for v2 in (True, False):
+                                if not reach(RIGHT, h, qp, h + 1, j):
+                                    continue
+                                for v2 in pr_flags(i, h - 1):
                                     edges.append(
                                         (
                                             (
@@ -273,7 +296,7 @@ def _lc_expand(sent, policy, blocked):
             for j2 in range(i, h):
                 if min(C, h - 1 - j2) != b:
                     continue
-                for v in (True, False):
+                for v in pr_flags(i, j2):
                     edges.append(
                         (
                             (

@@ -20,9 +20,11 @@ The module provides
 Weights are kept in log space throughout.
 """
 
+import bisect
 import collections
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 
@@ -173,6 +175,7 @@ class SentenceAutomata:
         self._final = {}
         self._fwd = {}
         self._rev = {}
+        self._entered = {}
 
     def add_machine(self, side, h, init, final, trans):
         """Install the automaton for (side, h).
@@ -189,6 +192,7 @@ class SentenceAutomata:
             rev.setdefault((r, d), {})[q] = w
         self._fwd[side, h] = fwd
         self._rev[side, h] = rev
+        self._entered.pop((side, h), None)
 
     def init_states(self, side, h):
         return list(self._init[side, h].items())
@@ -203,6 +207,28 @@ class SentenceAutomata:
     def steps_into(self, side, h, r, d):
         """States q with a forward transition q --d--> r."""
         return list(self._rev[side, h].get((r, d), {}).items())
+
+    def may_reach(self, side, h, q, lo, hi):
+        """Whether the (side, h) machine can be in state q having consumed
+        dependents from positions lo..hi only: with none consumed (lo > hi)
+        q must be initial, otherwise a forward transition consuming some
+        dependent in lo..hi must enter q.
+
+        Reads structure only, never weights: a -inf transition still
+        counts, so what the charts prune does not depend on ``reweight`` or
+        ``restrict_root``.
+        """
+        if lo > hi:
+            return q in self._init[side, h]
+        entered = self._entered.get((side, h))
+        if entered is None:
+            entered = collections.defaultdict(list)
+            for r, d in sorted(self._rev[side, h]):
+                entered[r].append(d)
+            entered = self._entered[side, h] = dict(entered)
+        deps = entered.get(q, ())
+        k = bisect.bisect_left(deps, lo)
+        return k < len(deps) and deps[k] <= hi
 
     def event_logw(self, event):
         side, h, kind = event[0], event[1], event[2]
@@ -505,7 +531,17 @@ def brute_force_viterbi(tags, sent, tree_filter=None):
 
 
 def _eisner_expand(sent):
-    n = sent.n
+    """Backward-chaining expansion of the head-split chart.
+
+    A state-carrying item is emitted only when its state is reachable: a
+    half with no dependents yet (``LQ``/``RQ`` with i == h or j == h) needs
+    an initial state, any other ``LQ``/``RQ`` a state some transition on a
+    dependent inside its span enters, and ``LT``/``RT`` a state entered on
+    its dependent d (``SentenceAutomata.may_reach``).  Every derivable item
+    passes, so the forest keeps every edge; the items skipped would have
+    been dead.
+    """
+    reach = sent.may_reach
 
     def expand(item):
         kind = item[0]
@@ -513,7 +549,8 @@ def _eisner_expand(sent):
         if kind == "LF":
             _, i, h = item
             for q, _ in sent.final_states(LEFT, h):
-                out.append(((("LQ", q, i, h),), ((LEFT, h, "final", q),)))
+                if reach(LEFT, h, q, i, h - 1):
+                    out.append(((("LQ", q, i, h),), ((LEFT, h, "final", q),)))
         elif kind == "LQ":
             _, q, i, h = item
             if i == h:
@@ -521,21 +558,24 @@ def _eisner_expand(sent):
                     out.append(((), ((LEFT, h, "init", q),)))
             else:
                 for d in range(i, h):
-                    out.append(((("LF", i, d), ("LT", q, d, h)), ()))
+                    if reach(LEFT, h, q, d, d):
+                        out.append(((("LF", i, d), ("LT", q, d, h)), ()))
         elif kind == "LT":
             _, r, d, h = item
             for k in range(d, h):
                 for q, _ in sent.steps_into(LEFT, h, r, d):
-                    out.append(
-                        (
-                            (("RF", d, k), ("LQ", q, k + 1, h)),
-                            ((LEFT, h, "trans", q, r, d),),
+                    if reach(LEFT, h, q, k + 1, h - 1):
+                        out.append(
+                            (
+                                (("RF", d, k), ("LQ", q, k + 1, h)),
+                                ((LEFT, h, "trans", q, r, d),),
+                            )
                         )
-                    )
         elif kind == "RF":
             _, h, j = item
             for q, _ in sent.final_states(RIGHT, h):
-                out.append(((("RQ", q, h, j),), ((RIGHT, h, "final", q),)))
+                if reach(RIGHT, h, q, h + 1, j):
+                    out.append(((("RQ", q, h, j),), ((RIGHT, h, "final", q),)))
         elif kind == "RQ":
             _, q, h, j = item
             if j == h:
@@ -543,17 +583,19 @@ def _eisner_expand(sent):
                     out.append(((), ((RIGHT, h, "init", q),)))
             else:
                 for d in range(h + 1, j + 1):
-                    out.append(((("RT", q, h, d), ("RF", d, j)), ()))
+                    if reach(RIGHT, h, q, d, d):
+                        out.append(((("RT", q, h, d), ("RF", d, j)), ()))
         elif kind == "RT":
             _, r, h, d = item
             for k in range(h, d):
                 for q, _ in sent.steps_into(RIGHT, h, r, d):
-                    out.append(
-                        (
-                            (("RQ", q, h, k), ("LF", k + 1, d)),
-                            ((RIGHT, h, "trans", q, r, d),),
+                    if reach(RIGHT, h, q, h + 1, k):
+                        out.append(
+                            (
+                                (("RQ", q, h, k), ("LF", k + 1, d)),
+                                ((RIGHT, h, "trans", q, r, d),),
+                            )
                         )
-                    )
         else:
             raise ValueError("unknown item %r" % (item,))
         return out
@@ -575,16 +617,35 @@ class Chart:
         self.eventw = eventw
 
 
+# forest -> its edge_arcs callable (a forest serves one sentence length n),
+# dropped with the forest
+_EDGE_ARCS = weakref.WeakKeyDictionary()
+
+
 def _arcs_of_edge(forest, n):
+    """Callable edge id -> tuple of the (dependent, head) arcs its
+    transition events add, head 0 for the root.  Each edge's arcs are
+    read from the edge -> event CSR once per forest, on first use, so tied
+    Viterbi heads of a cached forest pay a list lookup per edge."""
+    edge_arcs = _EDGE_ARCS.get(forest)
+    if edge_arcs is not None:
+        return edge_arcs
+    ptr = forest.event_ptr.tolist()
+    flat = forest.event_flat.tolist()
+    arc_of = [
+        (ev[5], 0 if ev[1] == n + 1 else ev[1]) if ev[2] == "trans" else None
+        for ev in forest.events
+    ]
+    memo = [None] * forest.n_edges
+
     def edge_arcs(e):
-        arcs = []
-        for k in forest.edge_events[e]:
-            ev = forest.events[k]
-            if ev[2] == "trans":
-                h, d = ev[1], ev[5]
-                arcs.append((d, 0 if h == n + 1 else h))
+        arcs = memo[e]
+        if arcs is None:
+            arcs = memo[e] = tuple(arc_of[k] for k in flat[ptr[e]:ptr[e + 1]]
+                                   if arc_of[k] is not None)
         return arcs
 
+    _EDGE_ARCS[forest] = edge_arcs
     return edge_arcs
 
 

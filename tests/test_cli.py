@@ -173,6 +173,57 @@ def test_train_dmv_logs_each_m_step(corpus_file, tmp_path, capsys, caplog):
                for line in lines[1:])
 
 
+def test_train_dmv_has_no_seed_option(corpus_file, tmp_path, capsys):
+    # EM here is deterministic; a leftover seed is an error, not ignored
+    path, _ = corpus_file
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("em-iters=1\nseed=3\n", encoding="utf-8")
+    code, _, err = run(["train-dmv", "--config", str(cfg),
+                        "--out", str(tmp_path / "run"), path], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: %s: unknown config key 'seed'" % cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["train-dmv", "--seed", "3", path])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_parse_constraint_options_match_the_training_constraint_set(
+        corpus_file, tmp_path, capsys):
+    path, corpus = corpus_file
+    out = tmp_path / "run"
+    code, _, err = run(["train-dmv", "--root", "verbs", "--out", str(out),
+                        path], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == "error: unknown root constraint 'verbs'"
+    run(["train-dmv", "--init", "uniform", "--em-iters", "2",
+         "--out", str(out), path], capsys)
+    model = str(out / "model.txt")
+    code, _, err = run(["parse", "--model", model, "--root", "verbs", path],
+                       capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == "error: unknown root constraint 'verbs'"
+
+    pred_path = tmp_path / "pred.conll"
+    code, _, _ = run(
+        ["parse", "--model", model, "--root", "verb-or-noun",
+         "--function-words", "DET", "--adp-head", "--out", str(pred_path),
+         path],
+        capsys,
+    )
+    assert code == 0
+    cs = induction.TrainConfig(root_constraint="verb-or-noun",
+                               function_words=("DET",),
+                               adp_head=True).constraint_set()
+    with open(model, encoding="utf-8") as handle:
+        space, weights = induction.model_from_lines(handle.read().splitlines())
+    want = induction.decode_constrained(space.weights_to_params(weights),
+                                        corpus, cs)
+    parsed = parse_conll(pred_path.read_text(encoding="utf-8"))
+    assert [t.heads for t in parsed] == [t.heads for t in want]
+
+
 def test_parse_dmv_roundtrip(corpus_file, tmp_path, capsys):
     path, corpus = corpus_file
     out = tmp_path / "run"

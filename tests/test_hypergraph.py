@@ -82,6 +82,72 @@ def test_cycle_detection():
         hypergraph.build_forest(0, expand)
 
 
+def test_cycle_below_a_dead_item_is_named():
+    # the goal's only edge needs D, which has no edges; C1 <-> C2 below A
+    # can never be derived either, but a cycle is still an error
+    table = {
+        "goal": [(("A", "D"), ())],
+        "A": [(("C1",), ()), ((), (("ev", 0),))],
+        "C1": [(("C2",), ())],
+        "C2": [(("C1",), ()), ((), ())],
+        "D": [],
+    }
+    with pytest.raises(ValueError, match="cyclic chart expansion at C"):
+        hypergraph.build_forest("goal", table.__getitem__)
+
+
+def test_three_tails_rejected():
+    table = {"goal": [((), ()), (("A", "A", "A"), ())], "A": [((), ())]}
+    with pytest.raises(ValueError, match="edge with 3 tails at goal"):
+        hypergraph.build_forest("goal", table.__getitem__)
+
+
+@st.composite
+def random_expansions(draw):
+    """(expand, goal) of a random expansion over items ("i", k): edges
+    with no, one, two (shared, repeated) or now and then three tails,
+    parallel edges, items with no edges (dead, and so is every edge that
+    uses them), and, unless tails are drawn from higher k only, cycles,
+    reachable from the goal or not, and below dead items or not."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    acyclic = draw(st.booleans())
+    max_tails = draw(st.sampled_from([2, 2, 2, 3]))
+    event = st.integers(min_value=0, max_value=4)
+    table = {}
+    for k in range(n):
+        pool = range(k + 1, n) if acyclic else range(n)
+        tails = (st.lists(st.sampled_from(pool), max_size=max_tails) if pool
+                 else st.just([]))
+        edges = draw(st.lists(st.tuples(tails, st.lists(event, max_size=3)),
+                              max_size=4))
+        if edges and draw(st.booleans()):
+            edges.append((edges[0][0], draw(st.lists(event, max_size=3))))
+        table[k] = [
+            (tuple(("i", t) for t in ts), tuple(("e", j) for j in evs))
+            for ts, evs in edges
+        ]
+    return (lambda item: table[item[1]]), ("i", 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_expansions())
+def test_one_pass_build_matches_reference_dfs(case):
+    expand, goal = case
+    try:
+        ref = util.reference_build_forest(goal, expand)
+    except ValueError:
+        with pytest.raises(ValueError):
+            hypergraph.build_forest(goal, expand)
+        return
+    forest = hypergraph.build_forest(goal, expand)
+    assert util.edges_by_head(forest) == util.edges_by_head(ref)
+    assert forest.items == ref.items
+    assert forest.events == ref.events
+    for name in ("item_level", "edge_head", "edge_tail", "event_ptr",
+                 "event_flat", "group_head", "group_ptr", "level_ptr"):
+        assert np.array_equal(getattr(forest, name), getattr(ref, name)), name
+
+
 # ---------------------------------------------------------------------------
 # level-batched passes against the sequential references
 

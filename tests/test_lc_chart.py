@@ -72,6 +72,58 @@ def test_unbounded_marginal_matches_cubic_chart_and_enumeration(n):
             )
 
 
+def drop_transitions_into(sent, side, h, state, n_states):
+    """Reinstall the (side, h) machine of ``sent`` without the transitions
+    that enter ``state``."""
+    deps = range(1, h) if side == sbg.LEFT else range(h + 1, sent.n + 1)
+    trans = [
+        (q, d, r, w)
+        for d in deps
+        for q in range(n_states)
+        for r, w in sent.steps(side, h, q, d)
+        if r != state
+    ]
+    sent.add_machine(side, h, dict(sent.init_states(side, h)),
+                     dict(sent.final_states(side, h)), trans)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_states_nothing_enters_are_pruned_without_losing_mass(n):
+    rng = random.Random(500 + n)
+    tags = tuple(str(i + 1) for i in range(n))
+    sent = sbg.random_sentence_automata(n, 3, rng)
+    # state 2 (always final) can no longer be entered by the right machine
+    # of token 1 nor the left machine of token n
+    drop_transitions_into(sent, sbg.RIGHT, 1, 2, 3)
+    drop_transitions_into(sent, sbg.LEFT, n, 2, 3)
+    assert not sent.may_reach(sbg.RIGHT, 1, 2, 2, n)
+    forest = lc_forest(sent)
+    assert not [it for it in forest.items
+                if it[:3] == ("RQ", 2, 1) and it[3] > 1]
+    eisner = sbg.eisner_forest(tags, sent)
+    assert not [it for it in eisner.items
+                if it[:2] == ("LQ", 2) and it[3] == n and it[2] < n]
+
+    _, logz = lc_inside(tags, sent, forest=forest)
+    assert logz == pytest.approx(sbg.brute_force_marginal(tags, sent),
+                                 abs=1e-10)
+    _, logz = sbg.eisner_inside(tags, sent, forest=eisner)
+    assert logz == pytest.approx(sbg.brute_force_marginal(tags, sent),
+                                 abs=1e-10)
+    ref, ref_logz = sbg.brute_force_expected_counts(tags, sent)
+    for counts, logz in (lc_expected_counts(tags, sent, forest=forest),
+                         sbg.eisner_expected_counts(tags, sent,
+                                                    forest=eisner)):
+        assert logz == pytest.approx(ref_logz, abs=1e-10)
+        for key in set(counts) | set(ref):
+            assert counts.get(key, 0.0) == pytest.approx(
+                ref.get(key, 0.0), abs=1e-8), key
+    ok = [h for h in projective_trees(n) if oracle_depth(h, 1) <= 1]
+    _, logz = lc_inside(tags, sent, DepthPolicy(1, 1))
+    assert logz == pytest.approx(
+        sbg.brute_force_marginal(tags, sent, lambda h: h in ok), abs=1e-10)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_unbounded_marginal_multistate_automata(n):
     rng = random.Random(200 + n)
@@ -285,6 +337,28 @@ def test_blocked_single_token_sentence_has_no_parse():
     )
     _, lc = lc_inside(("D",), sent, blocked={1})
     assert lc == NEG_INF
+
+
+# ---------------------------------------------------------------------------
+# forest size
+
+
+@pytest.mark.parametrize("n,policy,blocked,n_edges", [
+    (6, None, (), 646),
+    (8, (2, 1), (), 1677),
+    (10, (1, 3), (), 2207),
+    (12, None, (3,), 13764),
+    (15, (1, 3), (2, 5), 7763),
+    (20, (1, 3), (), 21362),
+])
+def test_dmv_forest_size_is_pinned_and_few_items_are_dead(
+        n, policy, blocked, n_edges):
+    # edge counts of the build that kept every unreachable automaton state
+    tags = ("N",) * n
+    sent = sbg.dmv_sentence_automata(tags, sbg.uniform_dmv_params(["N"]))
+    forest = lc_forest(sent, policy and DepthPolicy(*policy), blocked)
+    assert forest.n_edges == n_edges
+    assert (forest.item_level < 0).sum() < 0.05 * forest.n_items
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,17 @@ def test_inside_matches_brute_force_multistate(n, n_states):
         assert math.isclose(logz, sbg.brute_force_marginal(tags, sent), abs_tol=1e-10)
 
 
+@pytest.mark.parametrize("n,n_edges", [(4, 78), (8, 442), (12, 1350),
+                                       (20, 5822)])
+def test_dmv_forest_size_is_pinned_and_few_items_are_dead(n, n_edges):
+    # edge counts of the build that kept every unreachable automaton state
+    tags = ("N",) * n
+    sent = sbg.dmv_sentence_automata(tags, sbg.uniform_dmv_params(["N"]))
+    forest = sbg.eisner_forest(tags, sent)
+    assert forest.n_edges == n_edges
+    assert (forest.item_level < 0).sum() < 0.05 * forest.n_items
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_expected_counts_match_brute_force(n):
     rng = random.Random(300 + n)

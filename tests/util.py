@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 
+from lcdep import hypergraph
 from lcdep.hypergraph import NEG_INF
 from lcdep.treebank import tree_from_heads
 
@@ -252,7 +253,131 @@ def reference_lc_features(config, forms, tags, feature_set):
 
 
 # ---------------------------------------------------------------------------
-# sequential hypergraph passes
+# sequential hypergraph build and passes
+
+
+def reference_build_forest(goal, expand):
+    """Memoize a backward-chaining expansion into a Forest: a coloured
+    depth-first search, then a separate viability pass.
+
+    ``expand(item)`` returns an iterable of ``(tails, events)`` pairs with
+    at most two tails each.  Items whose every expansion bottoms out in a
+    dead end are pruned (their edges are dropped), so passes only ever see
+    derivable items.  Raises ValueError on a cyclic expansion.
+    """
+    items = [goal]
+    item_index = {goal: 0}
+    events = []
+    event_index = {}
+
+    def item_id(item):
+        idx = item_index.get(item)
+        if idx is None:
+            idx = item_index[item] = len(items)
+            items.append(item)
+        return idx
+
+    def event_id(event):
+        idx = event_index.get(event)
+        if idx is None:
+            idx = event_index[event] = len(events)
+            events.append(event)
+        return idx
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {0: WHITE}
+    raw_edges = {}
+    topo = []
+    stack = [(0, None)]
+    while stack:
+        iid, pending = stack.pop()
+        if pending is None:
+            if color.get(iid, WHITE) == BLACK:
+                continue
+            if color.get(iid) == GRAY:
+                raise ValueError(
+                    "cyclic chart expansion at %s" % (items[iid],)
+                )
+            color[iid] = GRAY
+            edges = []
+            children = []
+            for tails, evs in expand(items[iid]):
+                if len(tails) > 2:
+                    raise ValueError("edge with %d tails at %s"
+                                     % (len(tails), items[iid]))
+                tail_ids = tuple(item_id(t) for t in tails)
+                edges.append((tail_ids, tuple(event_id(ev) for ev in evs)))
+                children.extend(tail_ids)
+            raw_edges[iid] = edges
+            stack.append((iid, True))
+            for t in children:
+                if color.get(t, WHITE) == WHITE:
+                    stack.append((t, None))
+                elif color.get(t) == GRAY:
+                    raise ValueError(
+                        "cyclic chart expansion at %s" % (items[t],)
+                    )
+        else:
+            if color[iid] == BLACK:
+                continue
+            # all children must be finished before this item is
+            unfinished = [
+                t
+                for tails, _ in raw_edges[iid]
+                for t in tails
+                if color.get(t, WHITE) != BLACK
+            ]
+            if unfinished:
+                stack.append((iid, True))
+                for t in unfinished:
+                    if color.get(t, WHITE) == WHITE:
+                        stack.append((t, None))
+                continue
+            color[iid] = BLACK
+            topo.append(iid)
+
+    # viability and level in one bottom-up pass: an edge survives when all
+    # its tails are derivable, an item when one of its edges survives
+    sentinel = len(items)
+    level = [-1] * sentinel
+    head, tail0, tail1, n_ev, flat = [], [], [], [], []
+    for iid in topo:
+        top = -1
+        for tails, evs in raw_edges[iid]:
+            above = 0
+            for t in tails:
+                lt = level[t]
+                if lt < 0:
+                    break
+                if lt >= above:
+                    above = lt + 1
+            else:
+                head.append(iid)
+                tail0.append(tails[0] if tails else sentinel)
+                tail1.append(tails[1] if len(tails) == 2 else sentinel)
+                n_ev.append(len(evs))
+                flat.extend(evs)
+                if above > top:
+                    top = above
+        level[iid] = top
+    # free the build's dicts first, which lowers the peak while the arrays
+    # are made
+    for table in (raw_edges, color, item_index, event_index):
+        table.clear()
+    return hypergraph.Forest(goal, items, events, level,
+                  (head, tail0, tail1, n_ev, flat))
+
+
+def edges_by_head(forest):
+    """item -> [(tail items, event tuples)] of its edges, in edge order."""
+    out = {}
+    for e, (h, t0, t1) in enumerate(zip(forest.edge_head.tolist(),
+                                        *forest.edge_tail.tolist())):
+        tails = tuple(forest.items[t] for t in (t0, t1)
+                      if t != forest.sentinel)
+        events = tuple(forest.events[k] for k in forest.edge_events[e])
+        out.setdefault(forest.items[h], []).append((tails, events))
+    return out
 
 
 class ListForest:
