@@ -11,16 +11,12 @@ import dataclasses
 import math
 import random
 
-from . import transition
 from .transition import (
-    ARC_EAGER,
-    ARC_STANDARD,
     LEFT_CORNER,
     INSERT,
     SHIFT,
     TransitionError,
     relaxed_depth_re_max,
-    run_lc_oracle,
     run_oracle,
 )
 from .treebank import (

@@ -477,10 +477,6 @@ def _plain_sentences(corpus, resolved):
     return out
 
 
-def _constraints(resolved):
-    return induction.TrainConfig(**_constraint_fields(resolved)).constraint_set()
-
-
 def _cmd_parse(resolved, args):
     if not resolved["model"]:
         raise CliError("parse requires --model")
@@ -494,32 +490,19 @@ def _cmd_parse(resolved, args):
     header = lines[0].strip() if lines else ""
     if header.startswith("# featurized-dmv"):
         space, weights = induction.model_from_lines(lines)
-        params = space.weights_to_params(weights)
-        cs = _constraints(resolved)
-        policy = None
-        if resolved["depth"] is not None:
-            from .lc_chart import DepthPolicy
-
-            policy = DepthPolicy(
-                max_depth=resolved["depth"], size_cutoff=resolved["relax-c"]
-            )
-        unconstrained = (
-            policy is None
-            and resolved["beta"] is None
-            and cs.root_mode == "none"
-            and not cs.stop_one_tags
-            and not cs.must_head_tags
+        cfg = induction.TrainConfig(
+            depth_bound=resolved["depth"],
+            size_cutoff=resolved["relax-c"],
+            length_bias=resolved["beta"],
+            **_constraint_fields(resolved),
         )
-        if unconstrained:
-            parsed = induction.decode(params, sentences)
-        else:
-            parsed = induction.decode_constrained(
-                params,
-                sentences,
-                cs,
-                policy=policy,
-                length_bias=resolved["beta"],
-            )
+        parsed = induction.decode_constrained(
+            space.weights_to_params(weights),
+            sentences,
+            cfg.constraint_set(),
+            policy=cfg.policy(),
+            length_bias=cfg.length_bias,
+        )
         # the chart decoders rebuild trees from tags; keep the input forms
         parsed = [
             orig.with_heads(tree.heads)

@@ -270,32 +270,26 @@ def apply_constraints(params, tags, cs, length_bias=None):
 # E-step
 
 
-_EISNER_FOREST_CACHE = {}
+def _chart_forest(tags, sent, policy=None, blocked=()):
+    """The cached forest of the chart that serves (policy, blocked).
 
-
-def _eisner_forest_cached(tags, sent):
-    key = sent.topology_key
-    if key is None:
-        return sbg.eisner_forest(tags, sent)
-    forest = _EISNER_FOREST_CACHE.get(key)
-    if forest is None:
-        forest = sbg.eisner_forest(tags, sent)
-        _EISNER_FOREST_CACHE[key] = forest
-    return forest
+    With no depth bound and no blocked position every projective tree is
+    admissible, so the head-split chart serves: it gives the same
+    marginals, counts and Viterbi trees as the unbounded left-corner chart
+    with far fewer edges.  Otherwise the left-corner chart does.
+    """
+    if blocked or (policy is not None and policy.max_depth is not None):
+        return lc_chart.lc_forest(sent, policy, blocked)
+    return sbg._cached_forest("eisner", sent, None, frozenset(),
+                              lambda: sbg.eisner_forest(tags, sent))
 
 
 def sentence_expectations(tags, params, cs, policy=None, length_bias=None):
     """(DmvCounts, log marginal) for one sentence, or (None, -inf) when the
     constraints leave no admissible analysis."""
     sent, blocked = apply_constraints(params, tags, cs, length_bias)
-    if policy is None and not blocked:
-        events, logz = sbg.eisner_expected_counts(
-            tags, sent, forest=_eisner_forest_cached(tags, sent)
-        )
-    else:
-        events, logz = lc_chart.lc_expected_counts(
-            tags, sent, policy or DepthPolicy(), blocked=blocked
-        )
+    events, logz = sbg.forest_expected_counts(
+        _chart_forest(tags, sent, policy, blocked), sent)
     if logz == NEG_INF or math.isnan(logz):
         return None, NEG_INF
     return sbg.dmv_counts_from_events(events, tags), logz
@@ -363,19 +357,10 @@ def harmonic_counts(groups):
             attach_logw=lambda h, d: -math.log(abs(h - d)),
             root_logw=lambda d: 0.0,
         )
-        events, _ = sbg.eisner_expected_counts(
-            tags, sent, forest=_eisner_forest_cached(tags, sent)
-        )
+        events, _ = sbg.forest_expected_counts(_chart_forest(tags, sent),
+                                               sent)
         total.merge(sbg.dmv_counts_from_events(events, tags), mult)
     return total
-
-
-def harmonic_init(corpus):
-    """Initial DMV parameters from inverse-distance attachment posteriors."""
-    groups = corpus_groups(corpus)
-    tagset = sorted({t for tags, _ in groups for t in tags})
-    uniform = sbg.uniform_dmv_params(tagset)
-    return sbg.dmv_params_from_counts(harmonic_counts(groups), uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -474,29 +459,25 @@ def train(corpus, cfg=None):
 
 def decode(params, corpus):
     """Viterbi trees under the plain model (constraints are a training
-    device; decoding is unconstrained)."""
-    out = []
-    for tags in sbg._tag_sequences(corpus):
-        sent = sbg.dmv_sentence_automata(tags, params)
-        out.append(
-            sbg.eisner_viterbi(
-                tags, sent, forest=_eisner_forest_cached(tags, sent)
-            )
-        )
-    return out
+    device; decoding is unconstrained): ``decode_constrained`` with an
+    empty constraint set."""
+    return _viterbi_trees(params, corpus, ConstraintSet())
 
 
 def decode_constrained(params, corpus, cs, policy=None, length_bias=None):
     """Viterbi under the same restricted charts used in training; exposed so
     constraint soundness can be asserted on decoded trees."""
+    return _viterbi_trees(params, corpus, cs, policy, length_bias)
+
+
+def _viterbi_trees(params, corpus, cs, policy=None, length_bias=None):
+    # the body of both decoders, so that timing either public function
+    # never counts the other's calls inside it
     out = []
     for tags in sbg._tag_sequences(corpus):
         sent, blocked = apply_constraints(params, tags, cs, length_bias)
-        out.append(
-            lc_chart.lc_viterbi(
-                tags, sent, policy or DepthPolicy(), blocked=blocked
-            )
-        )
+        out.append(sbg.forest_viterbi(
+            _chart_forest(tags, sent, policy, blocked), sent, tags))
     return out
 
 
@@ -615,10 +596,15 @@ def model_to_lines(model):
 
 
 def model_from_lines(lines):
-    """Rebuild (FeatureSpace, weights) from model_to_lines output."""
+    """Rebuild (FeatureSpace, weights) from model_to_lines output.
+
+    Every feature of the tagset needs a weight line and every weight line a
+    feature of the tagset: a truncated or mismatched file raises ValueError
+    naming the first feature key that is missing or unknown.
+    """
     tags = None
     entries = {}
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
@@ -626,14 +612,23 @@ def model_from_lines(lines):
             if line.startswith("# tags:"):
                 tags = line.split(":", 1)[1].split()
             continue
-        key_s, w_s = line.split("\t")
+        key_s, tab, w_s = line.partition("\t")
+        if not tab:
+            raise ValueError("model line %d has no tab: %r" % (lineno, line))
         entries[key_s] = float(w_s)
     if tags is None:
         raise ValueError("model file missing tags header")
     space = FeatureSpace(tags)
+    fids = {":".join(str(part) for part in key): fid
+            for key, fid in space.index.items()}
+    for key_s in entries:
+        if key_s not in fids:
+            raise ValueError("model file has unknown feature key %r" % key_s)
+    for key_s in fids:
+        if key_s not in entries:
+            raise ValueError("model file has no weight for feature key %r"
+                             % key_s)
     w = np.zeros(space.n_features)
-    for key, fid in space.index.items():
-        key_s = ":".join(str(part) for part in key)
-        if key_s in entries:
-            w[fid] = entries[key_s]
+    for key_s, fid in fids.items():
+        w[fid] = entries[key_s]
     return space, w

@@ -43,24 +43,20 @@ prediction is filled), stepping backwards along forward transitions, so the
 bigger item always stores the forward *source* state.
 
 Weights live on the same (side, h, init/final/trans) events as the head-split
-chart, so forests can be cached per sentence length and re-priced per model.
-Items are emitted only when their automaton states are reachable, judged from
-the transition structure alone (see ``_lc_expand``), so re-pricing a cached
-forest never needs an item that was skipped.
+chart, so the passes in ``sbg`` (inside, expected counts, Viterbi) run on
+either chart's forest.  ``lc_forest`` keeps its forests in the forest cache
+of ``sbg``, next to the head-split chart's, keyed by chart, topology key
+(for the DMV, the sentence length), depth policy and blocked positions;
+``sbg.clear_forest_cache`` empties both.  A cached forest is re-priced per
+sentence and model.  Items are emitted only when their automaton states are
+reachable, judged from the transition structure alone (see ``_lc_expand``),
+so re-pricing a cached forest never needs an item that was skipped.
 """
 
 import dataclasses
 
-from . import hypergraph
-from .hypergraph import NEG_INF
-from .sbg import (
-    LEFT,
-    RIGHT,
-    Chart,
-    _arcs_of_edge,
-    _heads_from_edges,
-)
-from .treebank import tree_from_heads
+from . import hypergraph, sbg
+from .sbg import LEFT, RIGHT
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,44 +309,24 @@ def _lc_expand(sent, policy, blocked):
     return expand
 
 
-_FOREST_CACHE = {}
-
-
-def clear_forest_cache():
-    _FOREST_CACHE.clear()
-
-
 def lc_forest(sent, policy=None, blocked=()):
-    """Build (or fetch) the left-corner forest for one sentence.
+    """Build (or fetch from the forest cache) the left-corner forest for one
+    sentence.
 
     blocked is a collection of positions whose token must head at least one
     dependent; derivations where such a token stays childless are removed.
-    Forests are cached by (topology key, policy, blocked) when the automata
-    advertise a topology key.
     """
     policy = policy or DepthPolicy()
     blocked = frozenset(blocked)
-    key = None
-    if sent.topology_key is not None:
-        key = (
-            sent.topology_key,
-            policy.max_depth,
-            policy.size_cutoff,
-            tuple(sorted(blocked)),
-        )
-        cached = _FOREST_CACHE.get(key)
-        if cached is not None:
-            return cached
-    goal = ("LI", 1, sent.n + 1, 1)
-    forest = hypergraph.build_forest(goal, _lc_expand(sent, policy, blocked))
-    if key is not None:
-        _FOREST_CACHE[key] = forest
-    return forest
+    return sbg._cached_forest(
+        "lc", sent, policy, blocked,
+        lambda: hypergraph.build_forest(("LI", 1, sent.n + 1, 1),
+                                        _lc_expand(sent, policy, blocked)))
 
 
 def lc_inside(tags, sent, policy=None, semiring="logsum", forest=None,
               blocked=()):
-    """(chart, total) over depth-admissible left-corner derivations.
+    """``sbg.forest_inside`` over depth-admissible left-corner derivations.
 
     "logsum" gives the log marginal, "count" the number of derivations
     (= admissible trees when each machine has at most one accepting walk per
@@ -358,21 +334,7 @@ def lc_inside(tags, sent, policy=None, semiring="logsum", forest=None,
     """
     if forest is None:
         forest = lc_forest(sent, policy, blocked)
-    if semiring == "count":
-        counts = hypergraph.inside_count(forest)
-        return Chart(forest, counts), counts[forest.goal_id]
-    eventw = forest.event_weights(sent.event_logw)
-    if semiring == "logsum":
-        inside = hypergraph.inside_logsum(forest, eventw)
-        return Chart(forest, inside, eventw), float(inside[forest.goal_id])
-    if semiring == "max":
-        scores, best = hypergraph.inside_max(
-            forest, eventw, _arcs_of_edge(forest, len(tags))
-        )
-        chart = Chart(forest, scores, eventw)
-        chart.best_edge = best
-        return chart, float(scores[forest.goal_id])
-    raise ValueError("unknown semiring %r" % semiring)
+    return sbg.forest_inside(forest, sent, semiring)
 
 
 def lc_derivation_count(tags, sent, policy=None, blocked=()):
@@ -382,25 +344,15 @@ def lc_derivation_count(tags, sent, policy=None, blocked=()):
 
 
 def lc_expected_counts(tags, sent, policy=None, forest=None, blocked=()):
-    """(event -> expected count, log marginal) over admissible derivations."""
+    """``sbg.forest_expected_counts`` over admissible derivations."""
     if forest is None:
         forest = lc_forest(sent, policy, blocked)
-    eventw = forest.event_weights(sent.event_logw)
-    logz, post = hypergraph.event_posteriors(forest, eventw)
-    counts = {
-        forest.events[k]: post[k] for k in range(len(forest.events)) if post[k]
-    }
-    return counts, float(logz)
+    return sbg.forest_expected_counts(forest, sent)
 
 
 def lc_viterbi(tags, sent, policy=None, forest=None, blocked=()):
-    """Best admissible tree; ties prefer the arc list whose sorted
-    (dependent, head) pairs are lexicographically smaller."""
-    chart, score = lc_inside(
-        tags, sent, policy, semiring="max", forest=forest, blocked=blocked
-    )
-    if not score > NEG_INF:  # -inf, or NaN from NaN weights
-        raise ValueError("no derivation has nonzero weight")
-    edges = hypergraph.backtrace(chart.forest, chart.best_edge)
-    heads = _heads_from_edges(chart.forest, edges, len(tags))
-    return tree_from_heads(heads, tags=tags)
+    """``sbg.forest_viterbi`` over admissible derivations: the best
+    admissible tree."""
+    if forest is None:
+        forest = lc_forest(sent, policy, blocked)
+    return sbg.forest_viterbi(forest, sent, tags)

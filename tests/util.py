@@ -5,6 +5,7 @@ The degree oracle here searches for the zig-zag derivation pattern directly
 arithmetic the production code uses.
 """
 
+import collections
 import math
 import random
 
@@ -12,6 +13,14 @@ import numpy as np
 
 from lcdep import hypergraph
 from lcdep.hypergraph import NEG_INF
+from lcdep.sbg import (
+    DmvCounts,
+    DmvParams,
+    _tag_sequences,
+    dmv_counts_from_events,
+    dmv_sentence_automata,
+    eisner_expected_counts,
+)
 from lcdep.treebank import tree_from_heads
 
 
@@ -525,3 +534,51 @@ def reference_event_posteriors(forest, eventw):
         for k in forest.edge_events[e]:
             post[k] += mass
     return logz, post
+
+
+# ---------------------------------------------------------------------------
+# EM for DMV probabilities by normalized counts: the reference the featurized
+# EM of ``induction`` is checked against
+
+
+def dmv_params_from_counts(counts, old_params):
+    """Normalize counts into probabilities, keeping old values where a
+    context was never used."""
+    attach = {k: dict(v) for k, v in old_params.attach.items()}
+    totals = collections.defaultdict(float)
+    for (h, side, d), c in counts.attach.items():
+        totals[h, side] += c
+    for (h, side), z in totals.items():
+        if z > 0:
+            attach[h, side] = {
+                d: counts.attach.get((h, side, d), 0.0) / z
+                for d in old_params.attach[h, side]
+            }
+    stop = dict(old_params.stop)
+    contexts = set(counts.stop) | set(counts.cont)
+    for h, side, adj in contexts:
+        s = counts.stop.get((h, side, adj), 0.0)
+        g = counts.cont.get((h, side, adj), 0.0)
+        if s + g > 0:
+            stop[h, side, adj] = s / (s + g)
+    root = dict(old_params.root)
+    z = sum(counts.root.values())
+    if z > 0:
+        root = {d: counts.root.get(d, 0.0) / z for d in old_params.root}
+    return DmvParams(attach=attach, stop=stop, root=root)
+
+
+def em_step(corpus, params):
+    """One EM iteration of the DMV.
+
+    Returns (new params, corpus log-likelihood of the *input* params).
+    Iterating cannot decrease the returned log-likelihood.
+    """
+    total = DmvCounts.zero()
+    loglik = 0.0
+    for tags in _tag_sequences(corpus):
+        sent = dmv_sentence_automata(tags, params)
+        counts, logz = eisner_expected_counts(tags, sent)
+        loglik += logz
+        total.merge(dmv_counts_from_events(counts, tags))
+    return dmv_params_from_counts(total, params), loglik
