@@ -4,7 +4,10 @@ A DMV whose multinomials are log-linear over shared back-off features,
 trained with EM: the E-step computes expected decision counts under the
 current parameters (optionally restricted by a stack-depth policy, a
 dependency-length bias, and linguistic constraints), and the M-step fits the
-feature weights to those counts with L-BFGS under a Gaussian prior.
+feature weights to those counts with L-BFGS under a Gaussian prior.  The
+M-step works on one flat layout of all softmax decisions (``FeatureSpace``):
+the expected counts become one vector over it, and a single segment
+log-softmax gives both the objective and the DMV probabilities.
 
 Constraints follow the cost framing: they multiply tree weights by factors
 in [0, 1] and are never renormalized, so the E-step posterior is simply the
@@ -69,105 +72,96 @@ class FeatureSpace:
     side and adjacency, and the root choice) is a softmax over its decisions,
     each decision scored by the sum of its template weights.  The root choice
     is featurized as an attachment from a distinguished head symbol.
+
+    All decisions lie in one flat layout, context after context: attach per
+    (head, side), then stop per (head, side, adjacency) with STOP before
+    CONTINUE, then root.  Decision e has the feature ids ``feats[e]`` and
+    lies in context ``context_of[e]``, which starts at decision
+    ``starts[context_of[e]]``; ``keys[e]`` is its DmvCounts field and key:
+    ``("attach", (h, side, d))``, ``("stop", (h, side, adj))``,
+    ``("cont", (h, side, adj))`` or ``("root", d)``.
     """
 
     def __init__(self, tagset):
         self.tags = tuple(sorted(set(tagset)))
         self.index = {}
-        self.contexts = []
+        self.keys = []
+        rows = []
+        sizes = []
         for h in self.tags:
             for side in (LEFT, RIGHT):
-                rows = [attach_features(h, d, side) for d in self.tags]
-                self._add_context(("attach", h, side), self.tags, rows)
+                for d in self.tags:
+                    self.keys.append(("attach", (h, side, d)))
+                    rows.append(attach_features(h, d, side))
+                sizes.append(len(self.tags))
         for h in self.tags:
             for side in (LEFT, RIGHT):
                 for adj in (True, False):
-                    rows = [
-                        stop_features(h, side, adj, dec)
-                        for dec in (STOP, CONTINUE)
-                    ]
-                    self._add_context(
-                        ("stop", h, side, adj), (STOP, CONTINUE), rows
-                    )
-        rows = [attach_features(ROOT_HEAD, d, LEFT) for d in self.tags]
-        self._add_context(("root",), self.tags, rows)
-
-    def _add_context(self, name, decisions, feature_rows):
-        mat = np.array(
-            [[self._fid(key) for key in row] for row in feature_rows],
+                    self.keys.append(("stop", (h, side, adj)))
+                    rows.append(stop_features(h, side, adj, STOP))
+                    self.keys.append(("cont", (h, side, adj)))
+                    rows.append(stop_features(h, side, adj, CONTINUE))
+                    sizes.append(2)
+        for d in self.tags:
+            self.keys.append(("root", d))
+            rows.append(attach_features(ROOT_HEAD, d, LEFT))
+        sizes.append(len(self.tags))
+        self.feats = np.array(
+            [[self.index.setdefault(key, len(self.index)) for key in row]
+             for row in rows],
             dtype=np.int64,
         )
-        self.contexts.append((name, tuple(decisions), mat))
-
-    def _fid(self, key):
-        return self.index.setdefault(key, len(self.index))
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.context_of = np.repeat(np.arange(len(sizes)), sizes)
 
     @property
     def n_features(self):
         return len(self.index)
 
+    @property
+    def n_decisions(self):
+        return len(self.keys)
+
+    def _log_softmax(self, w):
+        """Log-probability of every decision within its context."""
+        logits = w[self.feats].sum(axis=1)
+        logits -= np.maximum.reduceat(logits, self.starts)[self.context_of]
+        logz = np.log(np.add.reduceat(np.exp(logits), self.starts))
+        return logits - logz[self.context_of]
+
     def weights_to_params(self, w):
         """Softmax every context; zero weights give uniform multinomials."""
-        w = np.asarray(w, dtype=float)
-        attach = {}
-        stop = {}
-        root = {}
-        for name, decisions, mat in self.contexts:
-            logits = w[mat].sum(axis=1)
-            logits -= logits.max()
-            probs = np.exp(logits)
-            probs /= probs.sum()
-            if name[0] == "attach":
-                _, h, side = name
-                attach[h, side] = dict(zip(decisions, probs))
-            elif name[0] == "stop":
-                _, h, side, adj = name
-                stop[h, side, adj] = float(probs[decisions.index(STOP)])
-            else:
-                root = dict(zip(decisions, probs))
-        return DmvParams(attach=attach, stop=stop, root=root)
+        probs = np.exp(self._log_softmax(np.asarray(w, dtype=float)))
+        params = DmvParams(attach={}, stop={}, root={})
+        for (field, key), p in zip(self.keys, probs.tolist()):
+            if field == "attach":
+                params.attach.setdefault(key[:2], {})[key[2]] = p
+            elif field != "cont":  # continue is the complement of stop
+                getattr(params, field)[key] = p
+        return params
 
-    def context_counts(self, counts):
-        """Align a DmvCounts onto the context/decision layout."""
-        out = []
-        for name, decisions, _ in self.contexts:
-            if name[0] == "attach":
-                _, h, side = name
-                vec = [counts.attach.get((h, side, d), 0.0) for d in decisions]
-            elif name[0] == "stop":
-                _, h, side, adj = name
-                vec = [
-                    counts.stop.get((h, side, adj), 0.0),
-                    counts.cont.get((h, side, adj), 0.0),
-                ]
-            else:
-                vec = [counts.root.get(d, 0.0) for d in decisions]
-            out.append(np.array(vec, dtype=float))
-        return out
+    def count_vector(self, counts):
+        """A DmvCounts as one count per decision of the flat layout."""
+        return np.array([getattr(counts, field).get(key, 0.0)
+                         for field, key in self.keys])
 
 
-def mstep_objective(space, w, context_counts, sigma2=10.0):
+def mstep_objective(space, w, counts, sigma2=10.0):
     """Penalized expected complete-data log-likelihood and its gradient.
 
-    Returns (objective, gradient) of
+    ``counts`` holds one expected count per decision of ``space``'s flat
+    layout.  Returns (objective, gradient) of
         sum_e c_e * log softmax(w)_e  -  ||w||^2 / (2 sigma2).
     """
     w = np.asarray(w, dtype=float)
-    obj = -(w @ w) / (2.0 * sigma2)
-    grad = -w / sigma2
-    for (name, decisions, mat), cvec in zip(space.contexts, context_counts):
-        total = cvec.sum()
-        if total == 0.0:
-            continue
-        logits = w[mat].sum(axis=1)
-        m = logits.max()
-        exps = np.exp(logits - m)
-        z = exps.sum()
-        logprobs = logits - m - math.log(z)
-        obj += float(cvec @ logprobs)
-        delta = cvec - total * (exps / z)
-        np.add.at(grad, mat, delta[:, None])
-    return obj, grad
+    logp = space._log_softmax(w)
+    totals = np.add.reduceat(counts, space.starts)
+    delta = counts - totals[space.context_of] * np.exp(logp)
+    grad = np.bincount(space.feats.ravel(),
+                       weights=np.repeat(delta, space.feats.shape[1]),
+                       minlength=space.n_features)
+    return (float(counts @ logp) - (w @ w) / (2.0 * sigma2),
+            grad - w / sigma2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,13 +180,13 @@ class LbfgsRun:
 
 
 def mstep(space, counts, w0, sigma2=10.0, maxiter=100):
-    """Fit feature weights to expected counts with L-BFGS.
+    """Fit feature weights to expected counts (a DmvCounts) with L-BFGS.
 
     Returns (weights, LbfgsRun)."""
-    cvecs = space.context_counts(counts)
+    c = space.count_vector(counts)
 
     def neg(w):
-        obj, grad = mstep_objective(space, w, cvecs, sigma2)
+        obj, grad = mstep_objective(space, w, c, sigma2)
         return -obj, -grad
 
     res = optimize.minimize(

@@ -70,13 +70,6 @@ class DmvParams:
     stop: dict
     root: dict
 
-    def tags(self):
-        out = set(self.root)
-        for (h, _), dist in self.attach.items():
-            out.add(h)
-            out.update(dist)
-        return sorted(out)
-
 
 def uniform_dmv_params(vocab):
     vocab = sorted(set(vocab))

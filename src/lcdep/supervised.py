@@ -22,6 +22,7 @@ from .transition import (
     LEFT_CORNER,
     SHIFT,
     TransitionError,
+    ae_depth,
     initial_config,
     lc_apply,
     postprocess_terminal,
@@ -396,14 +397,10 @@ class _AeSystem:
     def is_terminal(self, state):
         return state.front > state.n
 
-    def _depth(self, state):
-        d = sum(1 for t in state.stack if t not in state.attached)
-        if state.front <= state.n and any(h == state.front for h, _ in state.arcs):
-            d += 1
-        return d
-
     def depth_ok(self, state, action, bound, measure, relax_c=1):
-        return bound is None or self._depth(state) <= bound
+        return bound is None or ae_depth(
+            state.stack, state.attached, state.arcs, state.front, state.n
+        ) <= bound
 
     def features(self, state, forms, tags):
         s0 = state.stack[-1] if state.stack else None
@@ -813,7 +810,7 @@ def parser_from_lines(lines):
     feature_set = FULL
     beam = 8
     weights = {}
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
@@ -826,8 +823,14 @@ def parser_from_lines(lines):
             elif line.startswith("# beam:"):
                 beam = int(line.split(":", 1)[1])
             continue
-        key, w = line.rsplit("\t", 1)
-        weights[key] = float(w)
+        key, tab, w = line.rpartition("\t")
+        if not tab:
+            raise ValueError("model line %d has no tab: %r" % (lineno, line))
+        try:
+            weights[key] = float(w)
+        except ValueError:
+            raise ValueError("model line %d has a weight that is not a "
+                             "number: %r" % (lineno, line)) from None
     return ParserModel(
         system=system,
         feature_set=feature_set,

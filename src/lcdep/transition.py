@@ -397,13 +397,21 @@ def run_as_oracle(tree):
     return OracleTrace(system=ARC_STANDARD, steps=tuple(steps), arcs=frozenset(arcs))
 
 
-def run_ae_oracle(tree):
-    """Arc-eager oracle; depth counts connected components.
+def ae_depth(stack, attached, arcs, front, n):
+    """Depth of an arc-eager configuration, in connected components.
 
-    The depth of a configuration is the number of stack tokens not attached
-    to anything, plus one when the token at the front of the buffer has
-    already collected a dependent (a subtree forming in the buffer).
+    It is the number of stack tokens not attached to anything, plus one when
+    the token at the front of the buffer has already collected a dependent
+    (a subtree forming in the buffer).
     """
+    d = sum(1 for t in stack if t not in attached)
+    if front <= n and any(h == front for h, _ in arcs):
+        d += 1
+    return d
+
+
+def run_ae_oracle(tree):
+    """Arc-eager oracle; depth counts connected components (``ae_depth``)."""
     gold = _Gold(tree)
     attached = set()
     stack = []
@@ -413,12 +421,6 @@ def run_ae_oracle(tree):
 
     def done(t):
         return all(d in attached for d in gold.deps[t])
-
-    def depth():
-        d = sum(1 for t in stack if t not in attached)
-        if front <= tree.n and any(h == front for (h, _) in arcs):
-            d += 1
-        return d
 
     while True:
         if (
@@ -448,7 +450,8 @@ def run_ae_oracle(tree):
         else:
             break
         phase = "shift" if action in (SHIFT, "rightArc") else "reduce"
-        steps.append(TraceStep(action=action, depth=depth(), phase=phase))
+        depth = ae_depth(stack, attached, arcs, front, tree.n)
+        steps.append(TraceStep(action=action, depth=depth, phase=phase))
     if arcs != gold.arcs:
         raise TransitionError("arc-eager oracle produced wrong arcs")
     return OracleTrace(system=ARC_EAGER, steps=tuple(steps), arcs=frozenset(arcs))

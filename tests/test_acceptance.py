@@ -276,10 +276,7 @@ def test_criterion_06_bounded_expectations_and_em_monotonicity():
 def test_criterion_07_mstep_gradient_matches_finite_differences():
     space = FeatureSpace(list(VOCAB))
     nprng = np.random.default_rng(7)
-    cvecs = [
-        nprng.uniform(0.0, 3.0, size=len(decisions))
-        for (_, decisions, _) in space.contexts
-    ]
+    cvecs = nprng.uniform(0.0, 3.0, size=space.n_decisions)
     worst = 0.0
     for scale in (0.0, 0.5):
         w = nprng.standard_normal(space.n_features) * scale

@@ -13,6 +13,7 @@ from lcdep.hypergraph import NEG_INF
 from lcdep.lc_chart import DepthPolicy
 from lcdep.sbg import LEFT, RIGHT
 from lcdep.treebank import is_projective, tree_from_heads
+from tests import util
 
 TAGSET = ("ADP", "DET", "NOUN", "VERB")
 
@@ -26,19 +27,8 @@ def random_corpus(rng, n_sent=10, max_len=5, vocab=TAGSET):
 
 def random_counts(space, rng):
     counts = sbg.DmvCounts.zero()
-    for name, decisions, _ in space.contexts:
-        for dec in decisions:
-            c = rng.random() * 3.0
-            if name[0] == "attach":
-                counts.attach[name[1], name[2], dec] = c
-            elif name[0] == "stop":
-                key = (name[1], name[2], name[3])
-                if dec == induction.STOP:
-                    counts.stop[key] = c
-                else:
-                    counts.cont[key] = c
-            else:
-                counts.root[dec] = c
+    for field, key in space.keys:
+        getattr(counts, field)[key] = rng.random() * 3.0
     return counts
 
 
@@ -101,7 +91,7 @@ def test_mstep_gradient_matches_central_differences(seed):
     rng = random.Random(seed)
     space = induction.FeatureSpace(("A", "B", "C"))
     counts = random_counts(space, rng)
-    cvecs = space.context_counts(counts)
+    cvecs = space.count_vector(counts)
     w = np.array([rng.gauss(0.0, 0.5) for _ in range(space.n_features)])
     _, grad = induction.mstep_objective(space, w, cvecs, sigma2=10.0)
     eps = 1e-5
@@ -121,7 +111,7 @@ def test_mstep_reaches_a_stationary_point():
     rng = random.Random(5)
     space = induction.FeatureSpace(("A", "B"))
     counts = random_counts(space, rng)
-    cvecs = space.context_counts(counts)
+    cvecs = space.count_vector(counts)
     w, run = induction.mstep(space, counts, np.zeros(space.n_features))
     assert run.converged and run.iterations > 0
     obj, grad = induction.mstep_objective(space, w, cvecs, sigma2=10.0)
@@ -130,6 +120,60 @@ def test_mstep_reaches_a_stationary_point():
     )
     assert obj >= obj0
     assert np.max(np.abs(grad)) < 1e-4 * (1.0 + abs(obj))
+
+
+def _counts_with_empty_contexts(space, rng):
+    """Random counts where about a third of the contexts have none."""
+    counts = random_counts(space, rng)
+    empty = {k for k in range(len(space.starts)) if rng.random() < 0.35}
+    for (field, key), k in zip(space.keys, space.context_of):
+        if k in empty:
+            del getattr(counts, field)[key]
+    return counts
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 20.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flat_mstep_objective_matches_per_context_reference(seed, scale):
+    rng = random.Random(seed)
+    space = induction.FeatureSpace(TAGSET)
+    contexts = util.reference_contexts(space)
+    counts = _counts_with_empty_contexts(space, rng)
+    cvecs = util.reference_context_counts(contexts, counts)
+    assert any(v.sum() == 0.0 for v in cvecs)
+    flat = space.count_vector(counts)
+    assert np.array_equal(flat, np.concatenate(cvecs))
+    w = np.array([rng.gauss(0.0, 1.0) * scale
+                  for _ in range(space.n_features)])
+    obj, grad = induction.mstep_objective(space, w, flat, sigma2=10.0)
+    want_obj, want_grad = util.reference_mstep_objective(
+        contexts, w, cvecs, sigma2=10.0)
+    assert abs(obj - want_obj) <= 1e-9 * max(1.0, abs(want_obj))
+    assert np.max(np.abs(grad - want_grad)
+                  / np.maximum(1.0, np.abs(want_grad))) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 20.0])
+def test_weights_to_params_matches_per_context_softmax(scale):
+    rng = random.Random(11)
+    space = induction.FeatureSpace(TAGSET)
+    w = np.array([rng.gauss(0.0, 1.0) * scale
+                  for _ in range(space.n_features)])
+    got = space.weights_to_params(w)
+    want = util.reference_weights_to_params(util.reference_contexts(space), w)
+    assert got.attach.keys() == want.attach.keys()
+    for ctx, row in want.attach.items():
+        assert got.attach[ctx].keys() == row.keys()
+        for d, p in row.items():
+            assert abs(got.attach[ctx][d] - p) <= 1e-12
+        assert abs(sum(got.attach[ctx].values()) - 1.0) <= 1e-12
+    assert got.stop.keys() == want.stop.keys()
+    for key, p in want.stop.items():
+        assert abs(got.stop[key] - p) <= 1e-12
+    assert got.root.keys() == want.root.keys()
+    for d, p in want.root.items():
+        assert abs(got.root[d] - p) <= 1e-12
+    assert abs(sum(got.root.values()) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

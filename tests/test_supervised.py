@@ -427,3 +427,17 @@ def test_parser_file_roundtrip():
     assert back.beam_size == model.beam_size
     preds = sp.decode_corpus(corpus, back)
     assert all(p.heads == g.heads for p, g in zip(preds, corpus))
+
+
+def test_parser_file_line_without_tab_is_rejected():
+    lines = ["# system: leftCorner", "# beam: 4", "0=-NULL->shift 0.5"]
+    with pytest.raises(ValueError, match="line 3 has no tab"):
+        sp.parser_from_lines(lines)
+
+
+def test_parser_file_weight_that_is_not_a_number_is_rejected():
+    lines = ["# system: leftCorner", "0=-NULL->shift\t0.5",
+             "0=-NULL->insert\tx1"]
+    with pytest.raises(ValueError, match="line 3 has a weight that is not a "
+                                         "number"):
+        sp.parser_from_lines(lines)

@@ -13,7 +13,16 @@ import numpy as np
 
 from lcdep import hypergraph
 from lcdep.hypergraph import NEG_INF
+from lcdep.induction import (
+    CONTINUE,
+    ROOT_HEAD,
+    STOP,
+    attach_features,
+    stop_features,
+)
 from lcdep.sbg import (
+    LEFT,
+    RIGHT,
     DmvCounts,
     DmvParams,
     _tag_sequences,
@@ -582,3 +591,98 @@ def em_step(corpus, params):
         loglik += logz
         total.merge(dmv_counts_from_events(counts, tags))
     return dmv_params_from_counts(total, params), loglik
+
+
+# ---------------------------------------------------------------------------
+# The featurized DMV M-step one softmax context at a time: the reference the
+# flat layout of ``induction.FeatureSpace`` is checked against
+
+
+def reference_contexts(space):
+    """The softmax contexts of ``space`` built one by one from the feature
+    templates: (name, decisions, feature-id matrix) per context."""
+    def context(name, decisions, rows):
+        mat = np.array([[space.index[key] for key in row] for row in rows],
+                       dtype=np.int64)
+        return (name, tuple(decisions), mat)
+
+    out = []
+    for h in space.tags:
+        for side in (LEFT, RIGHT):
+            rows = [attach_features(h, d, side) for d in space.tags]
+            out.append(context(("attach", h, side), space.tags, rows))
+    for h in space.tags:
+        for side in (LEFT, RIGHT):
+            for adj in (True, False):
+                rows = [stop_features(h, side, adj, dec)
+                        for dec in (STOP, CONTINUE)]
+                out.append(context(("stop", h, side, adj), (STOP, CONTINUE),
+                                   rows))
+    rows = [attach_features(ROOT_HEAD, d, LEFT) for d in space.tags]
+    out.append(context(("root",), space.tags, rows))
+    return out
+
+
+def reference_context_counts(contexts, counts):
+    """Align a DmvCounts onto the context/decision layout."""
+    out = []
+    for name, decisions, _ in contexts:
+        if name[0] == "attach":
+            _, h, side = name
+            vec = [counts.attach.get((h, side, d), 0.0) for d in decisions]
+        elif name[0] == "stop":
+            _, h, side, adj = name
+            vec = [
+                counts.stop.get((h, side, adj), 0.0),
+                counts.cont.get((h, side, adj), 0.0),
+            ]
+        else:
+            vec = [counts.root.get(d, 0.0) for d in decisions]
+        out.append(np.array(vec, dtype=float))
+    return out
+
+
+def reference_weights_to_params(contexts, w):
+    """Softmax every context; zero weights give uniform multinomials."""
+    w = np.asarray(w, dtype=float)
+    attach = {}
+    stop = {}
+    root = {}
+    for name, decisions, mat in contexts:
+        logits = w[mat].sum(axis=1)
+        logits -= logits.max()
+        probs = np.exp(logits)
+        probs /= probs.sum()
+        if name[0] == "attach":
+            _, h, side = name
+            attach[h, side] = dict(zip(decisions, probs))
+        elif name[0] == "stop":
+            _, h, side, adj = name
+            stop[h, side, adj] = float(probs[decisions.index(STOP)])
+        else:
+            root = dict(zip(decisions, probs))
+    return DmvParams(attach=attach, stop=stop, root=root)
+
+
+def reference_mstep_objective(contexts, w, context_counts, sigma2=10.0):
+    """Penalized expected complete-data log-likelihood and its gradient.
+
+    Returns (objective, gradient) of
+        sum_e c_e * log softmax(w)_e  -  ||w||^2 / (2 sigma2).
+    """
+    w = np.asarray(w, dtype=float)
+    obj = -(w @ w) / (2.0 * sigma2)
+    grad = -w / sigma2
+    for (name, decisions, mat), cvec in zip(contexts, context_counts):
+        total = cvec.sum()
+        if total == 0.0:
+            continue
+        logits = w[mat].sum(axis=1)
+        m = logits.max()
+        exps = np.exp(logits - m)
+        z = exps.sum()
+        logprobs = logits - m - math.log(z)
+        obj += float(cvec @ logprobs)
+        delta = cvec - total * (exps / z)
+        np.add.at(grad, mat, delta[:, None])
+    return obj, grad
