@@ -48,9 +48,11 @@ events' log-weights, supplied at pass time as an array indexed by event id.
 import numpy as np
 
 NEG_INF = float("-inf")
-# Viterbi heads whose two best edges lie closer than this are re-decided by
-# the sequential comparison with its 1e-12 tolerance and arc-key tie-break
-TIE_GAP = 2e-12
+# Viterbi scores within TIE_TOL count as tied; heads whose two best edges lie
+# closer than TIE_GAP are re-decided by the sequential comparison with its
+# arc-key tie-break
+TIE_TOL = 1e-12
+TIE_GAP = 2 * TIE_TOL
 
 
 class EdgeEvents:
@@ -346,13 +348,12 @@ def inside_count(forest):
     return count[:-1].tolist()
 
 
-def inside_max(forest, eventw, edge_arcs=None):
+def inside_max(forest, eventw, edge_arcs):
     """Viterbi pass.
 
-    Returns (scores, best_edge).  Without ``edge_arcs`` the best edge of a
-    head is its first edge of maximal score.  With ``edge_arcs`` (callable
-    edge id -> tuple of (dep, head) arcs) scores within 1e-12 count as tied,
-    and ties are broken by preferring the derivation whose sorted arc tuple
+    Returns (scores, best_edge).  ``edge_arcs`` is a callable edge id ->
+    tuple of (dep, head) arcs.  Scores within TIE_TOL count as tied, and
+    ties are broken by preferring the derivation whose sorted arc tuple
     is lexicographically smaller, which realizes the "lower head index
     first" decoding contract.  That comparison runs edge by edge in order,
     as a sequential pass would, for every head whose two best edges lie
@@ -375,8 +376,6 @@ def inside_max(forest, eventw, edge_arcs=None):
         live = m > NEG_INF
         scores[heads] = np.where(live, m, NEG_INF)
         best[heads] = np.where(live, first + lo, -1)
-        if edge_arcs is None:
-            continue
         rest = w.copy()
         rest[first[live]] = NEG_INF
         redo = live & (np.fmax.reduceat(rest, starts) >= m - TIE_GAP)
@@ -418,9 +417,9 @@ def _sequential_max(forest, best, keys, edge_arcs, a, ws, alive, t0, t1):
                 key.extend(tail_key)
         key = tuple(sorted(key))
         if (
-            w > score + 1e-12
+            w > score + TIE_TOL
             or edge < 0
-            or (w > score - 1e-12 and key < best_key)
+            or (w > score - TIE_TOL and key < best_key)
         ):
             score, edge, best_key = w, a + j, key
     return score, edge, best_key

@@ -17,8 +17,10 @@ the unconstrained model.
 
 import collections
 import dataclasses
+import functools
 import math
 from concurrent import futures
+from itertools import repeat
 
 import numpy as np
 from scipy import optimize
@@ -27,7 +29,7 @@ from . import lc_chart, sbg
 from .hypergraph import NEG_INF
 from .lc_chart import DepthPolicy
 from .sbg import LEFT, RIGHT, DmvCounts, DmvParams
-from .treebank import DEFAULT_PUNCT_TAGS, tree_from_heads
+from .treebank import DEFAULT_PUNCT_TAGS, UD_NOUN_TAGS, tree_from_heads
 
 ROOT_HEAD = "$"
 STOP = "stop"
@@ -35,7 +37,6 @@ CONTINUE = "continue"
 
 ROOT_MODES = ("none", "verb-or-noun", "verb-otherwise-noun")
 VERB_ROOT_TAGS = frozenset({"VERB"})
-NOUN_ROOT_TAGS = frozenset({"NOUN", "PRON", "PROPN"})
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ class ConstraintSet:
         if self.root_mode == "none":
             return None
         verbs = {i + 1 for i, t in enumerate(tags) if t in VERB_ROOT_TAGS}
-        nouns = {i + 1 for i, t in enumerate(tags) if t in NOUN_ROOT_TAGS}
+        nouns = {i + 1 for i, t in enumerate(tags) if t in UD_NOUN_TAGS}
         if self.root_mode == "verb-or-noun":
             allowed = verbs | nouns
             return allowed or None
@@ -289,15 +290,15 @@ def sentence_expectations(tags, params, cs, policy=None, length_bias=None):
     return sbg.dmv_counts_from_events(events, tags), logz
 
 
-def _estep_chunk(args):
-    groups, params, cs, policy, length_bias = args
+def _estep_chunk(groups, expectations):
+    """(DmvCounts, log-likelihood, skipped sentence count) over (tags,
+    multiplicity) groups; ``expectations(tags)`` gives one sentence's
+    (DmvCounts, log marginal), or (None, -inf) when it has no analysis."""
     total = DmvCounts.zero()
     loglik = 0.0
     skipped = 0
     for tags, mult in groups:
-        counts, logz = sentence_expectations(
-            tags, params, cs, policy, length_bias
-        )
+        counts, logz = expectations(tags)
         if counts is None:
             skipped += mult
             continue
@@ -314,17 +315,17 @@ def estep(groups, params, cs, policy=None, length_bias=None, jobs=1):
     split into chunks merged by associative addition.
     """
     groups = list(groups)
+    expectations = functools.partial(
+        sentence_expectations, params=params, cs=cs, policy=policy,
+        length_bias=length_bias)
     if jobs <= 1 or len(groups) < 2 * jobs:
-        return _estep_chunk((groups, params, cs, policy, length_bias))
+        return _estep_chunk(groups, expectations)
     chunks = [groups[k::jobs] for k in range(jobs)]
     total = DmvCounts.zero()
     loglik = 0.0
     skipped = 0
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(
-            _estep_chunk,
-            [(chunk, params, cs, policy, length_bias) for chunk in chunks],
-        )
+        parts = pool.map(_estep_chunk, chunks, repeat(expectations))
         for part, ll, sk in parts:
             total.merge(part)
             loglik += ll
@@ -341,20 +342,20 @@ def corpus_groups(corpus):
     return sorted(counter.items())
 
 
+def _harmonic_expectations(tags):
+    sent = sbg.weighted_sentence_automata(
+        tags,
+        attach_logw=lambda h, d: -math.log(abs(h - d)),
+        root_logw=lambda d: 0.0,
+    )
+    events, logz = sbg.forest_expected_counts(_chart_forest(tags, sent), sent)
+    return sbg.dmv_counts_from_events(events, tags), logz
+
+
 def harmonic_counts(groups):
     """Expected counts of one E-step where attaching positions i and j has
     weight 1/|i-j| and root and stop choices are uniform."""
-    total = DmvCounts.zero()
-    for tags, mult in groups:
-        sent = sbg.weighted_sentence_automata(
-            tags,
-            attach_logw=lambda h, d: -math.log(abs(h - d)),
-            root_logw=lambda d: 0.0,
-        )
-        events, _ = sbg.forest_expected_counts(_chart_forest(tags, sent),
-                                               sent)
-        total.merge(sbg.dmv_counts_from_events(events, tags), mult)
-    return total
+    return _estep_chunk(groups, _harmonic_expectations)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +610,11 @@ def model_from_lines(lines):
         key_s, tab, w_s = line.partition("\t")
         if not tab:
             raise ValueError("model line %d has no tab: %r" % (lineno, line))
-        entries[key_s] = float(w_s)
+        try:
+            entries[key_s] = float(w_s)
+        except ValueError:
+            raise ValueError("model line %d has a weight that is not a "
+                             "number: %r" % (lineno, line)) from None
     if tags is None:
         raise ValueError("model file missing tags header")
     space = FeatureSpace(tags)

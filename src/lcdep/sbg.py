@@ -32,7 +32,7 @@ import numpy as np
 
 from . import hypergraph
 from .exhaustive import projective_trees
-from .hypergraph import NEG_INF
+from .hypergraph import NEG_INF, TIE_TOL
 from .treebank import tree_from_heads
 
 LEFT = "L"
@@ -464,8 +464,8 @@ def brute_force_viterbi(tags, sent, tree_filter=None):
         key = tuple(sorted((d + 1, h) for d, h in enumerate(heads)))
         if (
             best[1] is None
-            or logw > best[0] + 1e-12
-            or (logw > best[0] - 1e-12 and key < best[2])
+            or logw > best[0] + TIE_TOL
+            or (logw > best[0] - TIE_TOL and key < best[2])
         ):
             best = (logw, heads, key)
     return best[0], best[1]

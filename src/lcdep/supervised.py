@@ -17,19 +17,12 @@ from operator import itemgetter
 from .transition import (
     ARC_EAGER,
     ARC_STANDARD,
-    LC_ACTIONS,
     LC_REDUCE_ACTIONS,
     LEFT_CORNER,
-    SHIFT,
-    TransitionError,
-    ae_depth,
-    initial_config,
-    lc_apply,
+    ArcEager,
+    ArcStandard,
+    LeftCorner,
     postprocess_terminal,
-    run_ae_oracle,
-    run_as_oracle,
-    run_lc_oracle,
-    valid_lc_actions,
 )
 from .treebank import tree_from_heads
 
@@ -197,31 +190,19 @@ def extract_lc_features(config, forms, tags, feature_set=FULL):
 
 
 # ---------------------------------------------------------------------------
-# transition systems behind one decoding interface
+# the transition systems of transition.py, with features, depth bounds and
+# head reading for decoding
 
 
 def _action_ids(actions):
     return {a: i for i, a in enumerate(actions)}
 
 
-class _LcSystem:
-    name = LEFT_CORNER
-    action_ids = _action_ids(LC_ACTIONS)
+class _LcSystem(LeftCorner):
+    action_ids = _action_ids(LeftCorner.actions)
 
     def __init__(self, feature_set=FULL):
         self.feature_set = feature_set
-
-    def initial(self, n):
-        return initial_config(n)
-
-    def valid(self, state):
-        return valid_lc_actions(state)
-
-    def apply(self, state, action):
-        return lc_apply(state, action)
-
-    def is_terminal(self, state):
-        return state.is_terminal
 
     def depth_ok(self, state, action, bound, measure, relax_c=1):
         if bound is None:
@@ -237,22 +218,20 @@ class _LcSystem:
     def features(self, state, forms, tags):
         return extract_lc_features(state, forms, tags, self.feature_set)
 
-    def gold_actions(self, tree):
-        return [s.action for s in run_lc_oracle(tree).steps]
-
     def read_heads(self, state, n):
         return postprocess_terminal(state)
 
 
-@dataclasses.dataclass(frozen=True)
-class _FlatState:
-    """Stack-of-tokens state shared by arc-standard and arc-eager."""
+class _FlatParser:
+    """Depth bound and head reading of arc-standard and arc-eager; both
+    bound every configuration by the system's depth."""
 
-    stack: tuple
-    front: int
-    n: int
-    arcs: frozenset
-    attached: frozenset = frozenset()
+    def depth_ok(self, state, action, bound, measure, relax_c=1):
+        return bound is None or self.depth(state) <= bound
+
+    def read_heads(self, state, n):
+        heads = {d: h for h, d in state.arcs}
+        return tuple(heads.get(t, 0) for t in range(1, n + 1))
 
 
 def _flat_children(state, tok):
@@ -265,43 +244,8 @@ def _flat_wt(tok, forms, tags):
     return forms[tok - 1], tags[tok - 1]
 
 
-class _AsSystem:
-    name = ARC_STANDARD
-    action_ids = _action_ids((SHIFT, "leftArc", "rightArc"))
-
-    def initial(self, n):
-        return _FlatState(stack=(), front=1, n=n, arcs=frozenset())
-
-    def valid(self, state):
-        out = []
-        if state.front <= state.n:
-            out.append(SHIFT)
-        if len(state.stack) >= 2:
-            out.append("leftArc")
-            out.append("rightArc")
-        return out
-
-    def apply(self, state, action):
-        if action == SHIFT:
-            return dataclasses.replace(
-                state, stack=state.stack + (state.front,), front=state.front + 1
-            )
-        if action == "leftArc":  # second-from-top depends on top
-            dep, head = state.stack[-2], state.stack[-1]
-        elif action == "rightArc":
-            dep, head = state.stack[-1], state.stack[-2]
-        else:
-            raise TransitionError("unknown action %r" % action)
-        stack = tuple(t for t in state.stack if t != dep)
-        return dataclasses.replace(
-            state, stack=stack, arcs=state.arcs | {(head, dep)}
-        )
-
-    def is_terminal(self, state):
-        return state.front > state.n and len(state.stack) <= 1
-
-    def depth_ok(self, state, action, bound, measure, relax_c=1):
-        return bound is None or len(state.stack) <= bound
+class _AsSystem(_FlatParser, ArcStandard):
+    action_ids = _action_ids(ArcStandard.actions)
 
     def features(self, state, forms, tags):
         s0 = state.stack[-1] if len(state.stack) >= 1 else None
@@ -340,67 +284,9 @@ class _AsSystem:
         ]
         return ["%s=%s" % kv for kv in pieces]
 
-    def gold_actions(self, tree):
-        return [s.action for s in run_as_oracle(tree).steps]
 
-    def read_heads(self, state, n):
-        heads = {d: h for h, d in state.arcs}
-        return tuple(heads.get(t, 0) for t in range(1, n + 1))
-
-
-class _AeSystem:
-    name = ARC_EAGER
-    action_ids = _action_ids((SHIFT, "leftArc", "rightArc", "reduce"))
-
-    def initial(self, n):
-        return _FlatState(stack=(), front=1, n=n, arcs=frozenset())
-
-    def valid(self, state):
-        out = []
-        s0 = state.stack[-1] if state.stack else None
-        if state.front <= state.n:
-            out.append(SHIFT)
-            if s0 is not None:
-                out.append("rightArc")
-                if s0 not in state.attached:
-                    out.append("leftArc")
-        if s0 is not None and s0 in state.attached:
-            out.append("reduce")
-        return out
-
-    def apply(self, state, action):
-        if action == SHIFT:
-            return dataclasses.replace(
-                state, stack=state.stack + (state.front,), front=state.front + 1
-            )
-        if action == "leftArc":
-            dep = state.stack[-1]
-            return dataclasses.replace(
-                state,
-                stack=state.stack[:-1],
-                arcs=state.arcs | {(state.front, dep)},
-                attached=state.attached | {dep},
-            )
-        if action == "rightArc":
-            dep = state.front
-            return dataclasses.replace(
-                state,
-                stack=state.stack + (dep,),
-                front=state.front + 1,
-                arcs=state.arcs | {(state.stack[-1], dep)},
-                attached=state.attached | {dep},
-            )
-        if action == "reduce":
-            return dataclasses.replace(state, stack=state.stack[:-1])
-        raise TransitionError("unknown action %r" % action)
-
-    def is_terminal(self, state):
-        return state.front > state.n
-
-    def depth_ok(self, state, action, bound, measure, relax_c=1):
-        return bound is None or ae_depth(
-            state.stack, state.attached, state.arcs, state.front, state.n
-        ) <= bound
+class _AeSystem(_FlatParser, ArcEager):
+    action_ids = _action_ids(ArcEager.actions)
 
     def features(self, state, forms, tags):
         s0 = state.stack[-1] if state.stack else None
@@ -434,13 +320,6 @@ class _AeSystem:
             ("q0t_q0lt", q0t + "|" + q0lt),
         ]
         return ["%s=%s" % kv for kv in pieces]
-
-    def gold_actions(self, tree):
-        return [s.action for s in run_ae_oracle(tree).steps]
-
-    def read_heads(self, state, n):
-        heads = {d: h for h, d in state.arcs}
-        return tuple(heads.get(t, 0) for t in range(1, n + 1))
 
 
 def _system(name, feature_set=FULL):

@@ -3,9 +3,11 @@ instrumentation.
 
 The left-corner system builds trees with six actions over stacks of right
 spines whose unrealized heads are dummy nodes.  Arc-standard and arc-eager
-systems are provided as reference points for the depth analyses.  All three
-come with deterministic oracles that replay a gold tree and record the stack
-depth after every action.
+are the reference points for the depth analyses and the supervised parser.
+Each system is defined once, here: its configurations, valid actions,
+apply, terminal test, deterministic oracle and depth.  One replay loop runs
+every oracle over a gold tree and records the stack depth after every
+action; the supervised parser's beam runs the same definitions.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,9 @@ LEFT_PRED = "leftPred"
 RIGHT_PRED = "rightPred"
 LEFT_COMP = "leftComp"
 RIGHT_COMP = "rightComp"
+LEFT_ARC = "leftArc"
+RIGHT_ARC = "rightArc"
+REDUCE = "reduce"
 
 LC_SHIFT_ACTIONS = (SHIFT, INSERT)
 LC_REDUCE_ACTIONS = (LEFT_PRED, RIGHT_PRED, LEFT_COMP, RIGHT_COMP)
@@ -239,6 +244,10 @@ class _Gold:
         rem = self.remaining_deps(t, beta)
         return rem[0] if rem else None
 
+    def done(self, t, attached):
+        """Whether every dependent of ``t`` is in ``attached``."""
+        return all(d in attached for d in self.deps[t])
+
 
 def lc_oracle(config, gold):
     """Return the action recovering ``gold`` from ``config``.
@@ -293,6 +302,207 @@ def lc_oracle(config, gold):
 
 
 @dataclass(frozen=True)
+class FlatConfig:
+    """Arc-standard and arc-eager configuration: a stack of tokens, the next
+    buffer position, the arcs built so far and the tokens they attach."""
+
+    stack: tuple = ()
+    front: int = 1
+    n: int = 0
+    arcs: frozenset = frozenset()
+    attached: frozenset = frozenset()
+
+    @property
+    def buffer_empty(self):
+        return self.front > self.n
+
+    def shifted(self):
+        return FlatConfig(self.stack + (self.front,), self.front + 1, self.n,
+                          self.arcs, self.attached)
+
+
+class TransitionSystem:
+    """One transition system, used by both the oracle replay and the beam of
+    the supervised parser.
+
+    A system gives the initial configuration of an n-token sentence
+    (``initial``), the actions a configuration licenses (``valid``), their
+    application (``apply``), where a parse ends (``is_terminal``), the gold
+    action in a configuration (``oracle``, None once the replay is over) and
+    the stack depth that the analyses and the depth bounds measure
+    (``depth``).  Steps taking one of ``shift_actions`` belong to the shift
+    phase, the others to the reduce phase.
+    """
+
+    name = None
+    actions = ()
+    shift_actions = ()
+
+    def top_size(self, config):
+        """Size of the top stack element; None where the system does not
+        track element extents."""
+        return None
+
+    def gold_actions(self, tree):
+        """The oracle's action sequence for ``tree``."""
+        return [s.action for s in run_oracle(tree, self.name).steps]
+
+
+class LeftCorner(TransitionSystem):
+    name = LEFT_CORNER
+    actions = LC_ACTIONS
+    shift_actions = LC_SHIFT_ACTIONS
+
+    def initial(self, n):
+        return initial_config(n)
+
+    def valid(self, config):
+        return valid_lc_actions(config)
+
+    def apply(self, config, action):
+        return lc_apply(config, action)
+
+    def is_terminal(self, config):
+        return config.is_terminal
+
+    def oracle(self, config, gold):
+        return None if config.is_terminal else lc_oracle(config, gold)
+
+    def depth(self, config):
+        return config.stack_depth
+
+    def top_size(self, config):
+        return config.top_element_size()
+
+
+class ArcStandard(TransitionSystem):
+    """Arcs join the two topmost stack tokens; the depth is the stack size."""
+
+    name = ARC_STANDARD
+    actions = (SHIFT, LEFT_ARC, RIGHT_ARC)
+    shift_actions = (SHIFT,)
+
+    def initial(self, n):
+        return FlatConfig(n=n)
+
+    def valid(self, config):
+        out = [] if config.buffer_empty else [SHIFT]
+        if len(config.stack) >= 2:
+            out += (LEFT_ARC, RIGHT_ARC)
+        return out
+
+    def apply(self, config, action):
+        _require(action in self.valid(config), action,
+                 "not valid in this configuration")
+        if action == SHIFT:
+            return config.shifted()
+        *rest, s1, s0 = config.stack
+        # leftArc: the second-from-top token depends on the top one
+        head, dep = (s0, s1) if action == LEFT_ARC else (s1, s0)
+        return FlatConfig(tuple(rest) + (head,), config.front, config.n,
+                          config.arcs | {(head, dep)},
+                          config.attached | {dep})
+
+    def is_terminal(self, config):
+        return config.buffer_empty and len(config.stack) <= 1
+
+    def oracle(self, config, gold):
+        """Attach a token as soon as it has collected all its dependents."""
+        stack, attached = config.stack, config.attached
+        if len(stack) >= 2:
+            s1, s0 = stack[-2], stack[-1]
+            if gold.head(s1) == s0 and gold.done(s1, attached):
+                return LEFT_ARC
+            if gold.head(s0) == s1 and gold.done(s0, attached):
+                return RIGHT_ARC
+        if not config.buffer_empty:
+            return SHIFT
+        if len(stack) <= 1:
+            return None
+        raise TransitionError("arc-standard oracle is stuck")
+
+    def depth(self, config):
+        return len(config.stack)
+
+
+class ArcEager(TransitionSystem):
+    """Arcs join the stack top and the buffer front; a token with a head
+    stays on the stack until ``reduce`` pops it.  The depth counts connected
+    components.
+
+    A parse ends when the buffer is empty, but the oracle replay goes on:
+    it pops the tokens that have a head and are left on the stack, which
+    the parser never does.
+    """
+
+    name = ARC_EAGER
+    actions = (SHIFT, LEFT_ARC, RIGHT_ARC, REDUCE)
+    shift_actions = (SHIFT, RIGHT_ARC)
+
+    def initial(self, n):
+        return FlatConfig(n=n)
+
+    def valid(self, config):
+        out = []
+        s0 = config.stack[-1] if config.stack else None
+        if not config.buffer_empty:
+            out.append(SHIFT)
+            if s0 is not None:
+                out.append(RIGHT_ARC)
+                if s0 not in config.attached:
+                    out.append(LEFT_ARC)
+        if s0 is not None and s0 in config.attached:
+            out.append(REDUCE)
+        return out
+
+    def apply(self, config, action):
+        _require(action in self.valid(config), action,
+                 "not valid in this configuration")
+        if action == SHIFT:
+            return config.shifted()
+        stack, front, n = config.stack, config.front, config.n
+        if action == REDUCE:
+            return FlatConfig(stack[:-1], front, n, config.arcs,
+                              config.attached)
+        if action == LEFT_ARC:
+            return FlatConfig(stack[:-1], front, n,
+                              config.arcs | {(front, stack[-1])},
+                              config.attached | {stack[-1]})
+        return FlatConfig(stack + (front,), front + 1, n,
+                          config.arcs | {(stack[-1], front)},
+                          config.attached | {front})
+
+    def is_terminal(self, config):
+        return config.buffer_empty
+
+    def oracle(self, config, gold):
+        """Attach as early as possible and pop a token with a head once it
+        has all its dependents; None when no action remains."""
+        stack, attached = config.stack, config.attached
+        s0 = stack[-1] if stack else None
+        if s0 is not None and not config.buffer_empty:
+            front = config.front
+            if (s0 not in attached and gold.head(s0) == front
+                    and gold.done(s0, attached)):
+                return LEFT_ARC
+            if gold.head(front) == s0:
+                return RIGHT_ARC
+        if s0 is not None and s0 in attached and gold.done(s0, attached):
+            return REDUCE
+        return None if config.buffer_empty else SHIFT
+
+    def depth(self, config):
+        """The stack tokens without a head, plus one when the token at the
+        front of the buffer has already collected a dependent (a subtree
+        forming in the buffer)."""
+        d = sum(1 for t in config.stack if t not in config.attached)
+        if not config.buffer_empty and any(
+                h == config.front for h, _ in config.arcs):
+            d += 1
+        return d
+
+
+@dataclass(frozen=True)
 class TraceStep:
     """One applied action: resulting depth and the phase it belongs to.
 
@@ -311,7 +521,7 @@ class OracleTrace:
     system: str
     steps: tuple
     arcs: frozenset
-    final_config: Configuration = None
+    final_config: object = None
 
     @property
     def n_actions(self):
@@ -326,135 +536,44 @@ def format_trace(trace):
     return "\n".join(lines)
 
 
-def _phase_of(action):
-    return "shift" if action in LC_SHIFT_ACTIONS else "reduce"
+def _replay(system, tree):
+    """Replay ``tree`` with the oracle of ``system``, recording the depth and
+    phase after every action."""
+    gold = _Gold(tree)
+    config = system.initial(tree.n)
+    steps = []
+    limit = 4 * tree.n + 4  # actions; a projective tree needs at most 2n
+    for _ in range(limit + 1):
+        action = system.oracle(config, gold)
+        if action is None:
+            break
+        config = system.apply(config, action)
+        phase = "shift" if action in system.shift_actions else "reduce"
+        steps.append(TraceStep(action, system.depth(config), phase,
+                               system.top_size(config)))
+    else:
+        raise TransitionError(
+            "oracle failed to terminate; is the tree projective?")
+    if config.arcs != gold.arcs:
+        raise TransitionError("%s oracle produced wrong arcs: %s"
+                              % (system.name, sorted(config.arcs)))
+    return OracleTrace(system=system.name, steps=tuple(steps),
+                       arcs=config.arcs, final_config=config)
 
 
 def run_lc_oracle(tree):
     """Replay ``tree`` with the left-corner oracle and record depths."""
-    gold = _Gold(tree)
-    config = initial_config(tree.n)
-    steps = []
-    limit = 4 * tree.n + 4
-    while not config.is_terminal:
-        if len(steps) >= limit:
-            raise TransitionError(
-                "oracle failed to terminate; is the tree projective?"
-            )
-        action = lc_oracle(config, gold)
-        config = lc_apply(config, action)
-        steps.append(
-            TraceStep(
-                action=action,
-                depth=config.stack_depth,
-                phase=_phase_of(action),
-                top_size=config.top_element_size(),
-            )
-        )
-    if config.arcs != gold.arcs:
-        raise TransitionError("oracle produced wrong arcs: %s" % (config.arcs,))
-    return OracleTrace(
-        system=LEFT_CORNER,
-        steps=tuple(steps),
-        arcs=config.arcs,
-        final_config=config,
-    )
+    return _replay(LeftCorner(), tree)
 
 
 def run_as_oracle(tree):
     """Arc-standard oracle; depth is the raw stack size after each action."""
-    gold = _Gold(tree)
-    attached = set()
-    stack = []
-    front = 1
-    arcs = set()
-    steps = []
-
-    def done(t):
-        return all(d in attached for d in gold.deps[t])
-
-    while not (front > tree.n and len(stack) <= 1):
-        if len(stack) >= 2 and gold.head(stack[-2]) == stack[-1] and done(stack[-2]):
-            dep = stack.pop(-2)
-            arcs.add((stack[-1], dep))
-            attached.add(dep)
-            action = "leftArc"
-        elif len(stack) >= 2 and gold.head(stack[-1]) == stack[-2] and done(stack[-1]):
-            dep = stack.pop()
-            arcs.add((stack[-1], dep))
-            attached.add(dep)
-            action = "rightArc"
-        elif front <= tree.n:
-            stack.append(front)
-            front += 1
-            action = SHIFT
-        else:
-            raise TransitionError("arc-standard oracle is stuck")
-        phase = "shift" if action == SHIFT else "reduce"
-        steps.append(TraceStep(action=action, depth=len(stack), phase=phase))
-    if arcs != gold.arcs:
-        raise TransitionError("arc-standard oracle produced wrong arcs")
-    return OracleTrace(system=ARC_STANDARD, steps=tuple(steps), arcs=frozenset(arcs))
-
-
-def ae_depth(stack, attached, arcs, front, n):
-    """Depth of an arc-eager configuration, in connected components.
-
-    It is the number of stack tokens not attached to anything, plus one when
-    the token at the front of the buffer has already collected a dependent
-    (a subtree forming in the buffer).
-    """
-    d = sum(1 for t in stack if t not in attached)
-    if front <= n and any(h == front for h, _ in arcs):
-        d += 1
-    return d
+    return _replay(ArcStandard(), tree)
 
 
 def run_ae_oracle(tree):
-    """Arc-eager oracle; depth counts connected components (``ae_depth``)."""
-    gold = _Gold(tree)
-    attached = set()
-    stack = []
-    front = 1
-    arcs = set()
-    steps = []
-
-    def done(t):
-        return all(d in attached for d in gold.deps[t])
-
-    while True:
-        if (
-            stack
-            and front <= tree.n
-            and stack[-1] not in attached
-            and gold.head(stack[-1]) == front
-            and done(stack[-1])
-        ):
-            dep = stack.pop()
-            arcs.add((front, dep))
-            attached.add(dep)
-            action = "leftArc"
-        elif stack and front <= tree.n and gold.head(front) == stack[-1]:
-            arcs.add((stack[-1], front))
-            attached.add(front)
-            stack.append(front)
-            front += 1
-            action = "rightArc"
-        elif stack and stack[-1] in attached and done(stack[-1]):
-            stack.pop()
-            action = "reduce"
-        elif front <= tree.n:
-            stack.append(front)
-            front += 1
-            action = SHIFT
-        else:
-            break
-        phase = "shift" if action in (SHIFT, "rightArc") else "reduce"
-        depth = ae_depth(stack, attached, arcs, front, tree.n)
-        steps.append(TraceStep(action=action, depth=depth, phase=phase))
-    if arcs != gold.arcs:
-        raise TransitionError("arc-eager oracle produced wrong arcs")
-    return OracleTrace(system=ARC_EAGER, steps=tuple(steps), arcs=frozenset(arcs))
+    """Arc-eager oracle; depth counts connected components."""
+    return _replay(ArcEager(), tree)
 
 
 def run_oracle(tree, system=LEFT_CORNER):

@@ -14,16 +14,11 @@ from dataclasses import dataclass
 ROOT_FORM = "$"
 ROOT_TAG = "$"
 
-# Universal Dependencies v1 tagset (17 tags).
-UD_TAGS = frozenset({
-    "ADJ", "ADP", "ADV", "AUX", "CONJ", "DET", "INTJ", "NOUN", "NUM",
-    "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
-})
+# Universal Dependencies v1 tags; the Google universal treebanks use the
+# older 12-tag inventory.
 UD_FUNCTION_TAGS = frozenset({"ADP", "AUX", "CONJ", "DET", "PART", "SCONJ"})
 UD_NOUN_TAGS = frozenset({"NOUN", "PRON", "PROPN"})
-# Google universal treebanks use the older 12-tag inventory.
 GOOGLE_FUNCTION_TAGS = frozenset({"DET", "CONJ", "PRT"})
-GOOGLE_NOUN_TAGS = frozenset({"NOUN", "PRON"})
 
 DEFAULT_PUNCT_TAGS = frozenset({"PUNCT", "."})
 

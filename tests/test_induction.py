@@ -586,6 +586,13 @@ def test_model_file_with_a_missing_or_unknown_feature_is_rejected():
         induction.model_from_lines(lines[:3] + ["a_d:N 0.5"] + lines[3:])
 
 
+def test_model_file_weight_that_is_not_a_number_is_rejected():
+    lines = ["# featurized-dmv v1", "# tags: N", "a_d:N\tx1"]
+    with pytest.raises(ValueError, match="line 3 has a weight that is not a "
+                                         "number: 'a_d:N\\\\tx1'"):
+        induction.model_from_lines(lines)
+
+
 # ---------------------------------------------------------------------------
 # M-step observability and degenerate weights
 

@@ -2,10 +2,13 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lcdep"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lcdep"
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
 
 
 def unused_imports(source):
@@ -44,3 +47,56 @@ def test_unused_import_check_sees_every_import_form():
         "    return os.sep, q",
     ])
     assert unused_imports(source) == [(3, "a"), (4, "z"), (5, "r")]
+
+
+def module_constants(source):
+    """Names of the upper-case constants a module assigns at top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and CONSTANT.match(name.id):
+                    names.add(name.id)
+    return names
+
+
+def names_read(source):
+    """Every name the source loads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_every_module_constant_is_read():
+    read = set()
+    for top in ("src", "tests", "scripts"):
+        for path in (ROOT / top).rglob("*.py"):
+            read |= names_read(path.read_text(encoding="utf-8"))
+    unread = sorted(
+        "%s.%s" % (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in module_constants(path.read_text(encoding="utf-8"))
+        if name not in read)
+    assert unread == []
+
+
+def test_constant_checks_see_assignments_and_reads():
+    source = "\n".join([
+        "A = 1",
+        "_B, c = 2, 3",
+        "D: int = 4",
+        "E = A",
+        "def f():",
+        "    G = 5",
+        "    return m.D",
+    ])
+    assert module_constants(source) == {"A", "_B", "D", "E"}
+    assert names_read(source) == {"int", "A", "m", "D"}

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lcdep import supervised as sp
+from lcdep.exhaustive import projective_deptrees
 from lcdep.transition import (
     ARC_EAGER,
     ARC_STANDARD,
@@ -15,9 +16,10 @@ from lcdep.transition import (
     lc_apply,
     max_step_depth,
     run_lc_oracle,
+    run_oracle,
     valid_lc_actions,
 )
-from lcdep.treebank import tree_from_heads
+from lcdep.treebank import append_root, tree_from_heads
 
 from tests.util import random_projective_tree, reference_lc_features
 
@@ -240,6 +242,24 @@ def test_gold_actions_replayable(system, seed):
     assert sys_.is_terminal(state)
     heads = sp._single_rooted(sys_.read_heads(state, tree.n))
     assert heads == tree.heads
+
+
+@pytest.mark.parametrize("system", [ARC_STANDARD, ARC_EAGER])
+def test_decode_bound_is_the_oracle_depth(system):
+    # replaying an oracle trace through the parser's system, each reached
+    # configuration passes a depth bound equal to the depth the trace
+    # records and fails the bound one below it
+    sys_ = sp._system(system)
+    for n in range(1, 8):
+        for plain in projective_deptrees(n):
+            for tree in (plain, append_root(plain)):
+                state = sys_.initial(tree.n)
+                for step in run_oracle(tree, system).steps:
+                    state = sys_.apply(state, step.action)
+                    assert sys_.depth_ok(state, step.action, step.depth,
+                                         sp.RAW)
+                    assert not sys_.depth_ok(state, step.action,
+                                             step.depth - 1, sp.RAW)
 
 
 def test_unbounded_equals_huge_bound():

@@ -458,17 +458,17 @@ def reference_inside_count(forest):
     return count
 
 
-def reference_inside_max(forest, eventw, edge_arcs=None):
+def reference_inside_max(forest, eventw, edge_arcs):
     """Viterbi pass.
 
-    Returns (scores, best_edge).  With ``edge_arcs`` (callable edge id ->
-    tuple of (dep, head) arcs) exact score ties are broken by preferring the
+    Returns (scores, best_edge).  ``edge_arcs`` is a callable edge id ->
+    tuple of (dep, head) arcs; score ties are broken by preferring the
     derivation whose sorted arc tuple is lexicographically smaller, which
     realizes the "lower head index first" decoding contract.
     """
     scores = np.full(forest.n_items, NEG_INF)
     best_edge = [-1] * forest.n_items
-    keys = [None] * forest.n_items if edge_arcs is not None else None
+    keys = [None] * forest.n_items
     ew = forest.edge_weights(eventw)
     for iid in forest.topo:
         for e in forest.head_edges[iid]:
@@ -480,11 +480,6 @@ def reference_inside_max(forest, eventw, edge_arcs=None):
                     break
                 w += scores[t]
             if dead or w == NEG_INF:
-                continue
-            if keys is None:
-                if w > scores[iid]:
-                    scores[iid] = w
-                    best_edge[iid] = e
                 continue
             key = list(edge_arcs(e))
             for t in forest.edge_tails[e]:
