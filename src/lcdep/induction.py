@@ -231,18 +231,6 @@ class ConstraintSet:
         )
 
 
-def constrain_params(params, cs):
-    """Copy of params with every stop probability of the flagged tags set to
-    one, which removes all analyses where such a token heads anything."""
-    if not cs.stop_one_tags:
-        return params
-    stop = dict(params.stop)
-    for (h, side, adj) in list(stop):
-        if h in cs.stop_one_tags:
-            stop[h, side, adj] = 1.0
-    return DmvParams(attach=params.attach, stop=stop, root=params.root)
-
-
 def apply_constraints(params, tags, cs, length_bias=None):
     """Per-sentence automata with all active restrictions folded in.
 
@@ -251,13 +239,8 @@ def apply_constraints(params, tags, cs, length_bias=None):
     penalized, so a tree all of whose arcs are adjacent keeps its original
     weight exactly.
     """
-    sent = sbg.dmv_sentence_automata(tags, constrain_params(params, cs))
-    allowed = cs.root_allowed(tags)
-    if allowed is not None:
-        sent = sent.restrict_root(allowed)
-    if length_bias:
-        beta = float(length_bias)
-        sent = sent.reweight(lambda h, d: -beta * (abs(h - d) - 1))
+    sent = sbg.dmv_sentence_automata(
+        tags, params, cs.stop_one_tags, cs.root_allowed(tags), length_bias)
     return sent, cs.blocked_positions(tags)
 
 

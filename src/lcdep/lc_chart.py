@@ -97,6 +97,24 @@ def _lc_expand(sent, policy, blocked):
     def pr_flags(i, j):
         return (True, False) if j > i else (True,)
 
+    def fold_left_dependent(edges, prefix, i, j, p, q, d):
+        """Edges that fold in a later left dependent h of p, built as a
+        separate element of material h..j; depth d+1 is charged while that
+        element spans > C.  The waiting item is ``prefix`` followed by
+        (i, h, p, qt, d, b, dd): an ``HR`` or an ``HPR`` item."""
+        for h in range(i + 1, j + 1):
+            for qt, _ in sent.steps(LEFT, p, q, h):
+                for b in range(min(C, h - 1 - i) + 1):
+                    dd = d + 1 if b + (j - h) >= C else d
+                    if dd > D:
+                        continue
+                    if h in blocked and b == 0 and j == h:
+                        continue
+                    edges.append((
+                        (prefix + (i, h, p, qt, d, b, dd), ("RF", h, j, dd)),
+                        ((LEFT, p, "trans", q, qt, h),),
+                    ))
+
     def expand(item):
         kind = item[0]
         edges = []
@@ -178,25 +196,7 @@ def _lc_expand(sent, policy, blocked):
                                 ),
                             )
                         )
-            # fold in a later left dependent h of p, built as a separate
-            # element; charge depth d+1 while that element spans > C
-            for h in range(i + 1, j + 1):
-                for qt, _ in sent.steps(LEFT, p, q, h):
-                    for b in range(min(C, h - 1 - i) + 1):
-                        dd = d + 1 if b + (j - h) >= C else d
-                        if dd > D:
-                            continue
-                        if h in blocked and b == 0 and j == h:
-                            continue
-                        edges.append(
-                            (
-                                (
-                                    ("HR", i, h, p, qt, d, b, dd),
-                                    ("RF", h, j, dd),
-                                ),
-                                ((LEFT, p, "trans", q, qt, h),),
-                            )
-                        )
+            fold_left_dependent(edges, ("HR",), i, j, p, q, d)
             return edges
 
         if kind == "HR":
@@ -268,23 +268,7 @@ def _lc_expand(sent, policy, blocked):
                                     )
                 return edges
             # v is False: the most recent action gave p a left dependent h
-            for h in range(i + 1, j + 1):
-                for qt, _ in sent.steps(LEFT, p, qL, h):
-                    for b in range(min(C, h - 1 - i) + 1):
-                        dd = d + 1 if b + (j - h) >= C else d
-                        if dd > D:
-                            continue
-                        if h in blocked and b == 0 and j == h:
-                            continue
-                        edges.append(
-                            (
-                                (
-                                    ("HPR", r, i, h, p, qt, d, b, dd),
-                                    ("RF", h, j, dd),
-                                ),
-                                ((LEFT, p, "trans", qL, qt, h),),
-                            )
-                        )
+            fold_left_dependent(edges, ("HPR", r), i, j, p, qL, d)
             return edges
 
         if kind == "HPR":

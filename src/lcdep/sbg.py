@@ -10,7 +10,10 @@ The module provides
 
 * tag-level automata and the dependency-model-with-valence (DMV)
   instantiation, where each side has two states (no dependents yet /
-  at least one) so stop decisions can condition on adjacency;
+  at least one) so stop decisions can condition on adjacency; its one
+  builder, ``dmv_sentence_automata``, also folds the induction constraints
+  that act on weights (function-word stops, root restrictions, the length
+  bias) into the same loop;
 * exhaustive oracles that score a single tree or enumerate all projective
   trees (used to validate the charts);
 * an O(n^3) head-split chart;
@@ -171,8 +174,8 @@ class SentenceAutomata:
         dependent in lo..hi must enter q.
 
         Reads structure only, never weights: a -inf transition still
-        counts, so what the charts prune does not depend on ``reweight`` or
-        ``restrict_root``.
+        counts, so what the charts prune does not depend on the restrictions
+        ``dmv_sentence_automata`` folds into the weights.
         """
         if lo > hi:
             return q in self._init[side, h]
@@ -197,54 +200,26 @@ class SentenceAutomata:
             return self._fwd[side, h].get((q, d), {}).get(r, NEG_INF)
         raise ValueError("unknown event %r" % (event,))
 
-    def reweight(self, bias):
-        """Copy with ``bias(h, d)`` added to every real-head transition.
-
-        The transition structure (and hence any cached forest) is unchanged,
-        so the topology key is preserved.
-        """
-        out = SentenceAutomata(self.n, topology_key=self.topology_key)
-        out._init = {k: dict(v) for k, v in self._init.items()}
-        out._final = {k: dict(v) for k, v in self._final.items()}
-        for (side, h), fwd in self._fwd.items():
-            trans = []
-            for (q, d), row in fwd.items():
-                for r, w in row.items():
-                    extra = bias(h, d) if h <= self.n else 0.0
-                    trans.append((q, d, r, w + extra))
-            out.add_machine(
-                side, h, self._init[side, h], self._final[side, h], trans
-            )
-        return out
-
-    def restrict_root(self, allowed_positions):
-        """Copy where root transitions outside ``allowed_positions`` carry
-        zero weight.  Structure is preserved so forests stay cacheable."""
-        allowed = set(allowed_positions)
-        out = SentenceAutomata(self.n, topology_key=self.topology_key)
-        out._init = {k: dict(v) for k, v in self._init.items()}
-        out._final = {k: dict(v) for k, v in self._final.items()}
-        for (side, h), fwd in self._fwd.items():
-            trans = []
-            for (q, d), row in fwd.items():
-                for r, w in row.items():
-                    if h == self.n + 1 and d not in allowed:
-                        w = NEG_INF
-                    trans.append((q, d, r, w))
-            out.add_machine(
-                side, h, self._init[side, h], self._final[side, h], trans
-            )
-        return out
-
 
 def _add_root_machine(sent, n, root_logw):
     trans = [(ROOT_STATE0, d, ROOT_STATE1, root_logw(d)) for d in range(1, n + 1)]
     sent.add_machine(LEFT, n + 1, {ROOT_STATE0: 0.0}, {ROOT_STATE1: 0.0}, trans)
 
 
-def dmv_sentence_automata(tags, params):
-    """DMV automata over one sentence: two states per side, adjacency split."""
+def dmv_sentence_automata(tags, params, stop_one_tags=frozenset(),
+                          root_allowed=None, length_bias=None):
+    """DMV automata over one sentence: two states per side, adjacency split.
+
+    Three restrictions fold into the weights, never into the transition
+    structure, so one cached forest still serves every sentence of a length:
+    heads whose tag is in ``stop_one_tags`` stop with probability one, so
+    they head nothing; root transitions to positions outside
+    ``root_allowed`` (None allows all) get weight zero; and a length bias
+    beta adds -beta * (|h - d| - 1) to every real-head transition, leaving
+    the root arc and adjacent arcs unpenalized.
+    """
     n = len(tags)
+    beta = float(length_bias) if length_bias else None
     sent = SentenceAutomata(n, topology_key=("dmv", n))
     for h in range(1, n + 1):
         ht = tags[h - 1]
@@ -259,39 +234,51 @@ def dmv_sentence_automata(tags, params):
                     "tag %r (token %d) has no DMV parameters: the model was "
                     "not trained on it" % (ht, h)
                 ) from None
+            if ht in stop_one_tags:
+                stop_adj = stop_non = 1.0
             final = {0: _log(stop_adj), 1: _log(stop_non)}
+            cont_adj = _log(1.0 - stop_adj)
+            cont_non = _log(1.0 - stop_non)
             trans = []
             for d in deps:
                 att = _log(attach.get(tags[d - 1], 0.0))
-                trans.append((0, d, 1, att + _log(1.0 - stop_adj)))
-                trans.append((1, d, 1, att + _log(1.0 - stop_non)))
+                w_adj = att + cont_adj
+                w_non = att + cont_non
+                if beta is not None:
+                    bias = -beta * (abs(h - d) - 1)
+                    w_adj += bias
+                    w_non += bias
+                trans.append((0, d, 1, w_adj))
+                trans.append((1, d, 1, w_non))
             sent.add_machine(side, h, {0: 0.0}, final, trans)
-    _add_root_machine(sent, n, lambda d: _log(params.root.get(tags[d - 1], 0.0)))
+
+    def root_logw(d):
+        if root_allowed is not None and d not in root_allowed:
+            return NEG_INF
+        return _log(params.root.get(tags[d - 1], 0.0))
+
+    _add_root_machine(sent, n, root_logw)
     return sent
 
 
-def weighted_sentence_automata(
-    tags, attach_logw, root_logw, stop_logw=None, cont_logw=None
-):
+def weighted_sentence_automata(tags, attach_logw, root_logw):
     """DMV-shaped automata with arbitrary per-position log-weights.
 
     attach_logw(h, d) scores attaching position d under head position h;
-    stop_logw(h, side, adjacent) and cont_logw(h, side, adjacent) default to
-    0.  Used for the harmonic initializer and other position-level biases.
+    stop and continue decisions weigh 0.  Used for the harmonic
+    initializer and other position-level biases.
     """
     n = len(tags)
-    stop_logw = stop_logw or (lambda h, side, adj: 0.0)
-    cont_logw = cont_logw or (lambda h, side, adj: 0.0)
     sent = SentenceAutomata(n, topology_key=("dmv", n))
     for h in range(1, n + 1):
         for side in (LEFT, RIGHT):
             deps = range(1, h) if side == LEFT else range(h + 1, n + 1)
-            final = {0: stop_logw(h, side, True), 1: stop_logw(h, side, False)}
             trans = []
             for d in deps:
-                trans.append((0, d, 1, attach_logw(h, d) + cont_logw(h, side, True)))
-                trans.append((1, d, 1, attach_logw(h, d) + cont_logw(h, side, False)))
-            sent.add_machine(side, h, {0: 0.0}, final, trans)
+                w = attach_logw(h, d)
+                trans.append((0, d, 1, w))
+                trans.append((1, d, 1, w))
+            sent.add_machine(side, h, {0: 0.0}, {0: 0.0, 1: 0.0}, trans)
     _add_root_machine(sent, n, root_logw)
     return sent
 

@@ -19,9 +19,11 @@ from .transition import (
     ARC_STANDARD,
     LC_REDUCE_ACTIONS,
     LEFT_CORNER,
+    SYSTEMS,
     ArcEager,
     ArcStandard,
     LeftCorner,
+    oracle_steps,
     postprocess_terminal,
 )
 from .treebank import tree_from_heads
@@ -518,17 +520,15 @@ class ParserModel:
 
 
 def _gold_path(sys_, tree, table, forms, tags):
-    """Replay the oracle actions, scoring each prefix; returns the list of
+    """Walk the oracle once, scoring each prefix; returns the list of
     (cumulative score, features of the step's configuration, action)."""
     ids = sys_.action_ids
-    state = sys_.initial(tree.n)
     score = 0.0
     path = []
-    for action in sys_.gold_actions(tree):
+    for state, action, _ in oracle_steps(sys_, tree):
         base = sys_.features(state, forms, tags)
         score += _score(table, base, (ids[action],))[0]
         path.append((score, base, action))
-        state = sys_.apply(state, action)
     return path
 
 
@@ -694,13 +694,24 @@ def parser_from_lines(lines):
         if not line:
             continue
         if line.startswith("#"):
+            val = line.split(":", 1)[-1].strip()
             if line.startswith("# system:"):
-                system = line.split(":", 1)[1].strip()
+                if val not in SYSTEMS:
+                    raise ValueError("model line %d names an unknown system: "
+                                     "%r" % (lineno, line))
+                system = val
             elif line.startswith("# feature-set:"):
-                val = line.split(":", 1)[1].strip()
+                if val != "-" and val not in _TEMPLATES:
+                    raise ValueError("model line %d names an unknown feature "
+                                     "set: %r" % (lineno, line))
                 feature_set = val if val != "-" else ""
             elif line.startswith("# beam:"):
-                beam = int(line.split(":", 1)[1])
+                try:
+                    beam = int(val)
+                except ValueError:
+                    raise ValueError("model line %d has a beam size that is "
+                                     "not an integer: %r"
+                                     % (lineno, line)) from None
             continue
         key, tab, w = line.rpartition("\t")
         if not tab:

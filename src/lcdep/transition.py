@@ -343,10 +343,6 @@ class TransitionSystem:
         track element extents."""
         return None
 
-    def gold_actions(self, tree):
-        """The oracle's action sequence for ``tree``."""
-        return [s.action for s in run_oracle(tree, self.name).steps]
-
 
 class LeftCorner(TransitionSystem):
     name = LEFT_CORNER
@@ -536,27 +532,40 @@ def format_trace(trace):
     return "\n".join(lines)
 
 
-def _replay(system, tree):
-    """Replay ``tree`` with the oracle of ``system``, recording the depth and
-    phase after every action."""
+def oracle_steps(system, tree):
+    """Walk the oracle of ``system`` over ``tree`` once, yielding
+    (configuration, gold action, next configuration) for every step.
+    Raises TransitionError when the oracle does not terminate or, after its
+    last step, when the arcs it built are not the tree's."""
     gold = _Gold(tree)
     config = system.initial(tree.n)
-    steps = []
     limit = 4 * tree.n + 4  # actions; a projective tree needs at most 2n
     for _ in range(limit + 1):
         action = system.oracle(config, gold)
         if action is None:
             break
-        config = system.apply(config, action)
-        phase = "shift" if action in system.shift_actions else "reduce"
-        steps.append(TraceStep(action, system.depth(config), phase,
-                               system.top_size(config)))
+        nxt = system.apply(config, action)
+        yield config, action, nxt
+        config = nxt
     else:
         raise TransitionError(
             "oracle failed to terminate; is the tree projective?")
     if config.arcs != gold.arcs:
         raise TransitionError("%s oracle produced wrong arcs: %s"
                               % (system.name, sorted(config.arcs)))
+
+
+def _replay(system, tree):
+    """Replay ``tree`` with the oracle of ``system``, recording the depth and
+    phase after every action."""
+    steps = []
+    config = None
+    for _, action, config in oracle_steps(system, tree):
+        phase = "shift" if action in system.shift_actions else "reduce"
+        steps.append(TraceStep(action, system.depth(config), phase,
+                               system.top_size(config)))
+    if config is None:  # the oracle took no step
+        config = system.initial(tree.n)
     return OracleTrace(system=system.name, steps=tuple(steps),
                        arcs=config.arcs, final_config=config)
 

@@ -326,6 +326,49 @@ def test_must_head_blocking_marks_positions():
     assert cs.blocked_positions(("ADP", "NOUN", "ADP")) == frozenset({1, 3})
 
 
+def _restricted_by_hand(plain, tags, cs, length_bias):
+    """The weight dicts of ``plain`` with each restriction applied on its
+    own: flagged heads stop at once, root transitions outside the allowed
+    roots weigh zero, real-head transitions carry the length bias."""
+    n = len(tags)
+    allowed = cs.root_allowed(tags)
+    final = {k: dict(v) for k, v in plain._final.items()}
+    fwd, rev = {}, {}
+    for (side, h), rows in plain._fwd.items():
+        flagged = h <= n and tags[h - 1] in cs.stop_one_tags
+        if flagged:
+            final[side, h] = {q: 0.0 for q in final[side, h]}
+        fwd[side, h], rev[side, h] = {}, {}
+        for (q, d), row in rows.items():
+            for r, w in row.items():
+                if flagged:
+                    w = NEG_INF
+                if h == n + 1 and allowed is not None and d not in allowed:
+                    w = NEG_INF
+                if h <= n and length_bias:
+                    w = w + -length_bias * (abs(h - d) - 1)
+                fwd[side, h].setdefault((q, d), {})[r] = w
+                rev[side, h].setdefault((r, d), {})[q] = w
+    return plain._init, final, fwd, rev
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_constrained_automata_equal_each_restriction_applied_by_hand(seed):
+    rng = random.Random(seed)
+    params = sbg.random_dmv_params(TAGSET, rng)
+    for tags in random_corpus(rng, n_sent=6, max_len=6):
+        plain = sbg.dmv_sentence_automata(tags, params)
+        for stop_one in ((), ("DET",), ("DET", "ADP")):
+            for mode in induction.ROOT_MODES:
+                cs = induction.ConstraintSet(
+                    stop_one_tags=frozenset(stop_one), root_mode=mode)
+                for beta in (None, 0.5, 2.0):
+                    sent, _ = induction.apply_constraints(
+                        params, tags, cs, beta)
+                    got = (sent._init, sent._final, sent._fwd, sent._rev)
+                    assert got == _restricted_by_hand(plain, tags, cs, beta)
+
+
 def test_constrained_decode_respects_all_constraints():
     rng = random.Random(4)
     corpus = [

@@ -218,13 +218,13 @@ def test_em_fits_deterministic_corpus():
     assert math.isclose(loglik, 8 * math.log(0.5), abs_tol=1e-2)
 
 
-def test_reweight_applies_arc_bias():
+def test_length_bias_applies_arc_bias():
     rng = random.Random(43)
     params = sbg.random_dmv_params(VOCAB, rng)
     tags = random_tags(4, rng)
     sent = sbg.dmv_sentence_automata(tags, params)
     beta = 0.7
-    biased = sent.reweight(lambda h, d: -beta * (abs(h - d) - 1))
+    biased = sbg.dmv_sentence_automata(tags, params, length_bias=beta)
     for heads in projective_trees(4):
         base = sbg.tree_log_weight(heads, tags, sent)
         expect = base - beta * sum(

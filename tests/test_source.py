@@ -75,11 +75,17 @@ def names_read(source):
     return out
 
 
-def test_every_module_constant_is_read():
+def project_reads():
+    """Every name read in the sources under src, tests and scripts."""
     read = set()
     for top in ("src", "tests", "scripts"):
         for path in (ROOT / top).rglob("*.py"):
             read |= names_read(path.read_text(encoding="utf-8"))
+    return read
+
+
+def test_every_module_constant_is_read():
+    read = project_reads()
     unread = sorted(
         "%s.%s" % (path.stem, name)
         for path in sorted(SRC.glob("*.py"))
@@ -100,3 +106,50 @@ def test_constant_checks_see_assignments_and_reads():
     ])
     assert module_constants(source) == {"A", "_B", "D", "E"}
     assert names_read(source) == {"int", "A", "m", "D"}
+
+
+def public_definitions(source):
+    """Qualified names of the public top-level functions and of the public
+    methods of top-level classes."""
+    names = set()
+    for node in ast.parse(source).body:
+        owner, body = ((node.name + ".", node.body)
+                       if isinstance(node, ast.ClassDef) else ("", [node]))
+        for fn in body:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not fn.name.startswith("_")):
+                names.add(owner + fn.name)
+    return names
+
+
+def test_every_public_function_and_method_is_read():
+    read = project_reads()
+    unread = sorted(
+        "%s.%s" % (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in public_definitions(path.read_text(encoding="utf-8"))
+        if name.rpartition(".")[2] not in read)
+    assert unread == []
+
+
+def test_public_definition_check_sees_functions_and_methods():
+    source = "\n".join([
+        "def f():",
+        "    def inner():",
+        "        pass",
+        "def _g():",
+        "    pass",
+        "async def h():",
+        "    pass",
+        "class C:",
+        "    def m(self):",
+        "        pass",
+        "    def _n(self):",
+        "        pass",
+        "    def __len__(self):",
+        "        return 0",
+        "class _D:",
+        "    def k(self):",
+        "        pass",
+    ])
+    assert public_definitions(source) == {"f", "h", "C.m", "_D.k"}

@@ -177,7 +177,7 @@ def test_score_equals_flat_weight_sum(system):
         state = sys_.initial(tree.n)
         weights = {}
         visited = []
-        for action in sys_.gold_actions(tree):
+        for action in [s.action for s in run_oracle(tree, system).steps]:
             feats = sys_.features(state, forms, tags)
             for f in feats:
                 for a in sys_.action_ids:
@@ -236,7 +236,7 @@ def test_gold_actions_replayable(system, seed):
     tree = random_projective_tree(7, seed=seed)
     sys_ = sp._system(system)
     state = sys_.initial(tree.n)
-    for action in sys_.gold_actions(tree):
+    for action in [s.action for s in run_oracle(tree, system).steps]:
         assert action in sys_.valid(state)
         state = sys_.apply(state, action)
     assert sys_.is_terminal(state)
@@ -452,6 +452,17 @@ def test_parser_file_roundtrip():
 def test_parser_file_line_without_tab_is_rejected():
     lines = ["# system: leftCorner", "# beam: 4", "0=-NULL->shift 0.5"]
     with pytest.raises(ValueError, match="line 3 has no tab"):
+        sp.parser_from_lines(lines)
+
+
+@pytest.mark.parametrize("header,message", [
+    ("# beam: eight", "line 2 has a beam size that is not an integer"),
+    ("# system: leftcorner", "line 2 names an unknown system"),
+    ("# feature-set: fulll", "line 2 names an unknown feature set"),
+])
+def test_parser_file_bad_header_is_rejected(header, message):
+    lines = ["# perceptron-parser v1", header, "0=-NULL->shift\t0.5"]
+    with pytest.raises(ValueError, match=message):
         sp.parser_from_lines(lines)
 
 
