@@ -39,10 +39,6 @@ class DepthHistogram:
     def add(self, depth, k=1):
         self.counts[depth] = self.counts.get(depth, 0) + k
 
-    def merge(self, other):
-        for depth, k in other.counts.items():
-            self.add(depth, k)
-
     @property
     def total(self):
         return sum(self.counts.values())

@@ -446,16 +446,21 @@ def _cmd_train_dmv(resolved, args):
     with open(model_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(induction.model_to_lines(model)) + "\n")
     metrics_path = os.path.join(out, "metrics.tsv")
+    seconds = {it: (e_s, m_s) for it, e_s, m_s in model.step_seconds}
     with open(metrics_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("iter\tobjective\tskipped\n")
+        handle.write("iter\tobjective\tskipped\testep_s\tmstep_s\n")
         for it, objective, skipped in model.history:
-            handle.write("%d\t%.6f\t%d\n" % (it, objective, skipped))
+            handle.write("%d\t%.6f\t%d\t%.6f\t%.6f\n"
+                         % ((it, objective, skipped) + seconds[it]))
     runs = dict(model.mstep_runs)
     if 0 in runs:
-        log.info("initial M-step: %s", _lbfgs_summary(runs[0]))
+        log.info("initial M-step: %s in %.3f s, after a %.3f s harmonic "
+                 "E-step", _lbfgs_summary(runs[0]), seconds[0][1],
+                 seconds[0][0])
     for it, objective, skipped in model.history:
-        log.info("EM iteration %d: objective %.6f, skipped %d, M-step %s",
-                 it, objective, skipped, _lbfgs_summary(runs[it]))
+        log.info("EM iteration %d: objective %.6f, skipped %d, E-step "
+                 "%.3f s, M-step %s in %.3f s", it, objective, skipped,
+                 seconds[it][0], _lbfgs_summary(runs[it]), seconds[it][1])
     log.info("wrote %s and %s", model_path, metrics_path)
     return 0
 

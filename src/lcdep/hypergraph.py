@@ -72,7 +72,8 @@ class EdgeEvents:
 
 class Forest:
     """An acyclic hypergraph with a single goal item, as flat arrays (see
-    the module docstring for the layout)."""
+    the module docstring for the layout); a ``disjoint_union`` has one goal
+    per forest in ``goal_ids``."""
 
     def __init__(self, goal, items, events, level, edges):
         """``level`` gives each item's level (-1 when not derivable);
@@ -81,6 +82,7 @@ class Forest:
         with missing tails set to the sentinel ``len(items)``."""
         self.goal = goal
         self.goal_id = 0
+        self.goal_ids = np.zeros(1, dtype=np.intp)
         self.items = items
         self.events = events
         self.sentinel = len(items)
@@ -249,6 +251,33 @@ def build_forest(goal, expand):
     return Forest(goal, items, events, level,
                   (head[keep], tails[0, keep], tails[1, keep], n_ev[keep],
                    flat[np.repeat(keep, n_ev)]))
+
+
+def disjoint_union(forests):
+    """The forests side by side as one forest, so that one pass runs over
+    all of them.
+
+    Forest k's item and event ids are shifted by the item and event counts
+    of the forests before it, all share one sentinel, and items keep their
+    levels, so each level of the union is that level of every forest.
+    ``goal_ids[k]`` is the goal of forest k; the union's ``goal`` is None.
+    """
+    item_base = np.cumsum([0] + [f.n_items for f in forests])
+    event_base = np.cumsum([0] + [len(f.events) for f in forests])
+    sentinel = item_base[-1]
+    cat = np.concatenate
+    tails = cat([np.where(f.edge_tail == f.sentinel, sentinel,
+                          f.edge_tail + b)
+                 for f, b in zip(forests, item_base)], axis=1)
+    union = Forest(
+        None, [it for f in forests for it in f.items],
+        [ev for f in forests for ev in f.events],
+        cat([f.item_level for f in forests]),
+        (cat([f.edge_head + b for f, b in zip(forests, item_base)]),
+         tails[0], tails[1], cat([np.diff(f.event_ptr) for f in forests]),
+         cat([f.event_flat + b for f, b in zip(forests, event_base)])))
+    union.goal_ids = item_base[:-1] + [f.goal_id for f in forests]
+    return union
 
 
 def _ranges(starts, counts):
@@ -466,13 +495,14 @@ def backtrace(forest, best_edge, root=None):
     return out
 
 
-def outside_logsum(forest, eventw, inside):
-    """Outside log-weights per item.  An item's outside weight sums, over
-    its uses, the head's outside weight times the edge and the other tail;
-    items with no inside mass get -inf."""
+def outside_logsum(forest, eventw, inside, top=0.0):
+    """Outside log-weights per item.  Every goal starts at ``top`` (one
+    value, or one per goal of a union).  An item's outside weight sums,
+    over its uses, the head's outside weight times the edge and the other
+    tail; items with no inside mass get -inf."""
     ins = np.append(inside, 0.0)
     outside = np.full(forest.n_items + 1, NEG_INF)
-    outside[forest.goal_id] = 0.0
+    outside[forest.goal_ids] = top
     head = forest.edge_head
     ew = forest.edge_weights(eventw)
     plan = forest._outside_plan()
@@ -489,17 +519,31 @@ def outside_logsum(forest, eventw, inside):
 def event_posteriors(forest, eventw):
     """(log marginal, expected count per event id) under the forest weights.
     The counts are all zero when the goal has no finite mass."""
+    logz, post = goal_posteriors(forest, eventw, (0.0,))
+    return logz[0], post
+
+
+def goal_posteriors(forest, eventw, log_mult):
+    """Inside-outside from every goal at once: (log marginal of each goal,
+    expected count per event id), where the derivations of goal k count
+    ``exp(log_mult[k])`` times.  A goal without finite mass adds no count.
+
+    The outside pass starts at goal k with ``log_mult[k]`` minus its log
+    marginal, so edge masses come out normalized and weighted.
+    """
     inside = inside_logsum(forest, eventw)
-    logz = inside[forest.goal_id]
+    logz = inside[forest.goal_ids]
+    ok = np.isfinite(logz)
     post = np.zeros(len(forest.events))
-    if not np.isfinite(logz):
+    if not ok.any():
         return logz, post
-    outside = outside_logsum(forest, eventw, inside)
+    top = np.full(len(logz), NEG_INF)
+    top[ok] = np.asarray(log_mult, dtype=float)[ok] - logz[ok]
+    outside = outside_logsum(forest, eventw, inside, top)
     ins = np.append(inside, 0.0)
     t0, t1 = forest.edge_tail
     out_h = outside[forest.edge_head]
-    lw = out_h - logz + forest.edge_weights(eventw) + ins[t0] + ins[t1]
-    mass = np.exp(lw)
+    mass = np.exp(out_h + forest.edge_weights(eventw) + ins[t0] + ins[t1])
     mass[out_h == NEG_INF] = 0.0
     lengths = np.diff(forest.event_ptr)
     post += np.bincount(forest.event_flat, weights=np.repeat(mass, lengths),

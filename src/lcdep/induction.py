@@ -4,28 +4,36 @@ A DMV whose multinomials are log-linear over shared back-off features,
 trained with EM: the E-step computes expected decision counts under the
 current parameters (optionally restricted by a stack-depth policy, a
 dependency-length bias, and linguistic constraints), and the M-step fits the
-feature weights to those counts with L-BFGS under a Gaussian prior.  The
-M-step works on one flat layout of all softmax decisions (``FeatureSpace``):
-the expected counts become one vector over it, and a single segment
-log-softmax gives both the objective and the DMV probabilities.
+feature weights to those counts with L-BFGS under a Gaussian prior.  Both
+work on one flat layout of all softmax decisions (``FeatureSpace``): a
+single segment log-softmax gives both the M-step objective and the DMV
+probabilities, and the expected counts are one vector over the layout.
+
+The E-step runs inside-outside once over a *corpus graph*
+(``CorpusGraph``), the disjoint union of the cached chart forests of every
+distinct tag sequence, whose levels run together.  Each event of the graph
+is priced by gathering two decision log-weights (plus the length bias), and
+its expected count lands on the same decisions, so no sentence's automata
+are built and no count dict is merged.  ``train`` assembles the graph once
+and reuses it across its E-steps.
 
 Constraints follow the cost framing: they multiply tree weights by factors
 in [0, 1] and are never renormalized, so the E-step posterior is simply the
 restricted chart's posterior.  Decoding by default runs plain Viterbi under
-the unconstrained model.
+the unconstrained model, one sentence at a time.
 """
 
 import collections
 import dataclasses
-import functools
 import math
+import time
 from concurrent import futures
 from itertools import repeat
 
 import numpy as np
 from scipy import optimize
 
-from . import lc_chart, sbg
+from . import hypergraph, lc_chart, sbg
 from .hypergraph import NEG_INF
 from .lc_chart import DepthPolicy
 from .sbg import LEFT, RIGHT, DmvCounts, DmvParams
@@ -146,6 +154,15 @@ class FeatureSpace:
         return np.array([getattr(counts, field).get(key, 0.0)
                          for field, key in self.keys])
 
+    def dmv_counts(self, vector):
+        """The DmvCounts of one count per decision; zero counts are left
+        out."""
+        out = DmvCounts.zero()
+        for (field, key), c in zip(self.keys, vector.tolist()):
+            if c:
+                getattr(out, field)[key] = c
+        return out
+
 
 def mstep_objective(space, w, counts, sigma2=10.0):
     """Penalized expected complete-data log-likelihood and its gradient.
@@ -246,6 +263,23 @@ def apply_constraints(params, tags, cs, length_bias=None):
 
 # ---------------------------------------------------------------------------
 # E-step
+#
+# An E-step prices one *corpus graph*: the disjoint union of the chart
+# forests of every (tags, multiplicity) group, run as one inside-outside
+# pass.  Each of its events names two decisions of a FeatureSpace layout and
+# weighs the sum of their log-weights, plus the length bias for a real-head
+# transition; the event's expected count goes to the same two decisions.
+# Slot ZERO of the log-weight vector, one past the decisions, weighs 0 and
+# slot ZERO + 1 weighs -inf; counts landing on ZERO are dropped.
+
+# the most edges one corpus graph holds: a corpus whose forests hold more is
+# assembled chunk by chunk at every E-step, each chunk of whole groups within
+# the budget (a group whose forest alone exceeds it is a chunk of its own)
+GRAPH_EDGES = 1 << 19
+
+_INIT, _FINAL, _TRANS = 0, 1, 2
+_KIND = {"init": _INIT, "final": _FINAL, "trans": _TRANS}
+_SIDE = {LEFT: 0, RIGHT: 1}
 
 
 def _chart_forest(tags, sent, policy=None, blocked=()):
@@ -262,58 +296,284 @@ def _chart_forest(tags, sent, policy=None, blocked=()):
                               lambda: sbg.eisner_forest(tags, sent))
 
 
+def _decision_logw(space, params):
+    """Log-weight of every decision of ``space`` under ``params``, with the
+    same expressions as ``sbg.dmv_sentence_automata``, then the 0 and -inf
+    slots."""
+    out = []
+    try:
+        for field, key in space.keys:
+            if field == "attach":
+                p = params.attach[key[:2]].get(key[2], 0.0)
+            elif field == "stop":
+                p = params.stop[key]
+            elif field == "cont":
+                p = 1.0 - params.stop[key]
+            else:
+                p = params.root.get(key, 0.0)
+            out.append(sbg._log(p))
+    except KeyError:
+        raise ValueError("tag %r has no DMV parameters: the model was not "
+                         "trained on it" % (key[0],)) from None
+    return np.array(out + [0.0, NEG_INF])
+
+
+def _event_fields(forest):
+    """(kind, side, head, source state, dependent) of every event of a DMV
+    chart forest as int rows; the dependent is 0 when there is none."""
+    rows = [(_KIND[ev[2]], _SIDE[ev[0]], ev[1], ev[3],
+             ev[5] if ev[2] == "trans" else 0) for ev in forest.events]
+    return np.array(rows, dtype=np.intp).reshape(-1, 5).T
+
+
+class CorpusGraph:
+    """The chart forests of some (tags, multiplicity) groups as one
+    hypergraph, with every event's decisions in a FeatureSpace layout.
+
+    ``count_a`` and ``count_b`` are the decisions an event's expected count
+    goes to (ZERO for none): attach and continue for a real-head
+    transition, stop for a final, the root choice for a root transition.
+    Without constraints they also price the event; ``prices`` folds the
+    constraints in.  ``dist`` is |h - d| for a real-head transition, else
+    0.
+    """
+
+    def __init__(self, groups, forests, space, tables):
+        self.groups = groups
+        self.log_mult = np.log([float(mult) for _, mult in groups])
+        zero = space.n_decisions
+        tag_id, attach_at, stop_at, cont_at, root_at = tables
+        fields = {}
+        parts = []
+        for (tags, _), forest in zip(groups, forests):
+            if id(forest) not in fields:
+                fields[id(forest)] = _event_fields(forest)
+            kind, side, h, q, d = fields[id(forest)]
+            tid = np.array([tag_id[t] for t in tags] + [-1], dtype=np.intp)
+            ht, dt, adj = tid[h - 1], tid[d - 1], (q != 0).astype(np.intp)
+            real = h <= len(tags)
+            trans, final = real & (kind == _TRANS), real & (kind == _FINAL)
+            root = ~real & (kind == _TRANS)
+            a = np.full(len(kind), zero)
+            b = np.full(len(kind), zero)
+            a[trans] = attach_at[ht[trans], side[trans], dt[trans]]
+            b[trans] = cont_at[ht[trans], side[trans], adj[trans]]
+            a[final] = stop_at[ht[final], side[final], adj[final]]
+            a[root] = root_at[dt[root]]
+            parts.append((a, b, np.where(trans, np.abs(h - d), 0), ht, d,
+                          trans, final, root))
+        self.forest = hypergraph.disjoint_union(forests)
+        (self.count_a, self.count_b, self.dist, self._head_tag, self._dep,
+         self._trans, self._final, self._root) = (
+            np.concatenate(col) for col in zip(*parts))
+        self._event_base = np.cumsum([0] + [len(f.events) for f in forests])
+        self._count_at = np.concatenate((self.count_a, self.count_b))
+        self._n_decisions = zero
+        self._tag_id = tag_id
+        self._prices = None
+
+    def prices(self, logw, cs, length_bias=None):
+        """Log-weight of every event, given the decision log-weights
+        ``logw`` (``_decision_logw``), constraint set ``cs`` and length
+        bias beta: each event weighs ``logw[a] + logw[b]`` over its two
+        pricing decisions, plus -beta * (|h - d| - 1) for a real-head
+        transition, as in ``sbg.dmv_sentence_automata``."""
+        a, b = self._price_maps(cs)
+        eventw = logw[a] + logw[b]
+        if length_bias:
+            eventw += -float(length_bias) * np.maximum(self.dist - 1, 0)
+        return eventw
+
+    def _price_maps(self, cs):
+        """The two decisions that price each event under ``cs``: a head
+        whose tag stops at once finishes at weight 0 and continues at -inf,
+        and a root transition to a position the root restriction excludes
+        weighs -inf."""
+        if self._prices is not None and self._prices[0] == cs:
+            return self._prices[1:]
+        zero = self._n_decisions
+        a, b = self.count_a.copy(), self.count_b.copy()
+        stop_ids = [self._tag_id[t] for t in cs.stop_one_tags
+                    if t in self._tag_id]
+        if stop_ids:
+            stops = np.isin(self._head_tag, stop_ids)
+            a[stops & self._final] = zero
+            b[stops & self._trans] = zero + 1
+        for g, (tags, _) in enumerate(self.groups):
+            allowed = cs.root_allowed(tags)
+            if allowed is None:
+                continue
+            lo, hi = self._event_base[g], self._event_base[g + 1]
+            out = self._root[lo:hi] & ~np.isin(self._dep[lo:hi],
+                                               sorted(allowed))
+            a[lo:hi][out] = zero + 1
+        self._prices = (cs, a, b)
+        return a, b
+
+    def expectations(self, eventw):
+        """(count per decision, log-likelihood, skipped sentence count)
+        under event log-weights ``eventw``; a group whose log marginal is
+        -inf or NaN is skipped."""
+        logz, post = hypergraph.goal_posteriors(self.forest, eventw,
+                                                self.log_mult)
+        counts = np.bincount(self._count_at, weights=np.tile(post, 2),
+                             minlength=self._n_decisions + 1)
+        loglik = 0.0
+        skipped = 0
+        for (_, mult), z in zip(self.groups, logz.tolist()):
+            if z == NEG_INF or math.isnan(z):
+                skipped += mult
+            else:
+                loglik += mult * z
+        return counts[:self._n_decisions], loglik, skipped
+
+
+def _decision_tables(space):
+    """The tag ids of ``space`` and its decision ids by tag and side ids:
+    (tag id, attach[h, side, d], stop[h, side, adj], continue[h, side,
+    adj], root[d]), adj 0 for adjacent."""
+    t = len(space.tags)
+    tag_id = {tag: k for k, tag in enumerate(space.tags)}
+    attach_at = np.zeros((t, 2, t), dtype=np.intp)
+    stop_at = np.zeros((t, 2, 2), dtype=np.intp)
+    cont_at = np.zeros((t, 2, 2), dtype=np.intp)
+    root_at = np.zeros(t, dtype=np.intp)
+    for e, (field, key) in enumerate(space.keys):
+        if field == "attach":
+            attach_at[tag_id[key[0]], _SIDE[key[1]], tag_id[key[2]]] = e
+        elif field == "root":
+            root_at[tag_id[key]] = e
+        else:
+            table = stop_at if field == "stop" else cont_at
+            table[tag_id[key[0]], _SIDE[key[1]], 0 if key[2] else 1] = e
+    return tag_id, attach_at, stop_at, cont_at, root_at
+
+
+class CorpusGroups:
+    """The (tags, multiplicity) groups of a corpus with the FeatureSpace of
+    their tagset and the corpus graphs of their last E-step.
+
+    ``estep`` and ``harmonic_counts`` given this object reuse its graphs for
+    as long as the chart (depth policy and blocked tags) stays the same, so
+    ``train`` assembles a corpus graph once.  A corpus whose forests hold
+    more than GRAPH_EDGES edges keeps no graph: its chunks are assembled
+    anew at every E-step.
+    """
+
+    def __init__(self, groups, space=None):
+        self.groups = list(groups)
+        self.space = space or FeatureSpace(
+            {t for tags, _ in self.groups for t in tags})
+        self._tables = _decision_tables(self.space)
+        self._key = None
+        self._chunks = None
+        self._graph = None
+
+    def graphs(self, policy=None, blocked_tags=frozenset()):
+        """The corpus graphs covering every group, in group order, over the
+        charts of (policy, blocked tags)."""
+        key = (policy, blocked_tags)
+        if key != self._key:
+            self._key = key
+            self._graph = None
+            self._chunks = _chunks(self.groups, policy, blocked_tags)
+        if self._graph is not None:
+            yield self._graph
+            return
+        for groups, forests in self._chunks:
+            graph = CorpusGraph(groups, forests, self.space, self._tables)
+            if len(self._chunks) == 1:
+                self._graph = graph
+            yield graph
+
+    def expectations(self, params, cs, policy=None, length_bias=None):
+        """(count per decision of ``space``, log-likelihood, skipped
+        sentence count) of one E-step."""
+        logw = _decision_logw(self.space, params)
+        total = np.zeros(self.space.n_decisions)
+        loglik = 0.0
+        skipped = 0
+        for graph in self.graphs(policy, cs.must_head_tags):
+            counts, ll, sk = graph.expectations(
+                graph.prices(logw, cs, length_bias))
+            total += counts
+            loglik += ll
+            skipped += sk
+        return total, loglik, skipped
+
+    def harmonic(self):
+        """Counts per decision of one E-step over the head-split chart where
+        attaching positions h and d weighs 1/|h - d| and every other
+        decision 1."""
+        total = np.zeros(self.space.n_decisions)
+        for graph in self.graphs():
+            far = int(graph.dist.max(initial=0))
+            logw = [0.0] + [-math.log(k) for k in range(1, far + 1)]
+            total += graph.expectations(np.array(logw)[graph.dist])[0]
+        return total
+
+
+def _chunks(groups, policy, blocked_tags):
+    """(groups, their forests) of consecutive runs of groups whose forests
+    hold at most GRAPH_EDGES edges together."""
+    structure = {}
+    chunks, edges = [], 0
+    for tags, mult in groups:
+        n = len(tags)
+        if n not in structure:
+            # a forest depends on the automata's structure alone
+            structure[n] = sbg.weighted_sentence_automata(
+                tags, lambda h, d: 0.0, lambda d: 0.0)
+        blocked = frozenset(i + 1 for i, t in enumerate(tags)
+                            if t in blocked_tags)
+        forest = _chart_forest(tags, structure[n], policy, blocked)
+        if not chunks or edges + forest.n_edges > GRAPH_EDGES:
+            chunks.append(([], []))
+            edges = 0
+        chunks[-1][0].append((tags, mult))
+        chunks[-1][1].append(forest)
+        edges += forest.n_edges
+    return chunks
+
+
 def sentence_expectations(tags, params, cs, policy=None, length_bias=None):
     """(DmvCounts, log marginal) for one sentence, or (None, -inf) when the
     constraints leave no admissible analysis."""
-    sent, blocked = apply_constraints(params, tags, cs, length_bias)
-    events, logz = sbg.forest_expected_counts(
-        _chart_forest(tags, sent, policy, blocked), sent)
-    if logz == NEG_INF or math.isnan(logz):
+    groups = CorpusGroups([(tuple(tags), 1)])
+    counts, logz, skipped = groups.expectations(params, cs, policy,
+                                                length_bias)
+    if skipped:
         return None, NEG_INF
-    return sbg.dmv_counts_from_events(events, tags), logz
-
-
-def _estep_chunk(groups, expectations):
-    """(DmvCounts, log-likelihood, skipped sentence count) over (tags,
-    multiplicity) groups; ``expectations(tags)`` gives one sentence's
-    (DmvCounts, log marginal), or (None, -inf) when it has no analysis."""
-    total = DmvCounts.zero()
-    loglik = 0.0
-    skipped = 0
-    for tags, mult in groups:
-        counts, logz = expectations(tags)
-        if counts is None:
-            skipped += mult
-            continue
-        loglik += mult * logz
-        total.merge(counts, mult)
-    return total, loglik, skipped
+    return groups.space.dmv_counts(counts), float(logz)
 
 
 def estep(groups, params, cs, policy=None, length_bias=None, jobs=1):
     """Expected counts over a corpus of (tags, multiplicity) groups.
 
-    Returns (DmvCounts, log-likelihood, skipped sentence count).  Sentence
-    expectations are independent given the read-only model, so the corpus is
-    split into chunks merged by associative addition.
+    Returns (DmvCounts, log-likelihood, skipped sentence count).  Given a
+    CorpusGroups, the E-step reuses its corpus graphs.  With ``jobs > 1``
+    the groups are split into a fixed partition, one part per worker
+    process, and the parts are added in order.
     """
-    groups = list(groups)
-    expectations = functools.partial(
-        sentence_expectations, params=params, cs=cs, policy=policy,
-        length_bias=length_bias)
-    if jobs <= 1 or len(groups) < 2 * jobs:
-        return _estep_chunk(groups, expectations)
-    chunks = [groups[k::jobs] for k in range(jobs)]
-    total = DmvCounts.zero()
+    if not isinstance(groups, CorpusGroups):
+        groups = CorpusGroups(groups)
+    if jobs <= 1 or len(groups.groups) < 2 * jobs:
+        counts, loglik, skipped = groups.expectations(
+            params, cs, policy, length_bias)
+        return groups.space.dmv_counts(counts), loglik, skipped
+    parts = [CorpusGroups(groups.groups[k::jobs], groups.space)
+             for k in range(jobs)]
+    counts = np.zeros(groups.space.n_decisions)
     loglik = 0.0
     skipped = 0
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_estep_chunk, chunks, repeat(expectations))
-        for part, ll, sk in parts:
-            total.merge(part)
+        for part, ll, sk in pool.map(
+                CorpusGroups.expectations, parts, repeat(params),
+                repeat(cs), repeat(policy), repeat(length_bias)):
+            counts += part
             loglik += ll
             skipped += sk
-    return total, loglik, skipped
+    return groups.space.dmv_counts(counts), loglik, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +585,12 @@ def corpus_groups(corpus):
     return sorted(counter.items())
 
 
-def _harmonic_expectations(tags):
-    sent = sbg.weighted_sentence_automata(
-        tags,
-        attach_logw=lambda h, d: -math.log(abs(h - d)),
-        root_logw=lambda d: 0.0,
-    )
-    events, logz = sbg.forest_expected_counts(_chart_forest(tags, sent), sent)
-    return sbg.dmv_counts_from_events(events, tags), logz
-
-
 def harmonic_counts(groups):
     """Expected counts of one E-step where attaching positions i and j has
     weight 1/|i-j| and root and stop choices are uniform."""
-    return _estep_chunk(groups, _harmonic_expectations)[0]
+    if not isinstance(groups, CorpusGroups):
+        groups = CorpusGroups(groups)
+    return groups.space.dmv_counts(groups.harmonic())
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +635,9 @@ class TrainedModel:
     # (iteration, LbfgsRun) of every M-step; iteration 0 is the fit to the
     # harmonic initialisation's counts
     mstep_runs: list = dataclasses.field(default_factory=list)
+    # (iteration, E-step wall s, M-step wall s); iteration 0 is the harmonic
+    # counts and their fit
+    step_seconds: list = dataclasses.field(default_factory=list)
 
 
 def train(corpus, cfg=None):
@@ -393,42 +648,49 @@ def train(corpus, cfg=None):
     decrease across iterations beyond numerical tolerance.
     """
     cfg = cfg or TrainConfig()
-    groups = corpus_groups(corpus)
-    if not groups:
+    groups = CorpusGroups(corpus_groups(corpus))
+    if not groups.groups:
         raise ValueError("empty corpus")
-    tagset = sorted({t for tags, _ in groups for t in tags})
-    space = FeatureSpace(tagset)
+    space = groups.space
     cs = cfg.constraint_set()
     policy = cfg.policy()
     w = np.zeros(space.n_features)
     mstep_runs = []
+    step_seconds = []
+    clock = time.perf_counter
     if cfg.init == "harmonic":
-        w, run = mstep(
-            space, harmonic_counts(groups), w, cfg.sigma2,
-            cfg.lbfgs_iterations,
-        )
+        t0 = clock()
+        counts = harmonic_counts(groups)
+        t1 = clock()
+        w, run = mstep(space, counts, w, cfg.sigma2, cfg.lbfgs_iterations)
         mstep_runs.append((0, run))
+        step_seconds.append((0, t1 - t0, clock() - t1))
     elif cfg.init != "uniform":
         raise ValueError("unknown init %r" % cfg.init)
     params = space.weights_to_params(w)
     history = []
     prev = None
+    n_sentences = sum(mult for _, mult in groups.groups)
     for it in range(1, cfg.em_iterations + 1):
+        t0 = clock()
         counts, loglik, skipped = estep(
             groups, params, cs, policy, cfg.length_bias, cfg.jobs
         )
-        n_sentences = sum(mult for _, mult in groups)
+        e_s = clock() - t0
         if skipped >= n_sentences:
             raise ValueError("every sentence has zero constrained mass")
         objective = loglik - float(w @ w) / (2.0 * cfg.sigma2)
         history.append((it, objective, skipped))
+        t1 = clock()
         w, run = mstep(space, counts, w, cfg.sigma2, cfg.lbfgs_iterations)
         mstep_runs.append((it, run))
+        step_seconds.append((it, e_s, clock() - t1))
         params = space.weights_to_params(w)
         if prev is not None and abs(objective - prev) < cfg.tol:
             break
         prev = objective
-    return TrainedModel(space, w, params, cfg, history, mstep_runs)
+    return TrainedModel(space, w, params, cfg, history, mstep_runs,
+                        step_seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ The module provides
 * the passes every chart shares, each taking a built forest: inside
   (log-sum, count or max), expected event counts, and Viterbi trees;
 * the one forest cache, which holds the forests of both charts;
-* DMV decision counts read off automaton event counts.
+* the DMV decision counts an E-step returns (``DmvCounts``).
 
 Weights are kept in log space throughout.
 """
@@ -703,6 +703,9 @@ def forest_viterbi(forest, sent, tags):
 
 @dataclasses.dataclass
 class DmvCounts:
+    """Expected DMV decision counts: attach[(head tag, side, dependent
+    tag)], stop and cont[(head tag, side, adjacent)] and root[tag]."""
+
     attach: dict
     stop: dict
     cont: dict
@@ -716,40 +719,6 @@ class DmvCounts:
             cont=collections.defaultdict(float),
             root=collections.defaultdict(float),
         )
-
-    def merge(self, other, mult=1):
-        """Add ``mult`` times the counts of ``other`` to these."""
-        for field in ("attach", "stop", "cont", "root"):
-            mine = getattr(self, field)
-            for key, c in getattr(other, field).items():
-                mine[key] += mult * c
-        return self
-
-
-def dmv_counts_from_events(event_counts, tags):
-    """Convert position-level automaton event counts to DMV decision counts.
-
-    Transitions of real heads are attachments (and continue decisions, with
-    adjacency read off the source state); final weights are stop decisions.
-    Root-automaton transitions are root choices; its init/final carry no
-    probability mass and are ignored.
-    """
-    n = len(tags)
-    out = DmvCounts.zero()
-    for event, c in event_counts.items():
-        side, h, kind = event[0], event[1], event[2]
-        if h == n + 1:
-            if kind == "trans":
-                out.root[tags[event[5] - 1]] += c
-            continue
-        ht = tags[h - 1]
-        if kind == "trans":
-            q, _, d = event[3], event[4], event[5]
-            out.attach[ht, side, tags[d - 1]] += c
-            out.cont[ht, side, q == 0] += c
-        elif kind == "final":
-            out.stop[ht, side, event[3] == 0] += c
-    return out
 
 
 def _tag_sequences(corpus):

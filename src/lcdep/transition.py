@@ -103,11 +103,11 @@ class Configuration:
 
     @property
     def is_terminal(self):
-        return (
-            self.buffer_empty
-            and len(self.spines) == 1
-            and self.spines[0].is_complete
-        )
+        """Every token is read and one complete element is left; the
+        initial configuration of an empty sentence is terminal too."""
+        return self.buffer_empty and (
+            self.n == 0
+            or (len(self.spines) == 1 and self.spines[0].is_complete))
 
     def top_element_size(self):
         """Token count of the top element, counting a dummy slot as one."""

@@ -7,6 +7,7 @@ one-line reason and nonzero exit status.
 
 import logging
 import os
+import re
 
 import pytest
 
@@ -143,7 +144,7 @@ def test_train_dmv_writes_model_and_metrics(corpus_file, tmp_path, capsys):
     model_lines = (out / "model.txt").read_text(encoding="utf-8").splitlines()
     assert model_lines[0] == "# featurized-dmv v1"
     metrics = (out / "metrics.tsv").read_text(encoding="utf-8").splitlines()
-    assert metrics[0] == "iter\tobjective\tskipped"
+    assert metrics[0] == "iter\tobjective\tskipped\testep_s\tmstep_s"
     assert len(metrics) == 4
     objectives = [float(line.split("\t")[1]) for line in metrics[1:]]
     assert objectives == sorted(objectives)  # EM objective non-decreasing
@@ -171,6 +172,32 @@ def test_train_dmv_logs_each_m_step(corpus_file, tmp_path, capsys, caplog):
         "EM iteration 1", "EM iteration 2"]
     assert all("M-step 3 L-BFGS iterations, not converged" in line
                for line in lines[1:])
+
+
+def test_train_dmv_reports_step_seconds(corpus_file, tmp_path, capsys,
+                                         caplog):
+    path, _ = corpus_file
+    caplog.set_level(logging.INFO, logger="lcdep")
+    out = tmp_path / "run"
+    code, _, _ = run(["train-dmv", "--em-iters", "2", "--tol", "0",
+                      "--out", str(out), path], capsys)
+    assert code == 0
+    rows = [line.split("\t") for line in
+            (out / "metrics.tsv").read_text(encoding="utf-8").splitlines()]
+    assert [row[0] for row in rows[1:]] == ["1", "2"]
+    for row in rows[1:]:
+        assert len(row) == 5 and float(row[3]) > 0 and float(row[4]) > 0
+    messages = [r.getMessage() for r in caplog.records]
+    [initial] = [m for m in messages if m.startswith("initial M-step")]
+    assert re.search(r" in \d+\.\d{3} s, after a \d+\.\d{3} s harmonic "
+                     r"E-step$", initial)
+    iterations = [m for m in messages if m.startswith("EM iteration")]
+    assert len(iterations) == 2
+    for message, row in zip(iterations, rows[1:]):
+        e_s, m_s = re.search(r"E-step (\d+\.\d{3}) s, M-step .* in "
+                             r"(\d+\.\d{3}) s$", message).groups()
+        assert abs(float(e_s) - float(row[3])) <= 6e-4
+        assert abs(float(m_s) - float(row[4])) <= 6e-4
 
 
 def test_train_dmv_has_no_seed_option(corpus_file, tmp_path, capsys):

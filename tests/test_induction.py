@@ -206,8 +206,8 @@ def test_harmonic_init_matches_enumeration_oracle():
         root_logw=lambda d: 0.0,
     )
     events, _ = sbg.brute_force_expected_counts(tags, sent)
-    oracle = sbg.DmvCounts.zero().merge(
-        sbg.dmv_counts_from_events(events, tags), 2)
+    oracle = util.merge_counts(
+        sbg.DmvCounts.zero(), util.dmv_counts_from_events(events, tags), 2)
     assert_counts_close(induction.harmonic_counts([(tags, 2)]), oracle, 1e-10)
 
 
@@ -456,7 +456,7 @@ def test_unbounded_unblocked_e_step_and_decode_match_the_lc_chart(
             continue
         assert abs(logz - want_logz) <= 1e-9
         assert_counts_close(
-            counts, sbg.dmv_counts_from_events(events, tags), 1e-9)
+            counts, util.dmv_counts_from_events(events, tags), 1e-9)
 
 
 # ---------------------------------------------------------------------------

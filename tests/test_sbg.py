@@ -138,7 +138,7 @@ def test_expected_counts_bounded_by_sentence_length():
     tags = random_tags(5, rng)
     sent = sbg.dmv_sentence_automata(tags, params)
     counts, _ = sbg.eisner_expected_counts(tags, sent)
-    dmv = sbg.dmv_counts_from_events(counts, tags)
+    dmv = util.dmv_counts_from_events(counts, tags)
     total_attach = sum(dmv.attach.values())
     total_root = sum(dmv.root.values())
     assert math.isclose(total_root, 1.0, abs_tol=1e-9)

@@ -336,6 +336,15 @@ def test_single_sentence_converges_to_gold():
     assert parsed_final.heads == tree.heads
 
 
+def test_left_corner_trains_on_a_corpus_with_an_empty_sentence():
+    corpus = toy_corpus() + [tree_from_heads((), tags=(), forms=())]
+    model = sp.train_perceptron(corpus, system=LEFT_CORNER, epochs=5,
+                                beam_size=4, seed=0)
+    preds = sp.decode_corpus(corpus, model)
+    assert preds[-1].n == 0
+    assert all(p.heads == g.heads for p, g in zip(preds, corpus))
+
+
 @pytest.mark.parametrize("system", [ARC_STANDARD, ARC_EAGER])
 def test_other_systems_trainable(system):
     corpus = toy_corpus()

@@ -14,6 +14,7 @@ from lcdep.transition import (
     ARC_STANDARD,
     INSERT,
     LEFT_COMP,
+    LEFT_CORNER,
     LEFT_PRED,
     RIGHT_COMP,
     RIGHT_PRED,
@@ -111,6 +112,13 @@ def test_oracle_trace_frozen_five_tokens():
         LEFT_COMP, SHIFT, RIGHT_COMP, INSERT,
     ]
     assert depth_re_max(trace) == 1
+
+
+@pytest.mark.parametrize("system", [LEFT_CORNER, ARC_STANDARD, ARC_EAGER])
+def test_oracle_of_the_empty_sentence_takes_no_step(system):
+    trace = run_oracle(tree_from_heads(()), system)
+    assert trace.steps == ()
+    assert trace.arcs == frozenset()
 
 
 def test_format_trace():

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from lcdep import hypergraph
+from lcdep import hypergraph, induction, sbg
 from lcdep.hypergraph import NEG_INF
 from lcdep.induction import (
     CONTINUE,
@@ -26,7 +26,6 @@ from lcdep.sbg import (
     DmvCounts,
     DmvParams,
     _tag_sequences,
-    dmv_counts_from_events,
     dmv_sentence_automata,
     eisner_expected_counts,
 )
@@ -541,6 +540,97 @@ def reference_event_posteriors(forest, eventw):
 
 
 # ---------------------------------------------------------------------------
+# The E-step one sentence at a time: the reference the corpus graphs of
+# ``induction.estep`` and ``induction.harmonic_counts`` are checked against
+
+
+def dmv_counts_from_events(event_counts, tags):
+    """Convert position-level automaton event counts to DMV decision counts.
+
+    Transitions of real heads are attachments (and continue decisions, with
+    adjacency read off the source state); final weights are stop decisions.
+    Root-automaton transitions are root choices; its init/final carry no
+    probability mass and are ignored.
+    """
+    n = len(tags)
+    out = DmvCounts.zero()
+    for event, c in event_counts.items():
+        side, h, kind = event[0], event[1], event[2]
+        if h == n + 1:
+            if kind == "trans":
+                out.root[tags[event[5] - 1]] += c
+            continue
+        ht = tags[h - 1]
+        if kind == "trans":
+            q, _, d = event[3], event[4], event[5]
+            out.attach[ht, side, tags[d - 1]] += c
+            out.cont[ht, side, q == 0] += c
+        elif kind == "final":
+            out.stop[ht, side, event[3] == 0] += c
+    return out
+
+
+def merge_counts(total, other, mult=1):
+    """Add ``mult`` times the counts of ``other`` to ``total``."""
+    for field in ("attach", "stop", "cont", "root"):
+        mine = getattr(total, field)
+        for key, c in getattr(other, field).items():
+            mine[key] += mult * c
+    return total
+
+
+def reference_sentence_expectations(tags, params, cs, policy=None,
+                                    length_bias=None):
+    """(DmvCounts, log marginal) of one sentence from its own priced
+    automata and cached forest, or (None, -inf) when the constraints leave
+    no admissible analysis."""
+    sent, blocked = induction.apply_constraints(params, tags, cs,
+                                                length_bias)
+    forest = induction._chart_forest(tags, sent, policy, blocked)
+    events, logz = sbg.forest_expected_counts(forest, sent)
+    if logz == NEG_INF or math.isnan(logz):
+        return None, NEG_INF
+    return dmv_counts_from_events(events, tags), logz
+
+
+def _reference_chunk(groups, expectations):
+    total = DmvCounts.zero()
+    loglik = 0.0
+    skipped = 0
+    for tags, mult in groups:
+        counts, logz = expectations(tags)
+        if counts is None:
+            skipped += mult
+            continue
+        loglik += mult * logz
+        merge_counts(total, counts, mult)
+    return total, loglik, skipped
+
+
+def reference_estep(groups, params, cs, policy=None, length_bias=None):
+    """(DmvCounts, log-likelihood, skipped sentence count) over (tags,
+    multiplicity) groups, one sentence at a time."""
+    return _reference_chunk(groups, lambda tags: reference_sentence_expectations(
+        tags, params, cs, policy, length_bias))
+
+
+def reference_harmonic_counts(groups):
+    """Counts of one E-step where attaching positions i and j has weight
+    1/|i-j|, one sentence at a time."""
+    def expectations(tags):
+        sent = sbg.weighted_sentence_automata(
+            tags,
+            attach_logw=lambda h, d: -math.log(abs(h - d)),
+            root_logw=lambda d: 0.0,
+        )
+        events, logz = sbg.forest_expected_counts(
+            induction._chart_forest(tags, sent), sent)
+        return dmv_counts_from_events(events, tags), logz
+
+    return _reference_chunk(groups, expectations)[0]
+
+
+# ---------------------------------------------------------------------------
 # EM for DMV probabilities by normalized counts: the reference the featurized
 # EM of ``induction`` is checked against
 
@@ -584,7 +674,7 @@ def em_step(corpus, params):
         sent = dmv_sentence_automata(tags, params)
         counts, logz = eisner_expected_counts(tags, sent)
         loglik += logz
-        total.merge(dmv_counts_from_events(counts, tags))
+        merge_counts(total, dmv_counts_from_events(counts, tags))
     return dmv_params_from_counts(total, params), loglik
 
 
