@@ -272,11 +272,6 @@ def apply_constraints(params, tags, cs, length_bias=None):
 # Slot ZERO of the log-weight vector, one past the decisions, weighs 0 and
 # slot ZERO + 1 weighs -inf; counts landing on ZERO are dropped.
 
-# the most edges one corpus graph holds: a corpus whose forests hold more is
-# assembled chunk by chunk at every E-step, each chunk of whole groups within
-# the budget (a group whose forest alone exceeds it is a chunk of its own)
-GRAPH_EDGES = 1 << 19
-
 _INIT, _FINAL, _TRANS = 0, 1, 2
 _KIND = {"init": _INIT, "final": _FINAL, "trans": _TRANS}
 _SIDE = {LEFT: 0, RIGHT: 1}
@@ -451,13 +446,11 @@ def _decision_tables(space):
 
 class CorpusGroups:
     """The (tags, multiplicity) groups of a corpus with the FeatureSpace of
-    their tagset and the corpus graphs of their last E-step.
+    their tagset and the corpus graph of their last E-step.
 
-    ``estep`` and ``harmonic_counts`` given this object reuse its graphs for
+    ``estep`` and ``harmonic_counts`` given this object reuse its graph for
     as long as the chart (depth policy and blocked tags) stays the same, so
-    ``train`` assembles a corpus graph once.  A corpus whose forests hold
-    more than GRAPH_EDGES edges keeps no graph: its chunks are assembled
-    anew at every E-step.
+    ``train`` assembles a corpus graph once per chart.
     """
 
     def __init__(self, groups, space=None):
@@ -466,59 +459,47 @@ class CorpusGroups:
             {t for tags, _ in self.groups for t in tags})
         self._tables = _decision_tables(self.space)
         self._key = None
-        self._chunks = None
         self._graph = None
 
-    def graphs(self, policy=None, blocked_tags=frozenset()):
-        """The corpus graphs covering every group, in group order, over the
-        charts of (policy, blocked tags)."""
+    def graph(self, policy=None, blocked_tags=frozenset()):
+        """The corpus graph of every group over the charts of (policy,
+        blocked tags)."""
         key = (policy, blocked_tags)
         if key != self._key:
+            self._graph = None  # the old graph's arrays go before the new
+            self._graph = CorpusGraph(
+                self.groups, _forests(self.groups, policy, blocked_tags),
+                self.space, self._tables)
             self._key = key
-            self._graph = None
-            self._chunks = _chunks(self.groups, policy, blocked_tags)
-        if self._graph is not None:
-            yield self._graph
-            return
-        for groups, forests in self._chunks:
-            graph = CorpusGraph(groups, forests, self.space, self._tables)
-            if len(self._chunks) == 1:
-                self._graph = graph
-            yield graph
+        return self._graph
 
     def expectations(self, params, cs, policy=None, length_bias=None):
         """(count per decision of ``space``, log-likelihood, skipped
         sentence count) of one E-step."""
+        if not self.groups:
+            return np.zeros(self.space.n_decisions), 0.0, 0
         logw = _decision_logw(self.space, params)
-        total = np.zeros(self.space.n_decisions)
-        loglik = 0.0
-        skipped = 0
-        for graph in self.graphs(policy, cs.must_head_tags):
-            counts, ll, sk = graph.expectations(
-                graph.prices(logw, cs, length_bias))
-            total += counts
-            loglik += ll
-            skipped += sk
-        return total, loglik, skipped
+        graph = self.graph(policy, cs.must_head_tags)
+        return graph.expectations(graph.prices(logw, cs, length_bias))
 
     def harmonic(self):
         """Counts per decision of one E-step over the head-split chart where
         attaching positions h and d weighs 1/|h - d| and every other
         decision 1."""
-        total = np.zeros(self.space.n_decisions)
-        for graph in self.graphs():
-            far = int(graph.dist.max(initial=0))
-            logw = [0.0] + [-math.log(k) for k in range(1, far + 1)]
-            total += graph.expectations(np.array(logw)[graph.dist])[0]
-        return total
+        if not self.groups:
+            return np.zeros(self.space.n_decisions)
+        graph = self.graph()
+        far = int(graph.dist.max(initial=0))
+        logw = [0.0] + [-math.log(k) for k in range(1, far + 1)]
+        return graph.expectations(np.array(logw)[graph.dist])[0]
 
 
-def _chunks(groups, policy, blocked_tags):
-    """(groups, their forests) of consecutive runs of groups whose forests
-    hold at most GRAPH_EDGES edges together."""
+def _forests(groups, policy, blocked_tags):
+    """The cached chart forest of every group under (policy, blocked
+    tags)."""
     structure = {}
-    chunks, edges = [], 0
-    for tags, mult in groups:
+    forests = []
+    for tags, _ in groups:
         n = len(tags)
         if n not in structure:
             # a forest depends on the automata's structure alone
@@ -526,14 +507,8 @@ def _chunks(groups, policy, blocked_tags):
                 tags, lambda h, d: 0.0, lambda d: 0.0)
         blocked = frozenset(i + 1 for i, t in enumerate(tags)
                             if t in blocked_tags)
-        forest = _chart_forest(tags, structure[n], policy, blocked)
-        if not chunks or edges + forest.n_edges > GRAPH_EDGES:
-            chunks.append(([], []))
-            edges = 0
-        chunks[-1][0].append((tags, mult))
-        chunks[-1][1].append(forest)
-        edges += forest.n_edges
-    return chunks
+        forests.append(_chart_forest(tags, structure[n], policy, blocked))
+    return forests
 
 
 def sentence_expectations(tags, params, cs, policy=None, length_bias=None):
@@ -551,7 +526,7 @@ def estep(groups, params, cs, policy=None, length_bias=None, jobs=1):
     """Expected counts over a corpus of (tags, multiplicity) groups.
 
     Returns (DmvCounts, log-likelihood, skipped sentence count).  Given a
-    CorpusGroups, the E-step reuses its corpus graphs.  With ``jobs > 1``
+    CorpusGroups, the E-step reuses its corpus graph.  With ``jobs > 1``
     the groups are split into a fixed partition, one part per worker
     process, and the parts are added in order.
     """

@@ -84,7 +84,7 @@ def test_event_weights_equal_the_priced_automata_exactly():
     groups = corpus_groups(5)
     params = sbg.random_dmv_params(TAGSET, random.Random(5))
     corpus = induction.CorpusGroups(groups)
-    [graph] = corpus.graphs(DepthPolicy(1, 3))
+    graph = corpus.graph(DepthPolicy(1, 3))
     got = graph.prices(induction._decision_logw(corpus.space, params), cs,
                        0.5)
     want = []
@@ -148,31 +148,16 @@ def test_nan_event_weights_skip_every_group(chart, recwarn):
     # weights are set directly; each sentence's forest then has a NaN
     # log marginal, which the reference skips too
     groups = corpus_groups(21)
-    [graph] = induction.CorpusGroups(groups).graphs(CHARTS[chart])
+    graph = induction.CorpusGroups(groups).graph(CHARTS[chart])
     counts, loglik, skipped = graph.expectations(
         np.full(len(graph.forest.events), np.nan))
     assert skipped == sum(mult for _, mult in groups)
     assert loglik == 0.0 and not counts.any()
-    [(_, forests)] = induction._chunks(groups, CHARTS[chart], frozenset())
-    for forest in forests:
+    for forest in induction._forests(groups, CHARTS[chart], frozenset()):
         logz, _ = hypergraph.event_posteriors(
             forest, np.full(len(forest.events), np.nan))
         assert math.isnan(logz)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-
-@pytest.mark.parametrize("chart", sorted(CHARTS))
-def test_chunked_graphs_give_the_single_graph_result(chart, monkeypatch):
-    cs, beta = CONSTRAINTS["function-words"][0], 0.3
-    groups = corpus_groups(11, n_sent=20)
-    params = sbg.random_dmv_params(TAGSET, random.Random(11))
-    whole = induction.estep(groups, params, cs, CHARTS[chart], beta)
-    monkeypatch.setattr(induction, "GRAPH_EDGES", 200)
-    corpus = induction.CorpusGroups(groups)
-    assert len(list(corpus.graphs(CHARTS[chart], cs.must_head_tags))) > 2
-    chunked = induction.estep(corpus, params, cs, CHARTS[chart], beta)
-    assert corpus._graph is None  # chunks are assembled anew each time
-    assert_estep_close(chunked, whole, 1e-12)
 
 
 def test_harmonic_counts_match_the_per_sentence_reference():
@@ -207,6 +192,8 @@ def test_empty_corpus_estep_is_zero():
         TAGSET), induction.ConstraintSet())
     assert (loglik, skipped) == (0.0, 0)
     assert not any(getattr(counts, field) for field in FIELDS)
+    harmonic = induction.harmonic_counts([])
+    assert not any(getattr(harmonic, field) for field in FIELDS)
 
 
 def test_sentence_expectations_match_the_reference():
