@@ -15,7 +15,6 @@ evaluation protocol.
 """
 
 import argparse
-import os
 import sys
 
 from lcdep import induction
@@ -49,7 +48,7 @@ def main(argv=None):
     ap.add_argument("--pos-column", type=int, default=3)
     ap.add_argument("--max-len", type=int, default=15)
     ap.add_argument("--em-iters", type=int, default=50)
-    ap.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1))
+    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
     names = [c for c in args.configs.split(",") if c]

@@ -18,6 +18,15 @@ undecided, which is an error.  Charts should emit only items that can be
 derived (see ``lc_chart`` and ``sbg``): every dead item is expanded all the
 same and then dropped.
 
+Builds can share an ``ExpansionMemo``, which keeps every item's edges and
+level under global ids, so that a build expands only the items no earlier
+build has.  The forest is then taken from the memo: one walk over its items
+finds the order in which a build from nothing would pop them, which fixes
+that build's item ids, event ids and edge order, and the arrays are
+gathered.  The charts share one memo across the sentence lengths of the DMV;
+the items that depend on the length (those at the root position n+1) are
+keyed apart by n (see the forest cache in ``sbg``).
+
 Array layout.  Items keep the ids they were interned with (``items[i]``);
 id ``n_items`` is a sentinel whose value is 0 in log space (1 in the count
 semiring).  Every derivable item gets a topological *level*: 0 when all its
@@ -182,7 +191,74 @@ def _plan(group_owner, group_ptr, level_ptr):
     return out
 
 
-def build_forest(goal, expand):
+class ExpansionMemo:
+    """Expansions kept across ``build_forest`` calls.
+
+    Items and events are interned to global int ids.  Each item is expanded
+    once and its edges are stored as global (tail ids, event ids), contiguous
+    in expansion order, next to the item's level.  Every item the memo holds
+    is expanded, and so is every item below it.
+    """
+
+    def __init__(self):
+        self.items = []        # global id -> item
+        self.index = {}        # memo key -> global id
+        self.events = []
+        self.event_index = {}
+        self.start = np.zeros(0, dtype=np.intp)   # first edge of each item
+        self.count = np.zeros(0, dtype=np.intp)   # and its number of edges
+        # per item its level (-2 when not derivable), then -1: the level of
+        # the missing tail -1
+        self.level = np.full(1, -1, dtype=np.intp)
+        self.tail = np.zeros((2, 0), dtype=np.intp)
+        self.event_ptr = np.zeros(1, dtype=np.intp)
+        self.event_flat = np.zeros(0, dtype=np.intp)
+        # the walk lists of ``_walk_lists``, made on the first take
+        self._kids, self._kid_lo, self._kid_hi = [], [], []
+        self._kid_edges = 0
+
+    def _truncate(self, n_items, n_events):
+        """Forget the items and events interned from ``n_items`` and
+        ``n_events`` on (a build that failed)."""
+        for index, n in ((self.index, n_items), (self.event_index, n_events)):
+            for k in [k for k, i in index.items() if i >= n]:
+                del index[k]
+        del self.items[n_items:]
+        del self.events[n_events:]
+
+    def _extend(self, level, tails, start, counts, n_ev, flat):
+        """Store the edges of the items expanded by one build, the items
+        from ``len(self.start)`` on."""
+        base = len(self.start)
+        cat = np.concatenate
+        self.start = cat((self.start, start + self.tail.shape[1]))
+        self.count = cat((self.count, counts))
+        self.level = cat((self.level[:-1], level[base:]))
+        self.tail = cat((self.tail, tails), axis=1)
+        self.event_ptr = cat((self.event_ptr,
+                              self.event_ptr[-1] + np.cumsum(n_ev)))
+        self.event_flat = cat((self.event_flat, flat))
+
+    def _walk_lists(self):
+        """(the tails of every edge in order, where each item's start, where
+        they end), as plain int lists: the items and tails a build's stack
+        pushes, which ``_take`` walks.  Plain int lists keep the garbage
+        collector from walking them item by item."""
+        done, e0 = len(self._kid_lo), self._kid_edges
+        if done < len(self.start):
+            tails = self.tail[:, e0:].T
+            real = tails >= 0
+            ptr = np.concatenate(([0], np.cumsum(real.sum(axis=1)))) + len(
+                self._kids)
+            start = self.start[done:] - e0
+            self._kid_lo += ptr[start].tolist()
+            self._kid_hi += ptr[start + self.count[done:]].tolist()
+            self._kids += tails[real].tolist()
+            self._kid_edges = self.tail.shape[1]
+        return self._kids, self._kid_lo, self._kid_hi
+
+
+def build_forest(goal, expand, memo=None, key=None):
     """Memoize a backward-chaining expansion into a Forest.
 
     ``expand(item)`` returns an iterable of ``(tails, events)`` pairs with
@@ -193,62 +269,163 @@ def build_forest(goal, expand):
     One depth-first pass expands every reachable item once and records its
     edges as flat int lists; ``_levels`` then decides derivability and
     levels over those arrays.
+
+    ``memo`` (an ``ExpansionMemo``) keeps the expansions for later builds:
+    this build expands only the items the memo has not, then takes the
+    forest out of the memo (``_take``) with the same ids and edge order as a
+    build from nothing.  ``key(item)`` is an item's memo key, by default the
+    item.  Builds that share a memo must key an item whose expansion differs
+    between them apart, as (n, item) for an item that depends on the
+    sentence length n; every tail of an item keyed by itself must be keyed
+    by itself too.
     """
-    items = [goal]
-    item_index = {goal: 0}
-    events = []
-    event_index = {}
+    keep = memo is not None
+    if not keep:
+        memo, key = ExpansionMemo(), None
+    items, index = memo.items, memo.index
+    events, event_index = memo.events, memo.event_index
+    base, event_base = len(items), len(events)
+    goal_key = goal if key is None else key(goal)
+    goal_id = index.get(goal_key)
+    if goal_id is None:
+        goal_id = index[goal_key] = len(items)
+        items.append(goal)
+    # items whose tails take their keys from ``key``
+    keyed = {goal_id} if goal_key is not goal else set()
     head, tail0, tail1, n_ev, flat = [], [], [], [], []
     # an item's edges are contiguous, from first[item] on
     first = {}
-    stack = [0]
-    while stack:
-        iid = stack.pop()
-        if iid in first:
-            continue
-        first[iid] = len(head)
-        children = []
-        for tails, evs in expand(items[iid]):
-            if len(tails) > 2:
-                raise ValueError("edge with %d tails at %s"
-                                 % (len(tails), items[iid]))
-            ids = []
-            for t in tails:
-                tid = item_index.get(t)
-                if tid is None:
-                    tid = item_index[t] = len(items)
-                    items.append(t)
-                ids.append(tid)
-            children += ids
-            ids += (-1, -1)
-            head.append(iid)
-            tail0.append(ids[0])
-            tail1.append(ids[1])
-            n_ev.append(len(evs))
-            for ev in evs:
-                eid = event_index.get(ev)
-                if eid is None:
-                    eid = event_index[ev] = len(events)
-                    events.append(ev)
-                flat.append(eid)
-        stack += [t for t in children if t not in first]
-    # free the build's dicts first, which lowers the peak while the arrays
-    # are made
-    item_index.clear()
-    event_index.clear()
+    stack = [goal_id] if goal_id >= base else []
+    try:
+        while stack:
+            iid = stack.pop()
+            if iid in first:
+                continue
+            first[iid] = len(head)
+            rekey = iid in keyed
+            children = []
+            for tails, evs in expand(items[iid]):
+                if len(tails) > 2:
+                    raise ValueError("edge with %d tails at %s"
+                                     % (len(tails), items[iid]))
+                ids = []
+                for t in tails:
+                    tk = key(t) if rekey else t
+                    tid = index.get(tk)
+                    if tid is None:
+                        tid = index[tk] = len(items)
+                        items.append(t)
+                        if tk is not t:
+                            keyed.add(tid)
+                    ids.append(tid)
+                children += ids
+                ids += (-1, -1)
+                head.append(iid)
+                tail0.append(ids[0])
+                tail1.append(ids[1])
+                n_ev.append(len(evs))
+                for ev in evs:
+                    eid = event_index.get(ev)
+                    if eid is None:
+                        eid = event_index[ev] = len(events)
+                        events.append(ev)
+                    flat.append(eid)
+            stack += [t for t in children if t >= base and t not in first]
+        if not keep:
+            # free the build's dicts first, which lowers the peak while the
+            # arrays are made
+            index.clear()
+            event_index.clear()
 
-    sentinel = len(items)
-    head = np.array(head, dtype=np.intp)
-    tails = np.array((tail0, tail1), dtype=np.intp)
-    tails[tails < 0] = sentinel
-    start = np.zeros(sentinel, dtype=np.intp)
-    start[list(first)] = list(first.values())
-    level = _levels(items, head, tails, start)
+        n_items = len(items)
+        head = np.array(head, dtype=np.intp)
+        # -1 for a missing tail
+        tails = np.array((tail0, tail1), dtype=np.intp)
+        start = np.zeros(n_items - base, dtype=np.intp)
+        start[np.fromiter(first, np.intp, len(first)) - base] = list(
+            first.values())
+        level = np.full(n_items + 1, -3, dtype=np.intp)
+        level[:base] = memo.level[:-1]
+        level[n_items] = -1
+        counts = _levels(items, level, base, head, tails, start)
+    except BaseException:
+        if keep:
+            memo._truncate(base, event_base)
+        raise
     n_ev = np.array(n_ev, dtype=np.intp)
     flat = np.array(flat, dtype=np.intp)
-    # an edge survives when all its tails are derivable
-    keep = (np.append(level, 0)[tails] >= 0).all(axis=0)
-    return Forest(goal, items, events, level,
+    if keep:
+        memo._extend(level, tails, start, counts, n_ev, flat)
+    if base:
+        return _take(memo, goal, goal_id)
+    # a build from nothing: the memo's order is the forest's order
+    keep_edge = (level[tails] >= -1).all(axis=0)
+    tails[tails < 0] = n_items
+    level = level[:-1]
+    level[level < 0] = -1
+    return Forest(goal, list(items) if keep else items,
+                  list(events) if keep else events, level,
+                  (head[keep_edge], tails[0, keep_edge],
+                   tails[1, keep_edge], n_ev[keep_edge],
+                   flat[np.repeat(keep_edge, n_ev)]))
+
+
+def _first_seen(ids, size):
+    """The distinct values of ``ids`` (each in 0..size-1) in the order they
+    first occur."""
+    first = np.full(size, len(ids), dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    present = np.flatnonzero(first < len(ids))
+    return present[np.argsort(first[present])]
+
+
+def _take(memo, goal, goal_id):
+    """The forest below ``goal`` (memo id ``goal_id``) as a build from
+    nothing gives it.
+
+    Such a build pops items in the order of a recursive preorder that visits
+    each item's distinct tails, latest occurrence first; its item and event
+    ids are the order in which the tails and events of the popped items'
+    edges first occur, and its edges are the popped items' edges in pop
+    order.  So one walk over the items finds the pop order, and the rest is
+    gathers.
+    """
+    kids, lo, hi = memo._walk_lists()
+    seen = bytearray(len(lo))
+    order = []
+    stack = [goal_id]
+    pop, visit, push = stack.pop, order.append, stack.extend
+    while stack:
+        iid = pop()
+        if not seen[iid]:
+            seen[iid] = 1
+            visit(iid)
+            push(kids[lo[iid]:hi[iid]])
+    order = np.array(order, dtype=np.intp)
+    counts = memo.count[order]
+    edges = _ranges(memo.start[order], counts)
+    tails = memo.tail[:, edges]
+    seq = tails.T.ravel()
+    item_ids = _first_seen(np.concatenate(([goal_id], seq[seq >= 0])),
+                           len(lo))
+    local = np.empty(len(lo) + 1, dtype=np.intp)
+    local[item_ids] = np.arange(len(item_ids))
+    local[-1] = len(item_ids)  # the sentinel, for the missing tail -1
+    ptr = memo.event_ptr
+    n_ev = ptr[edges + 1] - ptr[edges]
+    flat = memo.event_flat[_ranges(ptr[edges], n_ev)]
+    event_ids = _first_seen(flat, len(memo.events))
+    event_local = np.empty(len(memo.events), dtype=np.intp)
+    event_local[event_ids] = np.arange(len(event_ids))
+    keep = (memo.level[tails] >= -1).all(axis=0)
+    head = np.repeat(local[order], counts)
+    tails = local[tails]
+    flat = event_local[flat]
+    level = memo.level[item_ids]
+    level[level < 0] = -1
+    items, events = memo.items, memo.events
+    return Forest(goal, [items[i] for i in item_ids.tolist()],
+                  [events[k] for k in event_ids.tolist()], level,
                   (head[keep], tails[0, keep], tails[1, keep], n_ev[keep],
                    flat[np.repeat(keep, n_ev)]))
 
@@ -287,29 +464,32 @@ def _ranges(starts, counts):
         starts - ends + counts, counts)
 
 
-def _levels(items, head, tails, start):
-    """Level of every item (-1 when not derivable), decided one wavefront
-    at a time: an item is decided once every tail of its edges is.
+def _levels(items, level, base, head, tails, start):
+    """Decide the level of every item from ``base`` on, one wavefront at a
+    time: an item is decided once every tail of its edges is.  Returns the
+    number of edges of each of those items.
 
-    ``head`` and ``tails`` (2 x edges, the sentinel ``len(items)`` for a
-    missing tail) are the edges, each item's edges contiguous from
-    ``start[item]``.  Raises ValueError naming an item on a cycle when a
-    cycle leaves items undecided.
+    ``level`` has one entry per item, then -1 for the missing tail -1;
+    items before ``base`` are decided, the others -3 (undecided).  Items
+    that are not derivable get -2.  ``head`` and ``tails`` (2 x edges, -1
+    for a missing tail) are the edges of the items from ``base`` on, each
+    item's edges contiguous from ``start[item - base]``.  Raises ValueError
+    naming an item on a cycle when a cycle leaves items undecided.
     """
-    n = len(items)
+    n = len(items) - base
+    head = head - base
     counts = np.bincount(head, minlength=n)
-    # the uses of each item as a tail, as the heads of the using edges
-    real = tails.reshape(-1) != n
-    used = tails.reshape(-1)[real]
+    # the uses of each undecided item as a tail, as the heads of the using
+    # edges
+    real = tails.reshape(-1) >= base
+    used = tails.reshape(-1)[real] - base
     order = np.argsort(used, kind="stable")
     users = np.tile(head, 2)[real][order]
     use_count = np.bincount(used, minlength=n)
     use_start = np.cumsum(use_count) - use_count
     pending = np.bincount(users, minlength=n)
-    # -3 undecided, -2 not derivable; the sentinel is -1, so an edge's level
-    # is 1 + the max of its tails' levels and a dead tail makes it < -1
-    level = np.full(n + 1, -3, dtype=np.intp)
-    level[n] = -1
+    # an edge's level is 1 + the max of its tails' levels, and a dead tail
+    # (-2) makes it < -1
     front = np.flatnonzero(pending == 0)
     while len(front):
         k = counts[front]
@@ -320,23 +500,23 @@ def _levels(items, head, tails, start):
         some = k > 0
         best = np.full(len(front), -2, dtype=np.intp)
         best[some] = np.maximum.reduceat(edge_level, (np.cumsum(k) - k)[some])
-        level[front] = best
+        level[front + base] = best
         up = users[_ranges(use_start[front], use_count[front])]
         up, hits = np.unique(up, return_counts=True)
         pending[up] -= hits
         front = up[pending[up] == 0]
-    if (level == -3).any():
+    undecided = level[base:-1] == -3
+    if undecided.any():
         # walk down undecided tails until an item repeats: it is on a cycle
-        iid, seen = int(np.argmax(level == -3)), set()
+        iid, seen = int(np.argmax(undecided)), set()
         while iid not in seen:
             seen.add(iid)
             a = start[iid]
-            iid = next(t for t in tails[:, a:a + counts[iid]].T.ravel()
+            iid = next(t - base
+                       for t in tails[:, a:a + counts[iid]].T.ravel()
                        if level[t] == -3)
-        raise ValueError("cyclic chart expansion at %s" % (items[iid],))
-    level = level[:n]
-    level[level < 0] = -1
-    return level
+        raise ValueError("cyclic chart expansion at %s" % (items[iid + base],))
+    return counts
 
 
 def _logsumexp_groups(w, starts, sizes):

@@ -288,7 +288,7 @@ def _chart_forest(tags, sent, policy=None, blocked=()):
     if blocked or (policy is not None and policy.max_depth is not None):
         return lc_chart.lc_forest(sent, policy, blocked)
     return sbg._cached_forest("eisner", sent, None, frozenset(),
-                              lambda: sbg.eisner_forest(tags, sent))
+                              lambda memo: sbg.eisner_forest(tags, sent, memo))
 
 
 def _decision_logw(space, params):

@@ -51,9 +51,18 @@ of ``sbg``, next to the head-split chart's, keyed by chart, topology key
 sentence and model.  Items are emitted only when their automaton states are
 reachable, judged from the transition structure alone (see ``_lc_expand``),
 so re-pricing a cached forest never needs an item that was skipped.
+
+The chart runs left to right, so on DMV automata only the items at the root
+position n+1 depend on the length n: ``LI(., n+1, .)``, and ``RECT`` and
+``HR`` items whose p is n+1.  Every other item has the same edges at every
+length (an unbounded policy has no depth check, so this holds for it too).
+With no blocked position, each length's forest is therefore taken from one
+expansion memo per depth policy (``_lc_length_key``), which expands every
+shared item once.
 """
 
 import dataclasses
+import math
 
 from . import hypergraph, sbg
 from .sbg import LEFT, RIGHT
@@ -89,9 +98,8 @@ def _lc_expand(sent, policy, blocked):
     ``PR(r, i, j, p, q, d, v)`` item with v False (p has a left dependent,
     which lies in i+1..j) is emitted only when j > i.
     """
-    n = sent.n
     C = policy.size_cutoff
-    D = policy.max_depth if policy.max_depth is not None else max(1, n)
+    D = policy.max_depth if policy.max_depth is not None else math.inf
     reach = sent.may_reach
 
     def pr_flags(i, j):
@@ -293,6 +301,22 @@ def _lc_expand(sent, policy, blocked):
     return expand
 
 
+def _lc_length_key(n):
+    """Memo key of an LC item at length n: the items at the root position
+    n+1 (``LI(., n+1, .)``, and ``RECT`` and ``HR`` items whose p is n+1)
+    depend on n and are keyed (n, item); every other item is its own key."""
+    root = n + 1
+
+    def key(item):
+        kind = item[0]
+        if ((kind == "LI" and item[2] == root)
+                or (kind in ("RECT", "HR") and item[3] == root)):
+            return (n, item)
+        return item
+
+    return key
+
+
 def lc_forest(sent, policy=None, blocked=()):
     """Build (or fetch from the forest cache) the left-corner forest for one
     sentence.
@@ -302,10 +326,12 @@ def lc_forest(sent, policy=None, blocked=()):
     """
     policy = policy or DepthPolicy()
     blocked = frozenset(blocked)
+    n = sent.n
     return sbg._cached_forest(
         "lc", sent, policy, blocked,
-        lambda: hypergraph.build_forest(("LI", 1, sent.n + 1, 1),
-                                        _lc_expand(sent, policy, blocked)))
+        lambda memo: hypergraph.build_forest(
+            ("LI", 1, n + 1, 1), _lc_expand(sent, policy, blocked), memo,
+            _lc_length_key(n)))
 
 
 def lc_inside(tags, sent, policy=None, semiring="logsum", forest=None,

@@ -546,9 +546,26 @@ def _eisner_expand(sent):
     return expand
 
 
-def eisner_forest(tags, sent):
+def _eisner_length_key(n):
+    """Memo key of a head-split item at length n: the halves of the root
+    position n+1 (``LF``, ``LQ`` and ``LT`` items whose head is n+1) depend
+    on n and are keyed (n, item); every other item is its own key."""
+    root = n + 1
+
+    def key(item):
+        if item[-1] == root and item[0] in ("LF", "LQ", "LT"):
+            return (n, item)
+        return item
+
+    return key
+
+
+def eisner_forest(tags, sent, memo=None):
+    """The head-split forest of ``sent``, taken from ``memo`` (an
+    ``hypergraph.ExpansionMemo`` of DMV automata) when one is given."""
     n = len(tags)
-    return hypergraph.build_forest(("LF", 1, n + 1), _eisner_expand(sent))
+    return hypergraph.build_forest(("LF", 1, n + 1), _eisner_expand(sent),
+                                   memo, _eisner_length_key(n))
 
 
 def eisner_inside(tags, sent, semiring="logsum", forest=None):
@@ -579,27 +596,49 @@ def eisner_viterbi(tags, sent, forest=None):
 # A forest depends only on the transition structure of the automata, so one
 # forest serves every sentence whose automata share a topology key (for the
 # DMV, every sentence of one length) and is re-priced per sentence.
+#
+# DMV forests of different lengths share their items as well.  The machines
+# of the tokens 1..n do not change with n, so only the items at the root
+# position n+1 depend on n: the head-split halves of n+1, and the LC items
+# LI(., n+1, .) and RECT/HR with p = n+1.  Each (chart, policy) therefore
+# keeps one ``hypergraph.ExpansionMemo`` that expands every item once, and
+# each length's forest is taken from it.  Blocked positions change the
+# expansions, so a blocked set, like automata without a topology key, gets
+# a build of its own.
 
 
 # (chart, topology key, DepthPolicy or None, blocked positions) -> forest
 _FOREST_CACHE = {}
+# (chart, topology family, DepthPolicy or None) -> ExpansionMemo
+_EXPANSION_MEMOS = {}
 
 
 def clear_forest_cache():
-    """Drop the cached forests of every chart."""
+    """Drop the cached forests of every chart and the expansions they were
+    taken from."""
     _FOREST_CACHE.clear()
+    _EXPANSION_MEMOS.clear()
 
 
 def _cached_forest(chart, sent, policy, blocked, build):
     """The forest of ``chart`` for ``sent``'s topology under (policy,
-    blocked), from ``build()`` on a miss.  Automata without a topology key
-    get a fresh forest every time."""
+    blocked), from ``build(memo)`` on a miss: ``memo`` is the chart's
+    ``ExpansionMemo`` under ``policy`` for DMV automata with no blocked
+    position, else None.  Automata without a topology key get a fresh
+    forest every time."""
     if sent.topology_key is None:
-        return build()
+        return build(None)
     key = (chart, sent.topology_key, policy, blocked)
     forest = _FOREST_CACHE.get(key)
     if forest is None:
-        forest = _FOREST_CACHE[key] = build()
+        memo = None
+        family = sent.topology_key[0]
+        if family == "dmv" and not blocked:
+            memo = _EXPANSION_MEMOS.get((chart, family, policy))
+            if memo is None:
+                memo = _EXPANSION_MEMOS[chart, family, policy] = (
+                    hypergraph.ExpansionMemo())
+        forest = _FOREST_CACHE[key] = build(memo)
     return forest
 
 

@@ -148,6 +148,34 @@ def test_one_pass_build_matches_reference_dfs(case):
         assert np.array_equal(getattr(forest, name), getattr(ref, name)), name
 
 
+@settings(max_examples=300, deadline=None)
+@given(random_expansions(), st.lists(st.integers(min_value=0, max_value=7),
+                                     max_size=4))
+def test_builds_sharing_a_memo_match_reference_dfs(case, goals):
+    # the goal first, then other items of the same expansion, all taken from
+    # one memo; a build that fails must leave the memo as it was
+    expand, goal = case
+    memo = hypergraph.ExpansionMemo()
+    for g in [goal] + [("i", k) for k in goals]:
+        try:
+            expand(g)
+        except KeyError:
+            continue
+        try:
+            ref = util.reference_build_forest(g, expand)
+        except ValueError:
+            with pytest.raises(ValueError):
+                hypergraph.build_forest(g, expand, memo)
+            continue
+        forest = hypergraph.build_forest(g, expand, memo)
+        assert forest.items == ref.items
+        assert forest.events == ref.events
+        for name in ("item_level", "edge_head", "edge_tail", "event_ptr",
+                     "event_flat", "group_head", "group_ptr", "level_ptr"):
+            assert np.array_equal(getattr(forest, name),
+                                  getattr(ref, name)), name
+
+
 # ---------------------------------------------------------------------------
 # level-batched passes against the sequential references
 
