@@ -634,10 +634,8 @@ def _cached_forest(chart, sent, policy, blocked, build):
         memo = None
         family = sent.topology_key[0]
         if family == "dmv" and not blocked:
-            memo = _EXPANSION_MEMOS.get((chart, family, policy))
-            if memo is None:
-                memo = _EXPANSION_MEMOS[chart, family, policy] = (
-                    hypergraph.ExpansionMemo())
+            memo = _EXPANSION_MEMOS.setdefault((chart, family, policy),
+                                               hypergraph.ExpansionMemo())
         forest = _FOREST_CACHE[key] = build(memo)
     return forest
 
