@@ -89,28 +89,33 @@ class Forest:
         ``edges`` is (heads, first tails, second tails, event counts, event
         ids) of the derivable edges as flat sequences in expansion order,
         with missing tails set to the sentinel ``len(items)``."""
+        head, tail0, tail1, n_ev, flat = (np.asarray(x, dtype=np.intp)
+                                          for x in edges)
+        level = np.array(level, dtype=np.intp)
+        order = _level_order(head, level)
+        first = (np.cumsum(n_ev) - n_ev)[order]
+        n_ev = n_ev[order]
+        self._lay_out(goal, items, events, level, head[order],
+                      np.stack((tail0[order], tail1[order])), n_ev,
+                      flat[_ranges(first, n_ev)])
+
+    def _lay_out(self, goal, items, events, level, head, tails, n_ev, flat):
+        """Keep edges sorted by (level of head, head): their heads, tails
+        (2 x edges), event counts and event ids, edge after edge."""
         self.goal = goal
         self.goal_id = 0
         self.goal_ids = np.zeros(1, dtype=np.intp)
         self.items = items
         self.events = events
         self.sentinel = len(items)
-        head, tail0, tail1, n_ev, flat = (np.array(x, dtype=np.intp)
-                                          for x in edges)
-        self.item_level = level = np.array(level, dtype=np.intp)
-        order = _level_order(head, level)
-        self.edge_head = head[order]
-        self.edge_tail = np.stack((tail0[order], tail1[order]))
-        old_ptr = np.concatenate(([0], np.cumsum(n_ev)))
-        n_ev = n_ev[order]
+        self.item_level = level
+        self.edge_head = head
+        self.edge_tail = tails
         self.event_ptr = np.concatenate(([0], np.cumsum(n_ev)))
-        self.event_flat = flat[np.repeat(old_ptr[:-1][order]
-                                         - self.event_ptr[:-1], n_ev)
-                               + np.arange(len(flat))]
+        self.event_flat = flat
         self._no_events = n_ev == 0
         self.edge_events = EdgeEvents(self.event_ptr, self.event_flat)
-        self.group_head, self.group_ptr, self.level_ptr = _groups(
-            self.edge_head, level)
+        self.group_head, self.group_ptr, self.level_ptr = _groups(head, level)
         self._levels = _plan(self.group_head, self.group_ptr, self.level_ptr)
         self._uses = None
 
@@ -436,25 +441,44 @@ def disjoint_union(forests):
 
     Forest k's item and event ids are shifted by the item and event counts
     of the forests before it, all share one sentinel, and items keep their
-    levels, so each level of the union is that level of every forest.
+    levels.  Level l of the union is level l of every forest in turn, which
+    keeps its edges sorted by (level of head, head) with no sort.
     ``goal_ids[k]`` is the goal of forest k; the union's ``goal`` is None.
     """
     item_base = np.cumsum([0] + [f.n_items for f in forests])
     event_base = np.cumsum([0] + [len(f.events) for f in forests])
     sentinel = item_base[-1]
+    # bounds[k, l]: the first edge of level l in forest k; the last column
+    # holds forest k's edge count
+    top = max(len(f.level_ptr) for f in forests)
+    bounds = np.array([np.pad(f.group_ptr[f.level_ptr],
+                              (0, top - len(f.level_ptr)), "edge")
+                       for f in forests])
+    edges = _level_blocks(bounds, [f.n_edges for f in forests])
+    flat = _level_blocks(
+        np.array([f.event_ptr[b] for f, b in zip(forests, bounds)]),
+        [len(f.event_flat) for f in forests])
     cat = np.concatenate
-    tails = cat([np.where(f.edge_tail == f.sentinel, sentinel,
-                          f.edge_tail + b)
-                 for f, b in zip(forests, item_base)], axis=1)
-    union = Forest(
+    union = Forest.__new__(Forest)
+    union._lay_out(
         None, [it for f in forests for it in f.items],
         [ev for f in forests for ev in f.events],
         cat([f.item_level for f in forests]),
-        (cat([f.edge_head + b for f, b in zip(forests, item_base)]),
-         tails[0], tails[1], cat([np.diff(f.event_ptr) for f in forests]),
-         cat([f.event_flat + b for f, b in zip(forests, event_base)])))
+        cat([f.edge_head + b for f, b in zip(forests, item_base)])[edges],
+        cat([np.where(f.edge_tail == f.sentinel, sentinel, f.edge_tail + b)
+             for f, b in zip(forests, item_base)], axis=1)[:, edges],
+        cat([np.diff(f.event_ptr) for f in forests])[edges],
+        cat([f.event_flat + b for f, b in zip(forests, event_base)])[flat])
     union.goal_ids = item_base[:-1] + [f.goal_id for f in forests]
     return union
+
+
+def _level_blocks(bounds, sizes):
+    """Rows of the forests' arrays laid end to end, level 0 of every
+    forest, then level 1, and so on: ``bounds[k, l]`` is the first row of
+    level l in forest k, ``sizes[k]`` its number of rows."""
+    starts = bounds[:, :-1] + np.cumsum([0] + sizes[:-1])[:, None]
+    return _ranges(starts.T.ravel(), np.diff(bounds, axis=1).T.ravel())
 
 
 def _ranges(starts, counts):

@@ -19,8 +19,12 @@ and reuses it across its E-steps.
 
 Constraints follow the cost framing: they multiply tree weights by factors
 in [0, 1] and are never renormalized, so the E-step posterior is simply the
-restricted chart's posterior.  Decoding by default runs plain Viterbi under
-the unconstrained model, one sentence at a time.
+restricted chart's posterior.  They are priced in one place, the corpus
+graph's index maps (``CorpusGraph.prices``), and decoding reuses them:
+Viterbi runs the same graph and prices under the max semiring, once over
+the distinct tag sequences to decode.  ``decode`` runs it under the
+unconstrained model, ``decode_constrained`` under the training
+restrictions.
 """
 
 import collections
@@ -243,22 +247,10 @@ class ConstraintSet:
         raise ValueError("unknown root mode %r" % self.root_mode)
 
     def blocked_positions(self, tags):
+        """Positions whose token must head at least one dependent."""
         return frozenset(
             i + 1 for i, t in enumerate(tags) if t in self.must_head_tags
         )
-
-
-def apply_constraints(params, tags, cs, length_bias=None):
-    """Per-sentence automata with all active restrictions folded in.
-
-    Returns (automata, blocked positions).  The length bias multiplies every
-    real attachment by exp(-beta * (|h - d| - 1)); the root arc is never
-    penalized, so a tree all of whose arcs are adjacent keeps its original
-    weight exactly.
-    """
-    sent = sbg.dmv_sentence_automata(
-        tags, params, cs.stop_one_tags, cs.root_allowed(tags), length_bias)
-    return sent, cs.blocked_positions(tags)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +262,10 @@ def apply_constraints(params, tags, cs, length_bias=None):
 # weighs the sum of their log-weights, plus the length bias for a real-head
 # transition; the event's expected count goes to the same two decisions.
 # Slot ZERO of the log-weight vector, one past the decisions, weighs 0 and
-# slot ZERO + 1 weighs -inf; counts landing on ZERO are dropped.
+# slot ZERO + 1 weighs -inf; counts landing on ZERO are dropped.  Decoding
+# runs the same graph and prices under the max semiring.
 
-_INIT, _FINAL, _TRANS = 0, 1, 2
-_KIND = {"init": _INIT, "final": _FINAL, "trans": _TRANS}
-_SIDE = {LEFT: 0, RIGHT: 1}
+_UNTRAINED = "tag %r has no DMV parameters: the model was not trained on it"
 
 
 def _chart_forest(tags, sent, policy=None, blocked=()):
@@ -292,9 +283,9 @@ def _chart_forest(tags, sent, policy=None, blocked=()):
 
 
 def _decision_logw(space, params):
-    """Log-weight of every decision of ``space`` under ``params``, with the
-    same expressions as ``sbg.dmv_sentence_automata``, then the 0 and -inf
-    slots."""
+    """Log-weight of every decision of ``space`` under ``params``: the log
+    of its probability (-inf for zero), a continue decision's probability
+    being one minus its stop's; then the 0 and -inf slots."""
     out = []
     try:
         for field, key in space.keys:
@@ -308,17 +299,8 @@ def _decision_logw(space, params):
                 p = params.root.get(key, 0.0)
             out.append(sbg._log(p))
     except KeyError:
-        raise ValueError("tag %r has no DMV parameters: the model was not "
-                         "trained on it" % (key[0],)) from None
+        raise ValueError(_UNTRAINED % (key[0],)) from None
     return np.array(out + [0.0, NEG_INF])
-
-
-def _event_fields(forest):
-    """(kind, side, head, source state, dependent) of every event of a DMV
-    chart forest as int rows; the dependent is 0 when there is none."""
-    rows = [(_KIND[ev[2]], _SIDE[ev[0]], ev[1], ev[3],
-             ev[5] if ev[2] == "trans" else 0) for ev in forest.events]
-    return np.array(rows, dtype=np.intp).reshape(-1, 5).T
 
 
 class CorpusGraph:
@@ -338,30 +320,39 @@ class CorpusGraph:
         self.log_mult = np.log([float(mult) for _, mult in groups])
         zero = space.n_decisions
         tag_id, attach_at, stop_at, cont_at, root_at = tables
-        fields = {}
-        parts = []
-        for (tags, _), forest in zip(groups, forests):
-            if id(forest) not in fields:
-                fields[id(forest)] = _event_fields(forest)
-            kind, side, h, q, d = fields[id(forest)]
-            tid = np.array([tag_id[t] for t in tags] + [-1], dtype=np.intp)
-            ht, dt, adj = tid[h - 1], tid[d - 1], (q != 0).astype(np.intp)
-            real = h <= len(tags)
-            trans, final = real & (kind == _TRANS), real & (kind == _FINAL)
-            root = ~real & (kind == _TRANS)
-            a = np.full(len(kind), zero)
-            b = np.full(len(kind), zero)
-            a[trans] = attach_at[ht[trans], side[trans], dt[trans]]
-            b[trans] = cont_at[ht[trans], side[trans], adj[trans]]
-            a[final] = stop_at[ht[final], side[final], adj[final]]
-            a[root] = root_at[dt[root]]
-            parts.append((a, b, np.where(trans, np.abs(h - d), 0), ht, d,
-                          trans, final, root))
+        sizes = [len(f.events) for f in forests]
+        kind, side, h, q, d = np.concatenate(
+            [sbg._event_fields(f) for f in forests], axis=1)
+        # each group's tag ids from position 0 to n+1, with -1 at 0 (no
+        # dependent) and at the root position n+1
+        try:
+            tids = [t for tags, _ in groups
+                    for t in (-1, *[tag_id[tag] for tag in tags], -1)]
+        except KeyError as exc:
+            raise ValueError(_UNTRAINED % (exc.args[0],)) from None
+        lengths = np.array([len(tags) for tags, _ in groups], dtype=np.intp)
+        pos = np.repeat(np.cumsum(lengths + 2) - lengths - 2, sizes)
+        tids = np.array(tids, dtype=np.intp)
+        ht, dt, adj = tids[pos + h], tids[pos + d], (q != 0).astype(np.intp)
+        real = h <= np.repeat(lengths, sizes)
+        trans = real & (kind == sbg._TRANS)
+        final = real & (kind == sbg._FINAL)
+        root = ~real & (kind == sbg._TRANS)
+        a = np.full(len(kind), zero)
+        b = np.full(len(kind), zero)
+        a[trans] = attach_at[ht[trans], side[trans], dt[trans]]
+        b[trans] = cont_at[ht[trans], side[trans], adj[trans]]
+        a[final] = stop_at[ht[final], side[final], adj[final]]
+        a[root] = root_at[dt[root]]
         self.forest = hypergraph.disjoint_union(forests)
-        (self.count_a, self.count_b, self.dist, self._head_tag, self._dep,
-         self._trans, self._final, self._root) = (
-            np.concatenate(col) for col in zip(*parts))
-        self._event_base = np.cumsum([0] + [len(f.events) for f in forests])
+        self.count_a, self.count_b = a, b
+        self.dist = np.where(trans, np.abs(h - d), 0)
+        self._head_tag, self._dep, self._trans, self._final, self._root = (
+            ht, d, trans, final, root)
+        # an arc's head position, 0 for the root
+        self._head = np.where(real, h, 0)
+        self._lengths = lengths.tolist()
+        self._event_base = np.cumsum([0] + sizes)
         self._count_at = np.concatenate((self.count_a, self.count_b))
         self._n_decisions = zero
         self._tag_id = tag_id
@@ -371,8 +362,9 @@ class CorpusGraph:
         """Log-weight of every event, given the decision log-weights
         ``logw`` (``_decision_logw``), constraint set ``cs`` and length
         bias beta: each event weighs ``logw[a] + logw[b]`` over its two
-        pricing decisions, plus -beta * (|h - d| - 1) for a real-head
-        transition, as in ``sbg.dmv_sentence_automata``."""
+        pricing decisions (``_price_maps``), plus -beta * (|h - d| - 1) for
+        a real-head transition, so the root arc and adjacent arcs carry no
+        bias.  The E-step and decoding both price events here."""
         a, b = self._price_maps(cs)
         eventw = logw[a] + logw[b]
         if length_bias:
@@ -422,6 +414,14 @@ class CorpusGraph:
                 loglik += mult * z
         return counts[:self._n_decisions], loglik, skipped
 
+    def viterbi(self, eventw):
+        """The heads of the best tree of every group under event
+        log-weights ``eventw``, as ``sbg.forest_viterbi`` decodes one
+        forest: ties prefer the smaller sorted arc list.  Raises ValueError
+        when a group has no derivation of nonzero weight."""
+        return sbg._viterbi_heads(self.forest, eventw, self._dep, self._head,
+                                  self._lengths)
+
 
 def _decision_tables(space):
     """The tag ids of ``space`` and its decision ids by tag and side ids:
@@ -435,12 +435,12 @@ def _decision_tables(space):
     root_at = np.zeros(t, dtype=np.intp)
     for e, (field, key) in enumerate(space.keys):
         if field == "attach":
-            attach_at[tag_id[key[0]], _SIDE[key[1]], tag_id[key[2]]] = e
+            attach_at[tag_id[key[0]], sbg._SIDE[key[1]], tag_id[key[2]]] = e
         elif field == "root":
             root_at[tag_id[key]] = e
         else:
             table = stop_at if field == "stop" else cont_at
-            table[tag_id[key[0]], _SIDE[key[1]], 0 if key[2] else 1] = e
+            table[tag_id[key[0]], sbg._SIDE[key[1]], 0 if key[2] else 1] = e
     return tag_id, attach_at, stop_at, cont_at, root_at
 
 
@@ -461,14 +461,17 @@ class CorpusGroups:
         self._key = None
         self._graph = None
 
-    def graph(self, policy=None, blocked_tags=frozenset()):
-        """The corpus graph of every group over the charts of (policy,
-        blocked tags)."""
-        key = (policy, blocked_tags)
+    def graph(self, policy=None, cs=None):
+        """The corpus graph of every group over the charts of ``policy``
+        and the positions ``cs`` blocks (``ConstraintSet.blocked_positions``;
+        None blocks none).  The other constraints of ``cs`` act on prices,
+        not on the graph."""
+        cs = cs or ConstraintSet()
+        key = (policy, cs.must_head_tags)
         if key != self._key:
             self._graph = None  # the old graph's arrays go before the new
             self._graph = CorpusGraph(
-                self.groups, _forests(self.groups, policy, blocked_tags),
+                self.groups, _forests(self.groups, policy, cs),
                 self.space, self._tables)
             self._key = key
         return self._graph
@@ -479,7 +482,7 @@ class CorpusGroups:
         if not self.groups:
             return np.zeros(self.space.n_decisions), 0.0, 0
         logw = _decision_logw(self.space, params)
-        graph = self.graph(policy, cs.must_head_tags)
+        graph = self.graph(policy, cs)
         return graph.expectations(graph.prices(logw, cs, length_bias))
 
     def harmonic(self):
@@ -494,9 +497,9 @@ class CorpusGroups:
         return graph.expectations(np.array(logw)[graph.dist])[0]
 
 
-def _forests(groups, policy, blocked_tags):
-    """The cached chart forest of every group under (policy, blocked
-    tags)."""
+def _forests(groups, policy, cs):
+    """The cached chart forest of every group under ``policy`` and the
+    positions ``cs`` blocks."""
     structure = {}
     forests = []
     for tags, _ in groups:
@@ -505,9 +508,8 @@ def _forests(groups, policy, blocked_tags):
             # a forest depends on the automata's structure alone
             structure[n] = sbg.weighted_sentence_automata(
                 tags, lambda h, d: 0.0, lambda d: 0.0)
-        blocked = frozenset(i + 1 for i, t in enumerate(tags)
-                            if t in blocked_tags)
-        forests.append(_chart_forest(tags, structure[n], policy, blocked))
+        forests.append(_chart_forest(tags, structure[n], policy,
+                                     cs.blocked_positions(tags)))
     return forests
 
 
@@ -687,13 +689,19 @@ def decode_constrained(params, corpus, cs, policy=None, length_bias=None):
 
 def _viterbi_trees(params, corpus, cs, policy=None, length_bias=None):
     # the body of both decoders, so that timing either public function
-    # never counts the other's calls inside it
-    out = []
-    for tags in sbg._tag_sequences(corpus):
-        sent, blocked = apply_constraints(params, tags, cs, length_bias)
-        out.append(sbg.forest_viterbi(
-            _chart_forest(tags, sent, policy, blocked), sent, tags))
-    return out
+    # never counts the other's calls inside it.  One max pass runs over the
+    # corpus graph of the distinct tag sequences, priced as in the E-step
+    # over the FeatureSpace of the model's tagset.
+    corpus = list(sbg._tag_sequences(corpus))
+    if not corpus:
+        return []
+    groups = CorpusGroups(corpus_groups(corpus), FeatureSpace(params.root))
+    graph = groups.graph(policy, cs)
+    eventw = graph.prices(_decision_logw(groups.space, params), cs,
+                          length_bias)
+    trees = {tags: tree_from_heads(heads, tags=tags) for (tags, _), heads
+             in zip(groups.groups, graph.viterbi(eventw))}
+    return [trees[tags] for tags in corpus]
 
 
 def evaluate_uas(predicted, gold, punct_tags=DEFAULT_PUNCT_TAGS):

@@ -340,7 +340,7 @@ def lc_inside(tags, sent, policy=None, semiring="logsum", forest=None,
 
     "logsum" gives the log marginal, "count" the number of derivations
     (= admissible trees when each machine has at most one accepting walk per
-    dependent set), "max" the best log-weight.
+    dependent set).
     """
     if forest is None:
         forest = lc_forest(sent, policy, blocked)

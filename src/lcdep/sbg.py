@@ -11,14 +11,14 @@ The module provides
 * tag-level automata and the dependency-model-with-valence (DMV)
   instantiation, where each side has two states (no dependents yet /
   at least one) so stop decisions can condition on adjacency; its one
-  builder, ``dmv_sentence_automata``, also folds the induction constraints
-  that act on weights (function-word stops, root restrictions, the length
-  bias) into the same loop;
+  builder is ``dmv_sentence_automata``, which prices the plain model (the
+  induction constraints are priced on the corpus graph of ``induction``);
 * exhaustive oracles that score a single tree or enumerate all projective
   trees (used to validate the charts);
 * an O(n^3) head-split chart;
 * the passes every chart shares, each taking a built forest: inside
-  (log-sum, count or max), expected event counts, and Viterbi trees;
+  (log-sum or count), expected event counts, and Viterbi trees, the last
+  also over a disjoint union of forests, one tree per goal;
 * the one forest cache, which holds the forests of both charts;
 * the DMV decision counts an E-step returns (``DmvCounts``).
 
@@ -174,8 +174,8 @@ class SentenceAutomata:
         dependent in lo..hi must enter q.
 
         Reads structure only, never weights: a -inf transition still
-        counts, so what the charts prune does not depend on the restrictions
-        ``dmv_sentence_automata`` folds into the weights.
+        counts, so what the charts prune does not depend on the weights,
+        and one forest serves every pricing of a topology.
         """
         if lo > hi:
             return q in self._init[side, h]
@@ -206,20 +206,12 @@ def _add_root_machine(sent, n, root_logw):
     sent.add_machine(LEFT, n + 1, {ROOT_STATE0: 0.0}, {ROOT_STATE1: 0.0}, trans)
 
 
-def dmv_sentence_automata(tags, params, stop_one_tags=frozenset(),
-                          root_allowed=None, length_bias=None):
+def dmv_sentence_automata(tags, params):
     """DMV automata over one sentence: two states per side, adjacency split.
 
-    Three restrictions fold into the weights, never into the transition
-    structure, so one cached forest still serves every sentence of a length:
-    heads whose tag is in ``stop_one_tags`` stop with probability one, so
-    they head nothing; root transitions to positions outside
-    ``root_allowed`` (None allows all) get weight zero; and a length bias
-    beta adds -beta * (|h - d| - 1) to every real-head transition, leaving
-    the root arc and adjacent arcs unpenalized.
+    A tag without DMV parameters raises ValueError naming it.
     """
     n = len(tags)
-    beta = float(length_bias) if length_bias else None
     sent = SentenceAutomata(n, topology_key=("dmv", n))
     for h in range(1, n + 1):
         ht = tags[h - 1]
@@ -234,30 +226,17 @@ def dmv_sentence_automata(tags, params, stop_one_tags=frozenset(),
                     "tag %r (token %d) has no DMV parameters: the model was "
                     "not trained on it" % (ht, h)
                 ) from None
-            if ht in stop_one_tags:
-                stop_adj = stop_non = 1.0
             final = {0: _log(stop_adj), 1: _log(stop_non)}
             cont_adj = _log(1.0 - stop_adj)
             cont_non = _log(1.0 - stop_non)
             trans = []
             for d in deps:
                 att = _log(attach.get(tags[d - 1], 0.0))
-                w_adj = att + cont_adj
-                w_non = att + cont_non
-                if beta is not None:
-                    bias = -beta * (abs(h - d) - 1)
-                    w_adj += bias
-                    w_non += bias
-                trans.append((0, d, 1, w_adj))
-                trans.append((1, d, 1, w_non))
+                trans.append((0, d, 1, att + cont_adj))
+                trans.append((1, d, 1, att + cont_non))
             sent.add_machine(side, h, {0: 0.0}, final, trans)
-
-    def root_logw(d):
-        if root_allowed is not None and d not in root_allowed:
-            return NEG_INF
-        return _log(params.root.get(tags[d - 1], 0.0))
-
-    _add_root_machine(sent, n, root_logw)
+    _add_root_machine(
+        sent, n, lambda d: _log(params.root.get(tags[d - 1], 0.0)))
     return sent
 
 
@@ -570,7 +549,7 @@ def eisner_forest(tags, sent, memo=None):
 
 def eisner_inside(tags, sent, semiring="logsum", forest=None):
     """``forest_inside`` over the cubic chart: the log marginal over
-    projective trees, their number, or the best log-weight."""
+    projective trees, or their number."""
     if forest is None:
         forest = eisner_forest(tags, sent)
     return forest_inside(forest, sent, semiring)
@@ -644,61 +623,76 @@ def _cached_forest(chart, sent, policy, blocked, build):
 # passes over a forest of either chart
 
 
-# forest -> its edge_arcs callable (a forest serves one sentence length n),
-# dropped with the forest
-_EDGE_ARCS = weakref.WeakKeyDictionary()
+# event kinds and sides as ``_event_fields`` numbers them
+_INIT, _FINAL, _TRANS = 0, 1, 2
+_KIND = {"init": _INIT, "final": _FINAL, "trans": _TRANS}
+_SIDE = {LEFT: 0, RIGHT: 1}
+
+# forest -> its _event_fields, dropped with the forest
+_EVENT_FIELDS = weakref.WeakKeyDictionary()
 
 
-def _arcs_of_edge(forest, n):
-    """Callable edge id -> tuple of the (dependent, head) arcs its
-    transition events add, head 0 for the root.  Each edge's arcs are
-    read from the edge -> event CSR once per forest, on first use, so tied
-    Viterbi heads of a cached forest pay a list lookup per edge."""
-    edge_arcs = _EDGE_ARCS.get(forest)
-    if edge_arcs is not None:
-        return edge_arcs
-    ptr = forest.event_ptr.tolist()
-    flat = forest.event_flat.tolist()
-    arc_of = [
-        (ev[5], 0 if ev[1] == n + 1 else ev[1]) if ev[2] == "trans" else None
-        for ev in forest.events
-    ]
-    memo = [None] * forest.n_edges
+def _event_fields(forest):
+    """(kind, side, head, source state, dependent) of every event of a chart
+    forest as int rows; the dependent is 0 when there is none.  Read from
+    the event tuples once per forest."""
+    fields = _EVENT_FIELDS.get(forest)
+    if fields is None:
+        rows = [(_KIND[ev[2]], _SIDE[ev[0]], ev[1], ev[3],
+                 ev[5] if ev[2] == "trans" else 0) for ev in forest.events]
+        fields = _EVENT_FIELDS[forest] = np.array(
+            rows, dtype=np.intp).reshape(-1, 5).T
+    return fields
+
+
+def _edge_arcs(forest, dep, head):
+    """Callable edge id -> tuple of the (dependent, head) arcs of the
+    edge's events, given each event's ``dep`` (0 for no arc) and ``head``.
+    Only heads with tied edges ask, so an edge's events are read from the
+    edge -> event CSR when it is asked for."""
+    ptr, flat = forest.event_ptr, forest.event_flat
+    arc_of = [(d, h) if d else None
+              for d, h in zip(dep.tolist(), head.tolist())]
 
     def edge_arcs(e):
-        arcs = memo[e]
-        if arcs is None:
-            arcs = memo[e] = tuple(arc_of[k] for k in flat[ptr[e]:ptr[e + 1]]
-                                   if arc_of[k] is not None)
-        return arcs
+        return tuple(arc_of[k] for k in flat[ptr[e]:ptr[e + 1]].tolist()
+                     if arc_of[k] is not None)
 
-    _EDGE_ARCS[forest] = edge_arcs
     return edge_arcs
 
 
-def _heads_from_edges(forest, edges, n):
-    heads = [None] * n
-    edge_arcs = _arcs_of_edge(forest, n)
-    for e in edges:
-        for d, h in edge_arcs(e):
-            heads[d - 1] = h
-    if any(h is None for h in heads):
-        raise ValueError("incomplete derivation: %r" % (heads,))
-    return tuple(heads)
-
-
-def _inside_max(forest, sent):
-    """(scores, best edges) of the max pass; ties go to the smaller arc
-    list."""
-    eventw = forest.event_weights(sent.event_logw)
-    return hypergraph.inside_max(forest, eventw, _arcs_of_edge(forest, sent.n))
+def _viterbi_heads(forest, eventw, dep, head, lengths):
+    """The heads of the best derivation of every goal of ``forest`` (one
+    forest, or a ``hypergraph.disjoint_union`` of forests) under event
+    log-weights ``eventw``; goal g has ``lengths[g]`` tokens, and event k
+    adds the arc (``dep[k]``, ``head[k]``), head 0 for the root, or no arc
+    when ``dep[k]`` is 0.  Ties prefer the arc list whose sorted
+    (dependent, head) pairs are lexicographically smaller.  Raises
+    ValueError when a goal has no derivation of nonzero weight."""
+    scores, best = hypergraph.inside_max(forest, eventw,
+                                         _edge_arcs(forest, dep, head))
+    ptr, flat = forest.event_ptr, forest.event_flat
+    out = []
+    for goal, n in zip(forest.goal_ids.tolist(), lengths):
+        if not scores[goal] > NEG_INF:  # -inf, or NaN from NaN weights
+            raise ValueError("no derivation has nonzero weight")
+        edges = np.array(hypergraph.backtrace(forest, best, goal),
+                         dtype=np.intp)
+        evs = flat[hypergraph._ranges(ptr[edges], ptr[edges + 1] - ptr[edges])]
+        evs = evs[dep[evs] > 0]
+        heads = np.full(n, -1, dtype=np.intp)
+        heads[dep[evs] - 1] = head[evs]
+        if (heads < 0).any():
+            raise ValueError("incomplete derivation: %r" % (heads.tolist(),))
+        out.append(tuple(heads.tolist()))
+    return out
 
 
 def forest_inside(forest, sent, semiring="logsum"):
     """(per-item values, goal value) of the forest priced by ``sent``.
 
     "logsum" gives the log marginal over the forest's derivations, "count"
-    their exact number, "max" the best log-weight.
+    their exact number; ``forest_viterbi`` runs the max semiring.
     """
     if semiring == "count":
         values = hypergraph.inside_count(forest)
@@ -706,8 +700,6 @@ def forest_inside(forest, sent, semiring="logsum"):
     if semiring == "logsum":
         values = hypergraph.inside_logsum(
             forest, forest.event_weights(sent.event_logw))
-    elif semiring == "max":
-        values, _ = _inside_max(forest, sent)
     else:
         raise ValueError("unknown semiring %r" % semiring)
     return values, float(values[forest.goal_id])
@@ -726,11 +718,10 @@ def forest_expected_counts(forest, sent):
 def forest_viterbi(forest, sent, tags):
     """Best tree of the forest as a DepTree; ties prefer the arc list whose
     sorted (dependent, head) pairs are lexicographically smaller."""
-    scores, best = _inside_max(forest, sent)
-    if not scores[forest.goal_id] > NEG_INF:  # -inf, or NaN from NaN weights
-        raise ValueError("no derivation has nonzero weight")
-    edges = hypergraph.backtrace(forest, best)
-    heads = _heads_from_edges(forest, edges, len(tags))
+    _, _, head, _, dep = _event_fields(forest)
+    [heads] = _viterbi_heads(forest, forest.event_weights(sent.event_logw),
+                             dep, np.where(head == sent.n + 1, 0, head),
+                             [len(tags)])
     return tree_from_heads(heads, tags=tags)
 
 

@@ -310,7 +310,7 @@ def test_criterion_08_length_bias_is_an_exact_reweighting():
         params = sbg.random_dmv_params(VOCAB, rng)
         plain = sbg.dmv_sentence_automata(tags, params)
         for beta in (0.1, 1.0):
-            biased, blocked = induction.apply_constraints(params, tags, cs, length_bias=beta)
+            biased, blocked = util.apply_constraints(params, tags, cs, length_bias=beta)
             assert blocked == frozenset()
             for heads in projective_trees(n):
                 dist = sum(

@@ -1,9 +1,12 @@
-"""The corpus-graph E-step pinned to the per-sentence reference.
+"""The corpus-graph E-step and decoders pinned to the per-sentence
+reference.
 
 At fixed parameters ``induction.estep`` and ``induction.harmonic_counts``
 must agree with ``tests/util.py``'s sentence-at-a-time E-step: counts and
 log-likelihood within 1e-9 and equal skipped counts, under every chart and
-constraint configuration.
+constraint configuration.  ``induction.decode`` and
+``induction.decode_constrained`` must give the trees of
+``util.reference_decode``, tie-break included, or fail on the same input.
 """
 
 import math
@@ -49,6 +52,15 @@ def corpus_groups(seed, n_sent=14, max_len=7):
     return induction.corpus_groups(corpus)
 
 
+def decoded(decoder, *args):
+    """The trees ``decoder(*args)`` gives, or the message of the ValueError
+    it raises."""
+    try:
+        return decoder(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 def assert_estep_close(got, want, tol=1e-9):
     counts, loglik, skipped = got
     want_counts, want_loglik, want_skipped = want
@@ -78,6 +90,65 @@ def test_estep_matches_the_per_sentence_reference(chart, constraint):
     assert induction.estep(reused, params, cs, policy, beta) == first
 
 
+@pytest.mark.parametrize("weights", ["random", "uniform"])
+@pytest.mark.parametrize("constraint", sorted(CONSTRAINTS))
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_decoding_matches_the_per_sentence_reference(chart, constraint,
+                                                     weights):
+    # uniform weights give every tree of a sentence one weight (up to
+    # rounding), so the lexicographic tie-break picks the trees
+    cs, beta = CONSTRAINTS[constraint]
+    policy = CHARTS[chart]
+    rng = random.Random("%s %s %s" % (chart, constraint, weights))
+    params = (sbg.uniform_dmv_params(TAGSET) if weights == "uniform"
+              else sbg.random_dmv_params(TAGSET, rng))
+    corpus = [tags for tags, mult in corpus_groups(rng.random())
+              for _ in range(mult)]
+    rng.shuffle(corpus)
+    decodable = []
+    for tags in corpus:
+        want = decoded(util.reference_decode, params, [tags], cs, policy,
+                       beta)
+        assert decoded(induction.decode_constrained, params, [tags], cs,
+                       policy, beta) == want
+        if isinstance(want, list):
+            decodable.append(tags)
+    assert len(decodable) > len(corpus) // 2
+    assert induction.decode_constrained(params, decodable, cs, policy,
+                                        beta) == util.reference_decode(
+        params, decodable, cs, policy, beta)
+    assert induction.decode(params, corpus) == util.reference_decode(
+        params, corpus, induction.ConstraintSet())
+
+
+def test_decoding_an_empty_corpus_gives_no_trees():
+    params = sbg.uniform_dmv_params(TAGSET)
+    cs = induction.ConstraintSet(must_head_tags=frozenset({"ADP"}))
+    assert induction.decode(params, []) == []
+    assert induction.decode_constrained(params, [], cs, DepthPolicy(1, 3),
+                                        0.5) == []
+
+
+def test_repeated_sequences_are_decoded_once_in_input_order(monkeypatch):
+    graphs = []
+    graph = induction.CorpusGraph
+
+    def recording(groups, *args):
+        graphs.append(groups)
+        return graph(groups, *args)
+
+    monkeypatch.setattr(induction, "CorpusGraph", recording)
+    a, b, c = ("NOUN", "VERB"), ("DET", "NOUN", "VERB"), ("VERB",)
+    corpus = [b, a, b, c, a, b]
+    params = sbg.random_dmv_params(TAGSET, random.Random(23))
+    trees = induction.decode(params, corpus)
+    [groups] = graphs
+    assert sorted(tags for tags, _ in groups) == sorted({a, b, c})
+    assert [tree.tags for tree in trees] == corpus
+    assert trees == util.reference_decode(params, corpus,
+                                          induction.ConstraintSet())
+
+
 def test_event_weights_equal_the_priced_automata_exactly():
     cs = induction.ConstraintSet(stop_one_tags=frozenset({"DET"}),
                                  root_mode="verb-or-noun")
@@ -89,7 +160,7 @@ def test_event_weights_equal_the_priced_automata_exactly():
                        0.5)
     want = []
     for tags, _ in groups:
-        sent, blocked = induction.apply_constraints(params, tags, cs, 0.5)
+        sent, blocked = util.apply_constraints(params, tags, cs, 0.5)
         forest = induction._chart_forest(tags, sent, DepthPolicy(1, 3),
                                          blocked)
         want.append(forest.event_weights(sent.event_logw))
@@ -107,6 +178,10 @@ def test_a_group_without_constrained_mass_is_skipped():
         assert got[2] == 2
         assert_estep_close(got, util.reference_estep(groups, params, cs,
                                                      policy))
+        for decoder in (induction.decode_constrained, util.reference_decode):
+            with pytest.raises(ValueError,
+                               match="no derivation has nonzero weight"):
+                decoder(params, [("ADP",)], cs, policy)
 
 
 def _params_with(value, tags=TAGSET):
@@ -139,6 +214,18 @@ def test_degenerate_weights_behave_as_the_reference(chart, value, tags,
         assert got[2] == sum(mult for _, mult in groups)
         assert got[1] == 0.0
         assert not any(getattr(got[0], field) for field in FIELDS)
+    # decoding the corpus, and each sentence alone, gives the reference's
+    # trees or fails as it does
+    corpus = [seq for seq, _ in groups]
+    for sentences in [corpus] + [[seq] for seq in corpus]:
+        want = decoded(util.reference_decode, params, sentences, cs,
+                       CHARTS[chart])
+        assert want == "no derivation has nonzero weight" or (
+            isinstance(want, list) and tags != TAGSET)
+        assert decoded(induction.decode_constrained, params, sentences, cs,
+                       CHARTS[chart]) == want
+        assert decoded(induction.decode, params, sentences) == decoded(
+            util.reference_decode, params, sentences, cs)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -153,7 +240,8 @@ def test_nan_event_weights_skip_every_group(chart, recwarn):
         np.full(len(graph.forest.events), np.nan))
     assert skipped == sum(mult for _, mult in groups)
     assert loglik == 0.0 and not counts.any()
-    for forest in induction._forests(groups, CHARTS[chart], frozenset()):
+    for forest in induction._forests(groups, CHARTS[chart],
+                                     induction.ConstraintSet()):
         logz, _ = hypergraph.event_posteriors(
             forest, np.full(len(forest.events), np.nan))
         assert math.isnan(logz)

@@ -254,6 +254,23 @@ def test_level_passes_match_sequential_references(case):
     assert np.array_equal(scores, ref_scores, equal_nan=True)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(random_forests(), min_size=1, max_size=4))
+def test_disjoint_union_matches_the_sorted_reference(cases):
+    # forests whose goal is dead have no edges; the union keeps their goals
+    forests = [hypergraph.build_forest(goal, expand)
+               for expand, goal, _ in cases]
+    union = hypergraph.disjoint_union(forests)
+    ref = util.reference_disjoint_union(forests)
+    assert union.items == ref.items
+    assert union.events == ref.events
+    for name in ("item_level", "edge_head", "edge_tail", "event_ptr",
+                 "event_flat", "group_head", "group_ptr", "level_ptr"):
+        assert np.array_equal(getattr(union, name), getattr(ref, name)), name
+    bases = np.cumsum([0] + [f.n_items for f in forests[:-1]])
+    assert union.goal_ids.tolist() == bases.tolist()
+
+
 def test_nan_weight_cut_off_from_the_goal_gets_no_count():
     # H is derivable but only used next to the dead item D, so the NaN
     # event below it never reaches the goal

@@ -238,7 +238,7 @@ def test_length_bias_rescales_every_tree_exactly(n, beta):
     params = sbg.random_dmv_params(("N", "V"), rng)
     tags = tuple(rng.choice(("N", "V")) for _ in range(n))
     plain = sbg.dmv_sentence_automata(tags, params)
-    biased, blocked = induction.apply_constraints(
+    biased, blocked = util.apply_constraints(
         params, tags, induction.ConstraintSet(), length_bias=beta
     )
     assert blocked == frozenset()
@@ -258,7 +258,7 @@ def test_length_bias_keeps_all_adjacent_trees_unchanged():
     params = sbg.random_dmv_params(("N",), rng)
     tags = ("N", "N", "N")
     plain = sbg.dmv_sentence_automata(tags, params)
-    biased, _ = induction.apply_constraints(
+    biased, _ = util.apply_constraints(
         params, tags, induction.ConstraintSet(), length_bias=1.0
     )
     heads = (2, 3, 0)  # chain: every arc adjacent
@@ -278,7 +278,7 @@ def test_function_word_constraint_zeroes_headed_analyses():
     params = sbg.random_dmv_params(TAGSET, rng)
     cs = induction.ConstraintSet(stop_one_tags=frozenset({"DET"}))
     tags = ("DET", "NOUN")
-    sent, blocked = induction.apply_constraints(params, tags, cs)
+    sent, blocked = util.apply_constraints(params, tags, cs)
     assert blocked == frozenset()
     # DET heading NOUN is gone; NOUN heading DET survives
     assert sbg.tree_log_weight((0, 1), tags, sent) == NEG_INF
@@ -311,7 +311,7 @@ def test_root_constraint_removes_other_roots_from_the_chart():
     params = sbg.random_dmv_params(TAGSET, rng)
     tags = ("DET", "VERB", "NOUN")
     cs = induction.ConstraintSet(root_mode="verb-otherwise-noun")
-    sent, _ = induction.apply_constraints(params, tags, cs)
+    sent, _ = util.apply_constraints(params, tags, cs)
     for heads in projective_trees(3):
         root = heads.index(0) + 1
         w = sbg.tree_log_weight(heads, tags, sent)
@@ -363,7 +363,7 @@ def test_constrained_automata_equal_each_restriction_applied_by_hand(seed):
                 cs = induction.ConstraintSet(
                     stop_one_tags=frozenset(stop_one), root_mode=mode)
                 for beta in (None, 0.5, 2.0):
-                    sent, _ = induction.apply_constraints(
+                    sent, _ = util.apply_constraints(
                         params, tags, cs, beta)
                     got = (sent._init, sent._final, sent._fwd, sent._rev)
                     assert got == _restricted_by_hand(plain, tags, cs, beta)
@@ -433,7 +433,7 @@ def test_unbounded_unblocked_e_step_and_decode_match_the_lc_chart(
     cs = induction.ConstraintSet(stop_one_tags=frozenset(function_words),
                                  root_mode=root_mode)
     for tags in random_corpus(rng, n_sent=8, max_len=7):
-        sent, blocked = induction.apply_constraints(params, tags, cs, beta)
+        sent, blocked = util.apply_constraints(params, tags, cs, beta)
         assert not blocked
         try:
             want = lc_chart.lc_viterbi(tags, sent, DepthPolicy()).heads

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from lcdep import sbg
+from lcdep import induction, sbg
 from lcdep.exhaustive import projective_trees
 from lcdep.hypergraph import NEG_INF
 from tests import util
@@ -224,7 +224,8 @@ def test_length_bias_applies_arc_bias():
     tags = random_tags(4, rng)
     sent = sbg.dmv_sentence_automata(tags, params)
     beta = 0.7
-    biased = sbg.dmv_sentence_automata(tags, params, length_bias=beta)
+    biased, _ = util.apply_constraints(params, tags,
+                                       induction.ConstraintSet(), beta)
     for heads in projective_trees(4):
         base = sbg.tree_log_weight(heads, tags, sent)
         expect = base - beta * sum(

@@ -385,6 +385,26 @@ def reference_build_forest(goal, expand):
                   (head, tail0, tail1, n_ev, flat))
 
 
+def reference_disjoint_union(forests):
+    """The forests side by side, their edges concatenated in forest order
+    and sorted by ``hypergraph.Forest``'s constructor: the reference for
+    the sort-free layout of ``hypergraph.disjoint_union``."""
+    item_base = np.cumsum([0] + [f.n_items for f in forests])
+    event_base = np.cumsum([0] + [len(f.events) for f in forests])
+    sentinel = item_base[-1]
+    cat = np.concatenate
+    tails = cat([np.where(f.edge_tail == f.sentinel, sentinel,
+                          f.edge_tail + b)
+                 for f, b in zip(forests, item_base)], axis=1)
+    return hypergraph.Forest(
+        None, [it for f in forests for it in f.items],
+        [ev for f in forests for ev in f.events],
+        cat([f.item_level for f in forests]),
+        (cat([f.edge_head + b for f, b in zip(forests, item_base)]),
+         tails[0], tails[1], cat([np.diff(f.event_ptr) for f in forests]),
+         cat([f.event_flat + b for f, b in zip(forests, event_base)])))
+
+
 def edges_by_head(forest):
     """item -> [(tail items, event tuples)] of its edges, in edge order."""
     out = {}
@@ -540,8 +560,9 @@ def reference_event_posteriors(forest, eventw):
 
 
 # ---------------------------------------------------------------------------
-# The E-step one sentence at a time: the reference the corpus graphs of
-# ``induction.estep`` and ``induction.harmonic_counts`` are checked against
+# The E-step and decoding one sentence at a time: the reference the corpus
+# graphs of ``induction.estep``, ``induction.harmonic_counts`` and the
+# decoders are checked against
 
 
 def dmv_counts_from_events(event_counts, tags):
@@ -579,13 +600,57 @@ def merge_counts(total, other, mult=1):
     return total
 
 
+def apply_constraints(params, tags, cs, length_bias=None):
+    """One sentence's DMV automata with the weight restrictions of ``cs``
+    and the length bias folded in, the reference for the prices of
+    ``induction.CorpusGraph``: returns (automata, blocked positions).
+
+    A tag of ``cs.stop_one_tags`` stops with probability one, and a tag at
+    none of the positions ``cs.root_allowed`` gives has root probability
+    zero; then every real-head transition gains -beta * (|h - d| - 1),
+    which leaves the root arc and adjacent arcs as they are.
+    """
+    allowed = cs.root_allowed(tags)
+    root_tags = (set(params.root) if allowed is None
+                 else {tags[d - 1] for d in allowed})
+    restricted = DmvParams(
+        attach=params.attach,
+        stop={key: 1.0 if key[0] in cs.stop_one_tags else p
+              for key, p in params.stop.items()},
+        root={t: p if t in root_tags else 0.0
+              for t, p in params.root.items()})
+    sent = dmv_sentence_automata(tags, restricted)
+    n = len(tags)
+    pairs = ([(side, h) for h in range(1, n + 1) for side in (LEFT, RIGHT)]
+             if length_bias else [])
+    for side, h in pairs:
+        deps = range(1, h) if side == LEFT else range(h + 1, n + 1)
+        trans = [(q, d, r, w + -length_bias * (abs(h - d) - 1))
+                 for d in deps for q in (0, 1)
+                 for r, w in sent.steps(side, h, q, d)]
+        sent.add_machine(side, h, sent.init_states(side, h),
+                         sent.final_states(side, h), trans)
+    return sent, cs.blocked_positions(tags)
+
+
+def reference_decode(params, corpus, cs, policy=None, length_bias=None):
+    """Viterbi trees one sentence at a time, each from its own priced
+    automata (``apply_constraints``) and cached forest: the reference for
+    ``induction.decode`` and ``induction.decode_constrained``."""
+    out = []
+    for tags in _tag_sequences(corpus):
+        sent, blocked = apply_constraints(params, tags, cs, length_bias)
+        forest = induction._chart_forest(tags, sent, policy, blocked)
+        out.append(sbg.forest_viterbi(forest, sent, tags))
+    return out
+
+
 def reference_sentence_expectations(tags, params, cs, policy=None,
                                     length_bias=None):
     """(DmvCounts, log marginal) of one sentence from its own priced
     automata and cached forest, or (None, -inf) when the constraints leave
     no admissible analysis."""
-    sent, blocked = induction.apply_constraints(params, tags, cs,
-                                                length_bias)
+    sent, blocked = apply_constraints(params, tags, cs, length_bias)
     forest = induction._chart_forest(tags, sent, policy, blocked)
     events, logz = sbg.forest_expected_counts(forest, sent)
     if logz == NEG_INF or math.isnan(logz):
