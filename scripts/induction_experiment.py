@@ -48,7 +48,6 @@ def main(argv=None):
     ap.add_argument("--pos-column", type=int, default=3)
     ap.add_argument("--max-len", type=int, default=15)
     ap.add_argument("--em-iters", type=int, default=50)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
     names = [c for c in args.configs.split(",") if c]
@@ -72,9 +71,7 @@ def main(argv=None):
         )
         scores = []
         for name in names:
-            cfg = TrainConfig(
-                em_iterations=args.em_iters, jobs=args.jobs, **CONFIGS[name]
-            )
+            cfg = TrainConfig(em_iterations=args.em_iters, **CONFIGS[name])
             model = induction.train(train, cfg)
             preds = induction.decode(model.params, test)
             scores.append(induction.evaluate_uas(preds, test))

@@ -189,7 +189,6 @@ def _command_table():
                 Opt("lbfgs-iters", int, 100),
                 Opt("sigma2", float, 10.0),
                 Opt("tol", float, 1e-6),
-                Opt("jobs", int, 1),
             ),
             ("input",),
             _cmd_train_dmv,
@@ -423,7 +422,6 @@ def _train_config(resolved):
         lbfgs_iterations=resolved["lbfgs-iters"],
         sigma2=resolved["sigma2"],
         tol=resolved["tol"],
-        jobs=resolved["jobs"],
     )
 
 

@@ -23,9 +23,9 @@ level under global ids, so that a build expands only the items no earlier
 build has.  The forest is then taken from the memo: one walk over its items
 finds the order in which a build from nothing would pop them, which fixes
 that build's item ids, event ids and edge order, and the arrays are
-gathered.  The charts share one memo across the sentence lengths of the DMV;
-the items that depend on the length (those at the root position n+1) are
-keyed apart by n (see the forest cache in ``sbg``).
+gathered.  The forest cache in ``induction`` gives each chart one memo per
+depth policy, shared across the sentence lengths of the DMV; the items that
+depend on the length (those at the root position n+1) are keyed apart by n.
 
 Array layout.  Items keep the ids they were interned with (``items[i]``);
 id ``n_items`` is a sentinel whose value is 0 in log space (1 in the count

@@ -10,11 +10,13 @@ single segment log-softmax gives both the M-step objective and the DMV
 probabilities, and the expected counts are one vector over the layout.
 
 The E-step runs inside-outside once over a *corpus graph*
-(``CorpusGraph``), the disjoint union of the cached chart forests of every
-distinct tag sequence, whose levels run together.  Each event of the graph
+(``CorpusGraph``), the disjoint union of the chart forests of every
+distinct tag sequence, whose levels run together.  The forests come from
+the one forest cache (``_chart_forest``), which keeps one per sentence
+length, depth policy and blocked positions.  Each event of the graph
 is priced by gathering two decision log-weights (plus the length bias), and
 its expected count lands on the same decisions, so no sentence's automata
-are built and no count dict is merged.  ``train`` assembles the graph once
+are priced and no count dict is merged.  ``train`` assembles the graph once
 and reuses it across its E-steps.
 
 Constraints follow the cost framing: they multiply tree weights by factors
@@ -268,18 +270,53 @@ class ConstraintSet:
 _UNTRAINED = "tag %r has no DMV parameters: the model was not trained on it"
 
 
-def _chart_forest(tags, sent, policy=None, blocked=()):
-    """The cached forest of the chart that serves (policy, blocked).
+# (length, DepthPolicy or None, blocked positions) -> forest
+_FORESTS = {}
+# DepthPolicy, or None for the head-split chart -> ExpansionMemo
+_MEMOS = {}
+
+
+def clear_forest_cache():
+    """Drop the cached forests and the expansions they were taken from."""
+    _FORESTS.clear()
+    _MEMOS.clear()
+
+
+def _chart_forest(n, policy=None, blocked=frozenset()):
+    """The cached DMV forest of length ``n`` of the chart that serves
+    (policy, blocked).
 
     With no depth bound and no blocked position every projective tree is
     admissible, so the head-split chart serves: it gives the same
     marginals, counts and Viterbi trees as the unbounded left-corner chart
-    with far fewer edges.  Otherwise the left-corner chart does.
+    with far fewer edges.  Otherwise the left-corner chart does.  A forest
+    depends only on the automata's structure, so one serves every sentence
+    of its length and is re-priced per sentence.
+
+    Only the root position's items depend on n, so with no blocked position
+    every length's forest is taken from one ``hypergraph.ExpansionMemo`` per
+    chart and policy, which expands each shared item once.  Blocked
+    positions change the expansions, so a blocked set gets a build of its
+    own.
     """
+    blocked = frozenset(blocked)
     if blocked or (policy is not None and policy.max_depth is not None):
-        return lc_chart.lc_forest(sent, policy, blocked)
-    return sbg._cached_forest("eisner", sent, None, frozenset(),
-                              lambda memo: sbg.eisner_forest(tags, sent, memo))
+        policy = policy or DepthPolicy()
+    else:
+        policy = None  # every unbounded policy shares the head-split forest
+    key = (n, policy, blocked)
+    forest = _FORESTS.get(key)
+    if forest is None:
+        memo = (None if blocked
+                else _MEMOS.setdefault(policy, hypergraph.ExpansionMemo()))
+        sent = sbg.weighted_sentence_automata(n, lambda h, d: 0.0,
+                                              lambda d: 0.0)
+        if policy is None:
+            forest = sbg.eisner_forest(sent, memo)
+        else:
+            forest = lc_chart.lc_forest(sent, policy, blocked, memo)
+        _FORESTS[key] = forest
+    return forest
 
 
 def _decision_logw(space, params):
@@ -500,17 +537,8 @@ class CorpusGroups:
 def _forests(groups, policy, cs):
     """The cached chart forest of every group under ``policy`` and the
     positions ``cs`` blocks."""
-    structure = {}
-    forests = []
-    for tags, _ in groups:
-        n = len(tags)
-        if n not in structure:
-            # a forest depends on the automata's structure alone
-            structure[n] = sbg.weighted_sentence_automata(
-                tags, lambda h, d: 0.0, lambda d: 0.0)
-        forests.append(_chart_forest(tags, structure[n], policy,
-                                     cs.blocked_positions(tags)))
-    return forests
+    return [_chart_forest(len(tags), policy, cs.blocked_positions(tags))
+            for tags, _ in groups]
 
 
 def sentence_expectations(tags, params, cs, policy=None, length_bias=None):

@@ -44,27 +44,26 @@ bigger item always stores the forward *source* state.
 
 Weights live on the same (side, h, init/final/trans) events as the head-split
 chart, so the passes in ``sbg`` (inside, expected counts, Viterbi) run on
-either chart's forest.  ``lc_forest`` keeps its forests in the forest cache
-of ``sbg``, next to the head-split chart's, keyed by chart, topology key
-(for the DMV, the sentence length), depth policy and blocked positions;
-``sbg.clear_forest_cache`` empties both.  A cached forest is re-priced per
-sentence and model.  Items are emitted only when their automaton states are
-reachable, judged from the transition structure alone (see ``_lc_expand``),
-so re-pricing a cached forest never needs an item that was skipped.
+either chart's forest.  ``lc_forest`` only builds; ``induction`` keeps the
+forests, keyed by sentence length, depth policy and blocked positions, and
+re-prices one per sentence and model.  Items are emitted only when their
+automaton states are reachable, judged from the transition structure alone
+(see ``_lc_expand``), so re-pricing a forest never needs an item that was
+skipped.
 
 The chart runs left to right, so on DMV automata only the items at the root
 position n+1 depend on the length n: ``LI(., n+1, .)``, and ``RECT`` and
 ``HR`` items whose p is n+1.  Every other item has the same edges at every
 length (an unbounded policy has no depth check, so this holds for it too).
-With no blocked position, each length's forest is therefore taken from one
-expansion memo per depth policy (``_lc_length_key``), which expands every
-shared item once.
+With no blocked position, each length's forest can therefore be taken from
+one expansion memo per depth policy (``_lc_length_key``), which expands
+every shared item once.
 """
 
 import dataclasses
 import math
 
-from . import hypergraph, sbg
+from . import hypergraph
 from .sbg import LEFT, RIGHT
 
 
@@ -317,52 +316,17 @@ def _lc_length_key(n):
     return key
 
 
-def lc_forest(sent, policy=None, blocked=()):
-    """Build (or fetch from the forest cache) the left-corner forest for one
-    sentence.
+def lc_forest(sent, policy=None, blocked=frozenset(), memo=None):
+    """The left-corner forest of ``sent`` under ``policy`` (None is
+    unbounded), taken from ``memo`` (an ``hypergraph.ExpansionMemo`` of DMV
+    automata under this policy, with no blocked position) when one is
+    given.
 
     blocked is a collection of positions whose token must head at least one
     dependent; derivations where such a token stays childless are removed.
     """
-    policy = policy or DepthPolicy()
-    blocked = frozenset(blocked)
     n = sent.n
-    return sbg._cached_forest(
-        "lc", sent, policy, blocked,
-        lambda memo: hypergraph.build_forest(
-            ("LI", 1, n + 1, 1), _lc_expand(sent, policy, blocked), memo,
-            _lc_length_key(n)))
-
-
-def lc_inside(tags, sent, policy=None, semiring="logsum", forest=None,
-              blocked=()):
-    """``sbg.forest_inside`` over depth-admissible left-corner derivations.
-
-    "logsum" gives the log marginal, "count" the number of derivations
-    (= admissible trees when each machine has at most one accepting walk per
-    dependent set).
-    """
-    if forest is None:
-        forest = lc_forest(sent, policy, blocked)
-    return sbg.forest_inside(forest, sent, semiring)
-
-
-def lc_derivation_count(tags, sent, policy=None, blocked=()):
-    _, total = lc_inside(tags, sent, policy, semiring="count",
-                         blocked=blocked)
-    return total
-
-
-def lc_expected_counts(tags, sent, policy=None, forest=None, blocked=()):
-    """``sbg.forest_expected_counts`` over admissible derivations."""
-    if forest is None:
-        forest = lc_forest(sent, policy, blocked)
-    return sbg.forest_expected_counts(forest, sent)
-
-
-def lc_viterbi(tags, sent, policy=None, forest=None, blocked=()):
-    """``sbg.forest_viterbi`` over admissible derivations: the best
-    admissible tree."""
-    if forest is None:
-        forest = lc_forest(sent, policy, blocked)
-    return sbg.forest_viterbi(forest, sent, tags)
+    return hypergraph.build_forest(
+        ("LI", 1, n + 1, 1),
+        _lc_expand(sent, policy or DepthPolicy(), blocked), memo,
+        _lc_length_key(n))

@@ -15,11 +15,11 @@ The module provides
   induction constraints are priced on the corpus graph of ``induction``);
 * exhaustive oracles that score a single tree or enumerate all projective
   trees (used to validate the charts);
-* an O(n^3) head-split chart;
+* an O(n^3) head-split chart, which, like the left-corner chart, only
+  builds forests (``induction`` keeps the one forest cache);
 * the passes every chart shares, each taking a built forest: inside
   (log-sum or count), expected event counts, and Viterbi trees, the last
   also over a disjoint union of forests, one tree per goal;
-* the one forest cache, which holds the forests of both charts;
 * the DMV decision counts an E-step returns (``DmvCounts``).
 
 Weights are kept in log space throughout.
@@ -127,9 +127,8 @@ class SentenceAutomata:
     and ``event_logw`` supplies the log-weight of each.
     """
 
-    def __init__(self, n, topology_key=None):
+    def __init__(self, n):
         self.n = n
-        self.topology_key = topology_key
         self._init = {}
         self._final = {}
         self._fwd = {}
@@ -212,7 +211,7 @@ def dmv_sentence_automata(tags, params):
     A tag without DMV parameters raises ValueError naming it.
     """
     n = len(tags)
-    sent = SentenceAutomata(n, topology_key=("dmv", n))
+    sent = SentenceAutomata(n)
     for h in range(1, n + 1):
         ht = tags[h - 1]
         for side in (LEFT, RIGHT):
@@ -240,15 +239,16 @@ def dmv_sentence_automata(tags, params):
     return sent
 
 
-def weighted_sentence_automata(tags, attach_logw, root_logw):
-    """DMV-shaped automata with arbitrary per-position log-weights.
+def weighted_sentence_automata(n, attach_logw, root_logw):
+    """DMV-shaped automata over n positions with arbitrary per-position
+    log-weights.
 
     attach_logw(h, d) scores attaching position d under head position h;
-    stop and continue decisions weigh 0.  Used for the harmonic
-    initializer and other position-level biases.
+    stop and continue decisions weigh 0.  Position-level weights such as
+    the harmonic initializer's fit here; with every weight 0 these are the
+    structure ``induction`` builds each length's DMV forest from.
     """
-    n = len(tags)
-    sent = SentenceAutomata(n, topology_key=("dmv", n))
+    sent = SentenceAutomata(n)
     for h in range(1, n + 1):
         for side in (LEFT, RIGHT):
             deps = range(1, h) if side == LEFT else range(h + 1, n + 1)
@@ -539,84 +539,18 @@ def _eisner_length_key(n):
     return key
 
 
-def eisner_forest(tags, sent, memo=None):
+def eisner_forest(sent, memo=None):
     """The head-split forest of ``sent``, taken from ``memo`` (an
     ``hypergraph.ExpansionMemo`` of DMV automata) when one is given."""
-    n = len(tags)
+    n = sent.n
     return hypergraph.build_forest(("LF", 1, n + 1), _eisner_expand(sent),
                                    memo, _eisner_length_key(n))
 
 
-def eisner_inside(tags, sent, semiring="logsum", forest=None):
-    """``forest_inside`` over the cubic chart: the log marginal over
-    projective trees, or their number."""
-    if forest is None:
-        forest = eisner_forest(tags, sent)
-    return forest_inside(forest, sent, semiring)
-
-
-def eisner_expected_counts(tags, sent, forest=None):
-    """``forest_expected_counts`` over the cubic chart."""
-    if forest is None:
-        forest = eisner_forest(tags, sent)
-    return forest_expected_counts(forest, sent)
-
-
-def eisner_viterbi(tags, sent, forest=None):
-    """``forest_viterbi`` over the cubic chart: the best projective tree."""
-    if forest is None:
-        forest = eisner_forest(tags, sent)
-    return forest_viterbi(forest, sent, tags)
-
-
-# ---------------------------------------------------------------------------
-# the forest cache
-#
-# A forest depends only on the transition structure of the automata, so one
-# forest serves every sentence whose automata share a topology key (for the
-# DMV, every sentence of one length) and is re-priced per sentence.
-#
-# DMV forests of different lengths share their items as well.  The machines
-# of the tokens 1..n do not change with n, so only the items at the root
-# position n+1 depend on n: the head-split halves of n+1, and the LC items
-# LI(., n+1, .) and RECT/HR with p = n+1.  Each (chart, policy) therefore
-# keeps one ``hypergraph.ExpansionMemo`` that expands every item once, and
-# each length's forest is taken from it.  Blocked positions change the
-# expansions, so a blocked set, like automata without a topology key, gets
-# a build of its own.
-
-
-# (chart, topology key, DepthPolicy or None, blocked positions) -> forest
-_FOREST_CACHE = {}
-# (chart, topology family, DepthPolicy or None) -> ExpansionMemo
-_EXPANSION_MEMOS = {}
-
-
-def clear_forest_cache():
-    """Drop the cached forests of every chart and the expansions they were
-    taken from."""
-    _FOREST_CACHE.clear()
-    _EXPANSION_MEMOS.clear()
-
-
-def _cached_forest(chart, sent, policy, blocked, build):
-    """The forest of ``chart`` for ``sent``'s topology under (policy,
-    blocked), from ``build(memo)`` on a miss: ``memo`` is the chart's
-    ``ExpansionMemo`` under ``policy`` for DMV automata with no blocked
-    position, else None.  Automata without a topology key get a fresh
-    forest every time."""
-    if sent.topology_key is None:
-        return build(None)
-    key = (chart, sent.topology_key, policy, blocked)
-    forest = _FOREST_CACHE.get(key)
-    if forest is None:
-        memo = None
-        family = sent.topology_key[0]
-        if family == "dmv" and not blocked:
-            memo = _EXPANSION_MEMOS.setdefault((chart, family, policy),
-                                               hypergraph.ExpansionMemo())
-        forest = _FOREST_CACHE[key] = build(memo)
-    return forest
+def eisner_inside(tags, sent, semiring="logsum"):
+    """``forest_inside`` over a fresh build of the cubic chart: the log
+    marginal over projective trees, or their number."""
+    return forest_inside(eisner_forest(sent), sent, semiring)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,8 @@ from lcdep.cfg import (
 from lcdep.exhaustive import cnf_shapes, projective_deptrees, projective_trees
 from lcdep.hypergraph import NEG_INF
 from lcdep.induction import ConstraintSet, FeatureSpace, TrainConfig, mstep_objective
-from lcdep.lc_chart import (
-    DepthPolicy,
-    lc_derivation_count,
-    lc_expected_counts,
-    lc_inside,
-)
+from lcdep.lc_chart import DepthPolicy, lc_forest
+from lcdep.sbg import forest_expected_counts, forest_inside
 from lcdep.transition import (
     ARC_STANDARD,
     LEFT_CORNER,
@@ -174,7 +170,8 @@ def test_criterion_04_reduce_depth_matches_binarization_and_bounded_counts():
         for bound in (1, 2, 3):
             for cutoff in (1, 2, 3):
                 admissible = sum(1 for h in heads if depths[h, cutoff] <= bound)
-                counted = lc_derivation_count(tags, sent, DepthPolicy(bound, cutoff))
+                _, counted = forest_inside(
+                    lc_forest(sent, DepthPolicy(bound, cutoff)), sent, "count")
                 if counted != admissible:
                     bad_count += 1
                 grid += 1
@@ -199,18 +196,17 @@ def test_criterion_05_unbounded_marginals_agree_everywhere():
         for _ in range(20):
             tags = _random_tags(n, rng)
             sent = sbg.dmv_sentence_automata(tags, sbg.random_dmv_params(VOCAB, rng))
-            _, lc = lc_inside(tags, sent)
+            _, lc = forest_inside(lc_forest(sent), sent)
             _, ei = sbg.eisner_inside(tags, sent)
             bf = sbg.brute_force_marginal(tags, sent)
             worst = max(worst, abs(lc - ei), abs(lc - bf))
             models += 1
-    count_ok = all(
-        lc_derivation_count(
-            ("N",) * n, sbg.dmv_sentence_automata(("N",) * n, sbg.uniform_dmv_params(("N",)))
-        )
-        == len(projective_trees(n))
-        for n in range(1, 7)
-    )
+
+    def derivations(n):
+        sent = sbg.dmv_sentence_automata(("N",) * n, sbg.uniform_dmv_params(("N",)))
+        return forest_inside(lc_forest(sent), sent, "count")[1]
+
+    count_ok = all(derivations(n) == len(projective_trees(n)) for n in range(1, 7))
     _report(
         5,
         worst <= 1e-10 and count_ok,
@@ -234,7 +230,8 @@ def test_criterion_06_bounded_expectations_and_em_monotonicity():
             }
             for bound in (1, 2):
                 for cutoff in (1, 2, 3):
-                    got, logz = lc_expected_counts(tags, sent, DepthPolicy(bound, cutoff))
+                    got, logz = forest_expected_counts(
+                        lc_forest(sent, DepthPolicy(bound, cutoff)), sent)
                     want, wlogz = sbg.brute_force_expected_counts(
                         tags, sent, tree_filter=lambda h: depths[h, cutoff] <= bound
                     )

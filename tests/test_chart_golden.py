@@ -80,7 +80,7 @@ def digest(chart, kind, n):
     tags = tuple("NVD"[k % 3] for k in range(n))
     sent = automata(kind, tags)
     if chart == "eisner":
-        lines = [forest_line(sbg.eisner_forest(tags, sent))]
+        lines = [forest_line(sbg.eisner_forest(sent))]
     else:
         lines = [forest_line(lc_chart.lc_forest(sent, policy, blocked))
                  for policy in POLICIES for blocked in blocked_sets(n)]

@@ -216,6 +216,23 @@ def test_train_dmv_has_no_seed_option(corpus_file, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_dmv_has_no_jobs_option(corpus_file, tmp_path, capsys):
+    # EM runs in one process: worker processes changed the objective and
+    # were slower, so a leftover jobs setting is an error, not ignored
+    path, _ = corpus_file
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("em-iters=1\njobs=2\n", encoding="utf-8")
+    code, _, err = run(["train-dmv", "--config", str(cfg),
+                        "--out", str(tmp_path / "run"), path], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: %s: unknown config key 'jobs'" % cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["train-dmv", "--jobs", "2", path])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_parse_constraint_options_match_the_training_constraint_set(
         corpus_file, tmp_path, capsys):
     path, corpus = corpus_file

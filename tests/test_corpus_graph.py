@@ -161,7 +161,7 @@ def test_event_weights_equal_the_priced_automata_exactly():
     want = []
     for tags, _ in groups:
         sent, blocked = util.apply_constraints(params, tags, cs, 0.5)
-        forest = induction._chart_forest(tags, sent, DepthPolicy(1, 3),
+        forest = induction._chart_forest(len(tags), DepthPolicy(1, 3),
                                          blocked)
         want.append(forest.event_weights(sent.event_logw))
     np.testing.assert_array_equal(got, np.concatenate(want))

@@ -1,10 +1,12 @@
-"""Forests taken from a shared expansion memo against fresh reference builds.
+"""Forests taken from a shared expansion memo against fresh reference builds,
+and the one forest cache of ``induction``.
 
-The forest cache keeps one ``hypergraph.ExpansionMemo`` per chart and depth
-policy for DMV automata with no blocked position, and takes every length's
-forest from it.  Whatever order the lengths arrive in, each forest must equal
-``util.reference_build_forest`` array for array: same items, events, levels
-and edge order.
+Both chart builders take an optional ``hypergraph.ExpansionMemo`` of DMV
+automata and take every length's forest from it.  Whatever order the lengths
+arrive in, each forest must equal ``util.reference_build_forest`` array for
+array: same items, events, levels and edge order.  ``induction._chart_forest``
+keeps one forest per (length, policy, blocked positions) and one memo per
+chart and policy, used only when nothing is blocked.
 """
 
 import random
@@ -12,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from lcdep import induction, lc_chart, sbg
+from lcdep import hypergraph, induction, lc_chart, sbg
 from lcdep.lc_chart import DepthPolicy
 
 from tests import util
@@ -21,6 +23,7 @@ from tests.test_chart_golden import POLICIES
 ARRAYS = ("item_level", "edge_head", "edge_tail", "event_ptr", "event_flat",
           "group_head", "group_ptr", "level_ptr")
 PARAMS = sbg.uniform_dmv_params("NVD")
+BOUNDED = [p for p in POLICIES if p is not None and p.max_depth]
 
 
 def assert_same_forest(got, want):
@@ -56,68 +59,115 @@ def eisner_reference(sent):
 
 
 def check_orders(max_n, forest_of, reference_of):
+    """Every length up to max_n, in every order, from one memo per order."""
     want = {n: reference_of(dmv(n)) for n in range(1, max_n + 1)}
     for lengths in orders(max_n).values():
-        sbg.clear_forest_cache()
+        memo = hypergraph.ExpansionMemo()
         for n in lengths:
-            assert_same_forest(forest_of(dmv(n)), want[n])
-    sbg.clear_forest_cache()
+            assert_same_forest(forest_of(dmv(n), memo), want[n])
 
 
-@pytest.mark.parametrize(
-    "policy", [p for p in POLICIES if p is not None and p.max_depth],
-    ids=str)
+@pytest.mark.parametrize("policy", BOUNDED, ids=str)
 def test_bounded_lc_forests_from_the_memo_equal_fresh_builds(policy):
-    check_orders(20, lambda sent: lc_chart.lc_forest(sent, policy),
+    check_orders(20, lambda sent, memo: lc_chart.lc_forest(sent, policy,
+                                                           memo=memo),
                  lambda sent: lc_reference(sent, policy))
 
 
 def test_unbounded_lc_forests_from_the_memo_equal_fresh_builds():
-    check_orders(12, lc_chart.lc_forest, lambda sent: lc_reference(sent, None))
+    check_orders(12, lambda sent, memo: lc_chart.lc_forest(sent, memo=memo),
+                 lambda sent: lc_reference(sent, None))
 
 
 def test_head_split_forests_from_the_memo_equal_fresh_builds():
-    check_orders(20, lambda sent: induction._chart_forest(tags_of(sent.n), sent),
-                 eisner_reference)
+    check_orders(20, sbg.eisner_forest, eisner_reference)
+
+
+@pytest.mark.parametrize("policy", [None, DepthPolicy(1, 3)], ids=str)
+def test_cached_forests_equal_fresh_builds_in_every_length_order(policy):
+    # the cache builds from structure-only automata; the reference from
+    # priced DMV automata of the same length
+    reference = (eisner_reference if policy is None
+                 else lambda sent: lc_reference(sent, policy))
+    want = {n: reference(dmv(n)) for n in range(1, 13)}
+    for lengths in orders(12).values():
+        induction.clear_forest_cache()
+        for n in lengths:
+            assert_same_forest(induction._chart_forest(n, policy), want[n])
+    induction.clear_forest_cache()
 
 
 def test_blocked_and_random_automata_build_fresh_forests():
-    sbg.clear_forest_cache()
+    induction.clear_forest_cache()
     policy = DepthPolicy(1, 3)
     for n in (9, 4, 7):
         blocked = frozenset({2, n})
-        sent = dmv(n)
-        assert_same_forest(lc_chart.lc_forest(sent, policy, blocked),
-                           lc_reference(sent, policy, blocked))
+        assert_same_forest(induction._chart_forest(n, policy, blocked),
+                           lc_reference(dmv(n), policy, blocked))
         sent = sbg.random_sentence_automata(n, 3, random.Random(n))
         assert_same_forest(lc_chart.lc_forest(sent, policy),
                            lc_reference(sent, policy))
-        assert_same_forest(induction._chart_forest(tags_of(n), sent),
-                           eisner_reference(sent))
-    assert not sbg._EXPANSION_MEMOS
+        assert_same_forest(sbg.eisner_forest(sent), eisner_reference(sent))
+    assert not induction._MEMOS
+    induction.clear_forest_cache()
+
+
+def test_every_unbounded_policy_shares_one_forest_and_memo():
+    induction.clear_forest_cache()
+    forest = induction._chart_forest
+    assert forest(6, None) is forest(6, DepthPolicy()) is forest(
+        6, DepthPolicy(None, 3))
+    forest(5, DepthPolicy())
+    assert list(induction._MEMOS) == [None]
+    blocked = frozenset({2})
+    assert forest(6, None, blocked) is forest(6, DepthPolicy(), blocked)
+    assert forest(6, None, blocked).goal[0] == "LI"
+    induction.clear_forest_cache()
+
+
+def test_a_second_forests_call_builds_no_automata(monkeypatch):
+    built = []
+
+    class Counted(sbg.SentenceAutomata):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(sbg, "SentenceAutomata", Counted)
+    induction.clear_forest_cache()
+    groups = [(tags_of(3), 1), (tags_of(5), 2), (tags_of(5)[::-1], 1),
+              (tags_of(7), 1)]
+    for policy, cs in ((None, induction.ConstraintSet()),
+                       (DepthPolicy(1, 3), induction.ConstraintSet()),
+                       (DepthPolicy(1, 3), induction.ConstraintSet(
+                           must_head_tags=frozenset({"V"})))):
+        first = induction._forests(groups, policy, cs)
+        assert built
+        built.clear()
+        again = induction._forests(groups, policy, cs)
+        assert all(a is b for a, b in zip(first, again))
+        assert not built
+    induction.clear_forest_cache()
 
 
 def test_a_shorter_length_adds_only_its_root_items_to_the_memo():
-    sbg.clear_forest_cache()
     policy = DepthPolicy(1, 3)
-    lc_chart.lc_forest(dmv(20), policy)
-    memo = sbg._EXPANSION_MEMOS["lc", "dmv", policy]
+    memo = hypergraph.ExpansionMemo()
+    lc_chart.lc_forest(dmv(20), policy, memo=memo)
     before = set(memo.index)
-    lc_chart.lc_forest(dmv(19), policy)
+    lc_chart.lc_forest(dmv(19), policy, memo=memo)
     added = set(memo.index) - before
     assert added and all(key[0] == 19 for key in added)
-    sbg.clear_forest_cache()
 
 
 def test_clearing_the_cache_drops_every_memo():
-    sbg.clear_forest_cache()
+    induction.clear_forest_cache()
     policy = DepthPolicy(1, 3)
-    lc_chart.lc_forest(dmv(20), policy)
-    induction._chart_forest(tags_of(20), dmv(20))
-    assert len(sbg._EXPANSION_MEMOS) == 2
-    sbg.clear_forest_cache()
-    assert not sbg._EXPANSION_MEMOS and not sbg._FOREST_CACHE
-    sent = dmv(8)
-    assert_same_forest(lc_chart.lc_forest(sent, policy),
-                       lc_reference(sent, policy))
-    sbg.clear_forest_cache()
+    induction._chart_forest(20, policy)
+    induction._chart_forest(20)
+    assert len(induction._MEMOS) == 2
+    induction.clear_forest_cache()
+    assert not induction._MEMOS and not induction._FORESTS
+    assert_same_forest(induction._chart_forest(8, policy),
+                       lc_reference(dmv(8), policy))
+    induction.clear_forest_cache()

@@ -315,9 +315,8 @@ def test_viterbi_with_degenerate_weights_finds_no_derivation(
     tags = ("DET", "NOUN", "VERB", "NOUN")
     sent = sbg.dmv_sentence_automata(tags, sbg.uniform_dmv_params(set(tags)))
     sent.event_logw = lambda ev: logw
+    forest = (lc_chart.lc_forest(sent, lc_chart.DepthPolicy(1, 3))
+              if chart == "lc" else sbg.eisner_forest(sent))
     with pytest.raises(ValueError, match="no derivation has nonzero weight"):
-        if chart == "lc":
-            lc_chart.lc_viterbi(tags, sent, lc_chart.DepthPolicy(1, 3))
-        else:
-            sbg.eisner_viterbi(tags, sent)
+        sbg.forest_viterbi(forest, sent, tags)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

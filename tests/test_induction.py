@@ -201,7 +201,7 @@ def test_harmonic_init_on_two_token_corpus_matches_uniform_estep():
 def test_harmonic_init_matches_enumeration_oracle():
     tags = ("A", "B", "C")
     sent = sbg.weighted_sentence_automata(
-        tags,
+        len(tags),
         attach_logw=lambda h, d: -math.log(abs(h - d)),
         root_logw=lambda d: 0.0,
     )
@@ -221,7 +221,7 @@ def test_harmonic_init_prefers_adjacent_attachment():
 def test_harmonic_init_is_deterministic():
     groups = induction.corpus_groups(
         [("NOUN", "VERB", "DET"), ("VERB", "NOUN")])
-    sbg.clear_forest_cache()
+    induction.clear_forest_cache()
     a = induction.harmonic_counts(groups)  # builds the forests
     b = induction.harmonic_counts(groups)  # reuses them
     assert a == b
@@ -412,9 +412,7 @@ def test_constrained_decode_respects_all_constraints():
 ])
 def test_head_split_chart_serves_exactly_the_unbounded_unblocked_case(
         policy, blocked, goal):
-    tags = ("DET", "ADP", "NOUN")
-    sent = sbg.dmv_sentence_automata(tags, sbg.uniform_dmv_params(TAGSET))
-    forest = induction._chart_forest(tags, sent, policy, frozenset(blocked))
+    forest = induction._chart_forest(3, policy, blocked)
     assert forest.goal[0] == goal
 
 
@@ -436,7 +434,8 @@ def test_unbounded_unblocked_e_step_and_decode_match_the_lc_chart(
         sent, blocked = util.apply_constraints(params, tags, cs, beta)
         assert not blocked
         try:
-            want = lc_chart.lc_viterbi(tags, sent, DepthPolicy()).heads
+            want = sbg.forest_viterbi(lc_chart.lc_forest(sent), sent,
+                                      tags).heads
         except ValueError:
             want = None
         for policy in (None, DepthPolicy()):
@@ -447,8 +446,8 @@ def test_unbounded_unblocked_e_step_and_decode_match_the_lc_chart(
             except ValueError:
                 got = None
             assert got == want, tags
-        events, want_logz = lc_chart.lc_expected_counts(
-            tags, sent, DepthPolicy())
+        events, want_logz = sbg.forest_expected_counts(
+            lc_chart.lc_forest(sent), sent)
         counts, logz = induction.sentence_expectations(
             tags, params, cs, None, beta)
         if want_logz == NEG_INF:

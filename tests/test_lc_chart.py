@@ -11,18 +11,11 @@ import random
 
 import pytest
 
-from lcdep import sbg
+from lcdep import induction, sbg
 from lcdep.exhaustive import projective_trees
 from lcdep.hypergraph import NEG_INF
-from lcdep.lc_chart import (
-    DepthPolicy,
-    lc_derivation_count,
-    lc_expected_counts,
-    lc_forest,
-    lc_inside,
-    lc_viterbi,
-)
-from lcdep.sbg import clear_forest_cache
+from lcdep.lc_chart import DepthPolicy, lc_forest
+from lcdep.sbg import forest_expected_counts, forest_inside, forest_viterbi
 from lcdep.transition import relaxed_depth_re_max, run_lc_oracle
 from lcdep.treebank import tree_from_heads
 
@@ -52,7 +45,7 @@ def test_derivation_count_matches_projective_trees(n, expected):
     assert len(projective_trees(n)) == expected
     tags = ("N",) * n
     sent = sbg.dmv_sentence_automata(tags, sbg.uniform_dmv_params(["N"]))
-    assert lc_derivation_count(tags, sent) == expected
+    assert forest_inside(lc_forest(sent), sent, "count")[1] == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -63,7 +56,7 @@ def test_unbounded_marginal_matches_cubic_chart_and_enumeration(n):
         sent = sbg.dmv_sentence_automata(
             tags, sbg.random_dmv_params(VOCAB, rng)
         )
-        _, lc = lc_inside(tags, sent)
+        _, lc = forest_inside(lc_forest(sent), sent)
         _, ei = sbg.eisner_inside(tags, sent)
         assert lc == pytest.approx(ei, abs=1e-10)
         if n <= 5:
@@ -100,26 +93,25 @@ def test_states_nothing_enters_are_pruned_without_losing_mass(n):
     forest = lc_forest(sent)
     assert not [it for it in forest.items
                 if it[:3] == ("RQ", 2, 1) and it[3] > 1]
-    eisner = sbg.eisner_forest(tags, sent)
+    eisner = sbg.eisner_forest(sent)
     assert not [it for it in eisner.items
                 if it[:2] == ("LQ", 2) and it[3] == n and it[2] < n]
 
-    _, logz = lc_inside(tags, sent, forest=forest)
+    _, logz = forest_inside(forest, sent)
     assert logz == pytest.approx(sbg.brute_force_marginal(tags, sent),
                                  abs=1e-10)
-    _, logz = sbg.eisner_inside(tags, sent, forest=eisner)
+    _, logz = forest_inside(eisner, sent)
     assert logz == pytest.approx(sbg.brute_force_marginal(tags, sent),
                                  abs=1e-10)
     ref, ref_logz = sbg.brute_force_expected_counts(tags, sent)
-    for counts, logz in (lc_expected_counts(tags, sent, forest=forest),
-                         sbg.eisner_expected_counts(tags, sent,
-                                                    forest=eisner)):
+    for counts, logz in (forest_expected_counts(forest, sent),
+                         forest_expected_counts(eisner, sent)):
         assert logz == pytest.approx(ref_logz, abs=1e-10)
         for key in set(counts) | set(ref):
             assert counts.get(key, 0.0) == pytest.approx(
                 ref.get(key, 0.0), abs=1e-8), key
     ok = [h for h in projective_trees(n) if oracle_depth(h, 1) <= 1]
-    _, logz = lc_inside(tags, sent, DepthPolicy(1, 1))
+    _, logz = forest_inside(lc_forest(sent, DepthPolicy(1, 1)), sent)
     assert logz == pytest.approx(
         sbg.brute_force_marginal(tags, sent, lambda h: h in ok), abs=1e-10)
 
@@ -130,7 +122,7 @@ def test_unbounded_marginal_multistate_automata(n):
     for _ in range(3):
         tags = tuple(str(i + 1) for i in range(n))
         sent = sbg.random_sentence_automata(n, rng.randint(2, 4), rng)
-        _, lc = lc_inside(tags, sent)
+        _, lc = forest_inside(lc_forest(sent), sent)
         assert lc == pytest.approx(
             sbg.brute_force_marginal(tags, sent), abs=1e-10
         )
@@ -139,7 +131,7 @@ def test_unbounded_marginal_multistate_automata(n):
 def test_single_token_marginal_is_root_times_stops():
     params = sbg.uniform_dmv_params(["N"])
     sent = sbg.dmv_sentence_automata(("N",), params)
-    _, lc = lc_inside(("N",), sent)
+    _, lc = forest_inside(lc_forest(sent), sent)
     assert lc == pytest.approx(math.log(0.5) + math.log(0.5), abs=1e-12)
 
 
@@ -156,8 +148,8 @@ def test_bounded_count_equals_oracle_filtered_enumeration(bound, cutoff):
         sent = sbg.dmv_sentence_automata(
             tags, sbg.random_dmv_params(VOCAB, rng)
         )
-        _, cnt = lc_inside(
-            tags, sent, DepthPolicy(bound, cutoff), semiring="count"
+        _, cnt = forest_inside(
+            lc_forest(sent, DepthPolicy(bound, cutoff)), sent, "count"
         )
         assert cnt == len(admissible_trees(n, bound, cutoff))
 
@@ -174,7 +166,8 @@ def test_bounded_marginal_equals_oracle_filtered_enumeration(bound, cutoff):
         sent = sbg.dmv_sentence_automata(
             tags, sbg.random_dmv_params(VOCAB, rng)
         )
-        _, lc = lc_inside(tags, sent, DepthPolicy(bound, cutoff))
+        _, lc = forest_inside(lc_forest(sent, DepthPolicy(bound, cutoff)),
+                              sent)
         bf = sbg.brute_force_marginal(
             tags, sent, tree_filter=lambda h: depths[h] <= bound
         )
@@ -204,7 +197,7 @@ def test_seven_token_counterexample_is_excluded_at_bound_two():
     rng = random.Random(0)
     tags = random_tags(n, rng)
     sent = sbg.dmv_sentence_automata(tags, sbg.random_dmv_params(VOCAB, rng))
-    _, cnt = lc_inside(tags, sent, DepthPolicy(2, 1), semiring="count")
+    _, cnt = forest_inside(lc_forest(sent, DepthPolicy(2, 1)), sent, "count")
     assert cnt == len(admissible_trees(n, 2, 1))
     assert heads not in admissible_trees(n, 2, 1)
 
@@ -231,7 +224,8 @@ def test_bounded_expected_counts_match_filtered_enumeration(bound, cutoff):
         sent = sbg.dmv_sentence_automata(
             tags, sbg.random_dmv_params(VOCAB, rng)
         )
-        got, logz = lc_expected_counts(tags, sent, DepthPolicy(bound, cutoff))
+        got, logz = forest_expected_counts(
+            lc_forest(sent, DepthPolicy(bound, cutoff)), sent)
         want, wlogz = sbg.brute_force_expected_counts(
             tags, sent, tree_filter=lambda h: depths[h] <= bound
         )
@@ -252,8 +246,8 @@ def test_unbounded_expected_counts_match_cubic_chart():
         sent = sbg.dmv_sentence_automata(
             tags, sbg.random_dmv_params(VOCAB, rng)
         )
-        got, logz = lc_expected_counts(tags, sent)
-        want, wlogz = sbg.eisner_expected_counts(tags, sent)
+        got, logz = forest_expected_counts(lc_forest(sent), sent)
+        want, wlogz = forest_expected_counts(sbg.eisner_forest(sent), sent)
         assert logz == pytest.approx(wlogz, abs=1e-10)
         for k in set(got) | set(want):
             assert got.get(k, 0.0) == pytest.approx(
@@ -273,7 +267,7 @@ def test_viterbi_matches_enumeration():
         sent = sbg.dmv_sentence_automata(
             tags, sbg.random_dmv_params(VOCAB, rng)
         )
-        got = lc_viterbi(tags, sent)
+        got = forest_viterbi(lc_forest(sent), sent, tags)
         _, want = sbg.brute_force_viterbi(tags, sent)
         assert got.heads == want
 
@@ -290,7 +284,8 @@ def test_bounded_viterbi_matches_filtered_enumeration():
         sent = sbg.dmv_sentence_automata(
             tags, sbg.random_dmv_params(VOCAB, rng)
         )
-        got = lc_viterbi(tags, sent, DepthPolicy(bound, cutoff))
+        got = forest_viterbi(lc_forest(sent, DepthPolicy(bound, cutoff)),
+                             sent, tags)
         _, want = sbg.brute_force_viterbi(
             tags, sent, tree_filter=lambda h: depths[h] <= bound
         )
@@ -301,7 +296,7 @@ def test_viterbi_tie_break_prefers_smaller_arc_list():
     params = sbg.uniform_dmv_params(["N"])
     tags = ("N", "N")
     sent = sbg.dmv_sentence_automata(tags, params)
-    assert lc_viterbi(tags, sent).heads == (0, 1)
+    assert forest_viterbi(lc_forest(sent), sent, tags).heads == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +318,7 @@ def test_blocked_positions_remove_childless_analyses():
         def has_dep(heads):
             return all(any(hh == p for hh in heads) for p in blocked)
 
-        _, lc = lc_inside(tags, sent, blocked=blocked)
+        _, lc = forest_inside(lc_forest(sent, blocked=blocked), sent)
         bf = sbg.brute_force_marginal(tags, sent, tree_filter=has_dep)
         if bf == NEG_INF:
             assert lc == NEG_INF
@@ -335,7 +330,7 @@ def test_blocked_single_token_sentence_has_no_parse():
     sent = sbg.dmv_sentence_automata(
         ("D",), sbg.uniform_dmv_params(["D"])
     )
-    _, lc = lc_inside(("D",), sent, blocked={1})
+    _, lc = forest_inside(lc_forest(sent, blocked={1}), sent)
     assert lc == NEG_INF
 
 
@@ -365,28 +360,24 @@ def test_dmv_forest_size_is_pinned_and_few_items_are_dead(
 # forest caching
 
 
-def test_forest_is_cached_per_topology_and_policy():
-    clear_forest_cache()
-    params = sbg.uniform_dmv_params(["N", "V"])
-    s1 = sbg.dmv_sentence_automata(("N", "V", "N"), params)
-    s2 = sbg.dmv_sentence_automata(("V", "N", "V"), params)
-    f1 = lc_forest(s1, DepthPolicy(2, 1))
-    f2 = lc_forest(s2, DepthPolicy(2, 1))
-    assert f1 is f2
-    f3 = lc_forest(s1, DepthPolicy(3, 1))
-    assert f3 is not f1
+def test_forest_is_cached_per_length_and_policy():
+    induction.clear_forest_cache()
+    f1 = induction._chart_forest(3, DepthPolicy(2, 1))
+    assert induction._chart_forest(3, DepthPolicy(2, 1)) is f1
+    assert induction._chart_forest(3, DepthPolicy(3, 1)) is not f1
+    assert induction._chart_forest(4, DepthPolicy(2, 1)) is not f1
+    induction.clear_forest_cache()
 
 
 def test_cached_forest_reprices_per_sentence():
-    clear_forest_cache()
+    induction.clear_forest_cache()
     rng = random.Random(21)
     params = sbg.random_dmv_params(VOCAB, rng)
-    forest = None
+    forest = induction._chart_forest(2, DepthPolicy(2, 1))
     for tags in [("N", "V"), ("D", "N"), ("V", "V")]:
         sent = sbg.dmv_sentence_automata(tags, params)
-        if forest is None:
-            forest = lc_forest(sent)
-        _, lc = lc_inside(tags, sent, forest=forest)
+        _, lc = forest_inside(forest, sent)
         assert lc == pytest.approx(
             sbg.brute_force_marginal(tags, sent), abs=1e-10
         )
+    induction.clear_forest_cache()

@@ -111,7 +111,7 @@ def test_dmv_forest_size_is_pinned_and_few_items_are_dead(n, n_edges):
     # edge counts of the build that kept every unreachable automaton state
     tags = ("N",) * n
     sent = sbg.dmv_sentence_automata(tags, sbg.uniform_dmv_params(["N"]))
-    forest = sbg.eisner_forest(tags, sent)
+    forest = sbg.eisner_forest(sent)
     assert forest.n_edges == n_edges
     assert (forest.item_level < 0).sum() < 0.05 * forest.n_items
 
@@ -122,7 +122,7 @@ def test_expected_counts_match_brute_force(n):
     params = sbg.random_dmv_params(VOCAB, rng)
     tags = random_tags(n, rng)
     sent = sbg.dmv_sentence_automata(tags, params)
-    counts, logz = sbg.eisner_expected_counts(tags, sent)
+    counts, logz = sbg.forest_expected_counts(sbg.eisner_forest(sent), sent)
     ref_counts, ref_logz = sbg.brute_force_expected_counts(tags, sent)
     assert math.isclose(logz, ref_logz, abs_tol=1e-10)
     keys = set(counts) | set(ref_counts)
@@ -137,7 +137,7 @@ def test_expected_counts_bounded_by_sentence_length():
     params = sbg.random_dmv_params(VOCAB, rng)
     tags = random_tags(5, rng)
     sent = sbg.dmv_sentence_automata(tags, params)
-    counts, _ = sbg.eisner_expected_counts(tags, sent)
+    counts, _ = sbg.forest_expected_counts(sbg.eisner_forest(sent), sent)
     dmv = util.dmv_counts_from_events(counts, tags)
     total_attach = sum(dmv.attach.values())
     total_root = sum(dmv.root.values())
@@ -155,7 +155,7 @@ def test_viterbi_matches_brute_force(n):
         params = sbg.random_dmv_params(VOCAB, rng)
         tags = random_tags(n, rng)
         sent = sbg.dmv_sentence_automata(tags, params)
-        tree = sbg.eisner_viterbi(tags, sent)
+        tree = sbg.forest_viterbi(sbg.eisner_forest(sent), sent, tags)
         score, heads = sbg.brute_force_viterbi(tags, sent)
         assert math.isclose(
             sbg.tree_log_weight(tree.heads, tags, sent), score, abs_tol=1e-10
@@ -171,7 +171,7 @@ def test_viterbi_tie_prefers_lower_heads():
     w01 = sbg.tree_log_weight((0, 1), tags, sent)
     w20 = sbg.tree_log_weight((2, 0), tags, sent)
     assert math.isclose(w01, w20, abs_tol=1e-12)
-    tree = sbg.eisner_viterbi(tags, sent)
+    tree = sbg.forest_viterbi(sbg.eisner_forest(sent), sent, tags)
     score, heads = sbg.brute_force_viterbi(tags, sent)
     assert tree.heads == heads == (0, 1)
 
@@ -182,7 +182,7 @@ def test_inside_outside_split_consistency():
     params = sbg.random_dmv_params(VOCAB, rng)
     tags = random_tags(4, rng)
     sent = sbg.dmv_sentence_automata(tags, params)
-    counts, _ = sbg.eisner_expected_counts(tags, sent)
+    counts, _ = sbg.forest_expected_counts(sbg.eisner_forest(sent), sent)
     per_dep = {d: 0.0 for d in range(1, 5)}
     for event, c in counts.items():
         if event[2] == "trans":
@@ -239,7 +239,7 @@ def test_length_bias_applies_arc_bias():
 def test_weighted_automata_harmonic_shape():
     tags = ("A", "B", "C")
     sent = sbg.weighted_sentence_automata(
-        tags,
+        len(tags),
         attach_logw=lambda h, d: -math.log(abs(h - d)),
         root_logw=lambda d: 0.0,
     )

@@ -27,7 +27,8 @@ from lcdep.sbg import (
     DmvParams,
     _tag_sequences,
     dmv_sentence_automata,
-    eisner_expected_counts,
+    eisner_forest,
+    forest_expected_counts,
 )
 from lcdep.treebank import tree_from_heads
 
@@ -640,7 +641,7 @@ def reference_decode(params, corpus, cs, policy=None, length_bias=None):
     out = []
     for tags in _tag_sequences(corpus):
         sent, blocked = apply_constraints(params, tags, cs, length_bias)
-        forest = induction._chart_forest(tags, sent, policy, blocked)
+        forest = induction._chart_forest(len(tags), policy, blocked)
         out.append(sbg.forest_viterbi(forest, sent, tags))
     return out
 
@@ -651,7 +652,7 @@ def reference_sentence_expectations(tags, params, cs, policy=None,
     automata and cached forest, or (None, -inf) when the constraints leave
     no admissible analysis."""
     sent, blocked = apply_constraints(params, tags, cs, length_bias)
-    forest = induction._chart_forest(tags, sent, policy, blocked)
+    forest = induction._chart_forest(len(tags), policy, blocked)
     events, logz = sbg.forest_expected_counts(forest, sent)
     if logz == NEG_INF or math.isnan(logz):
         return None, NEG_INF
@@ -684,12 +685,12 @@ def reference_harmonic_counts(groups):
     1/|i-j|, one sentence at a time."""
     def expectations(tags):
         sent = sbg.weighted_sentence_automata(
-            tags,
+            len(tags),
             attach_logw=lambda h, d: -math.log(abs(h - d)),
             root_logw=lambda d: 0.0,
         )
         events, logz = sbg.forest_expected_counts(
-            induction._chart_forest(tags, sent), sent)
+            induction._chart_forest(len(tags)), sent)
         return dmv_counts_from_events(events, tags), logz
 
     return _reference_chunk(groups, expectations)[0]
@@ -737,7 +738,7 @@ def em_step(corpus, params):
     loglik = 0.0
     for tags in _tag_sequences(corpus):
         sent = dmv_sentence_automata(tags, params)
-        counts, logz = eisner_expected_counts(tags, sent)
+        counts, logz = forest_expected_counts(eisner_forest(sent), sent)
         loglik += logz
         merge_counts(total, dmv_counts_from_events(counts, tags))
     return dmv_params_from_counts(total, params), loglik
