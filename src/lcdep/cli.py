@@ -150,8 +150,6 @@ def _command_table():
         ),
         "coverage": (
             _COMMON + _CORPUS_OPTS + (
-                Opt("system", _system, LEFT_CORNER),
-                Opt("measure", str, "depth-re"),
                 Opt("bounds", _bounds, (1, 2, 3, 4)),
                 Opt("relax", int, 1),
                 Opt("lang", str, "-"),
@@ -345,10 +343,6 @@ def _cmd_analyze_depth(resolved, args):
 
 
 def _cmd_coverage(resolved, args):
-    if resolved["system"] != LEFT_CORNER:
-        raise CliError("coverage is defined for the left-corner system only")
-    if resolved["measure"] != "depth-re":
-        raise CliError("coverage supports measure depth-re only")
     corpus = _load_corpus(args["input"], resolved)
     prepared = analysis.prepare_corpus(
         corpus, strip_punct=resolved["strip-punct"]

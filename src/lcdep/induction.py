@@ -33,8 +33,6 @@ import collections
 import dataclasses
 import math
 import time
-from concurrent import futures
-from itertools import repeat
 
 import numpy as np
 from scipy import optimize
@@ -95,6 +93,11 @@ class FeatureSpace:
     ``starts[context_of[e]]``; ``keys[e]`` is its DmvCounts field and key:
     ``("attach", (h, side, d))``, ``("stop", (h, side, adj))``,
     ``("cont", (h, side, adj))`` or ``("root", d)``.
+
+    The same layout indexed by tag ids (``tag_id``, in ``tags`` order),
+    side ids (0 left, 1 right) and adjacency ids (0 adjacent): decision
+    ``attach_at[h, side, d]``, ``stop_at[h, side, adj]``,
+    ``cont_at[h, side, adj]`` or ``root_at[d]``.
     """
 
     def __init__(self, tagset):
@@ -128,6 +131,12 @@ class FeatureSpace:
         )
         self.starts = np.cumsum([0] + sizes[:-1])
         self.context_of = np.repeat(np.arange(len(sizes)), sizes)
+        t = len(self.tags)
+        self.tag_id = {tag: k for k, tag in enumerate(self.tags)}
+        self.attach_at = np.arange(t * 2 * t).reshape(t, 2, t)
+        self.stop_at = t * 2 * t + 2 * np.arange(t * 4).reshape(t, 2, 2)
+        self.cont_at = self.stop_at + 1
+        self.root_at = t * 2 * t + 8 * t + np.arange(t)
 
     @property
     def n_features(self):
@@ -352,11 +361,11 @@ class CorpusGraph:
     0.
     """
 
-    def __init__(self, groups, forests, space, tables):
+    def __init__(self, groups, forests, space):
         self.groups = groups
         self.log_mult = np.log([float(mult) for _, mult in groups])
         zero = space.n_decisions
-        tag_id, attach_at, stop_at, cont_at, root_at = tables
+        tag_id = space.tag_id
         sizes = [len(f.events) for f in forests]
         kind, side, h, q, d = np.concatenate(
             [sbg._event_fields(f) for f in forests], axis=1)
@@ -377,10 +386,10 @@ class CorpusGraph:
         root = ~real & (kind == sbg._TRANS)
         a = np.full(len(kind), zero)
         b = np.full(len(kind), zero)
-        a[trans] = attach_at[ht[trans], side[trans], dt[trans]]
-        b[trans] = cont_at[ht[trans], side[trans], adj[trans]]
-        a[final] = stop_at[ht[final], side[final], adj[final]]
-        a[root] = root_at[dt[root]]
+        a[trans] = space.attach_at[ht[trans], side[trans], dt[trans]]
+        b[trans] = space.cont_at[ht[trans], side[trans], adj[trans]]
+        a[final] = space.stop_at[ht[final], side[final], adj[final]]
+        a[root] = space.root_at[dt[root]]
         self.forest = hypergraph.disjoint_union(forests)
         self.count_a, self.count_b = a, b
         self.dist = np.where(trans, np.abs(h - d), 0)
@@ -460,27 +469,6 @@ class CorpusGraph:
                                   self._lengths)
 
 
-def _decision_tables(space):
-    """The tag ids of ``space`` and its decision ids by tag and side ids:
-    (tag id, attach[h, side, d], stop[h, side, adj], continue[h, side,
-    adj], root[d]), adj 0 for adjacent."""
-    t = len(space.tags)
-    tag_id = {tag: k for k, tag in enumerate(space.tags)}
-    attach_at = np.zeros((t, 2, t), dtype=np.intp)
-    stop_at = np.zeros((t, 2, 2), dtype=np.intp)
-    cont_at = np.zeros((t, 2, 2), dtype=np.intp)
-    root_at = np.zeros(t, dtype=np.intp)
-    for e, (field, key) in enumerate(space.keys):
-        if field == "attach":
-            attach_at[tag_id[key[0]], sbg._SIDE[key[1]], tag_id[key[2]]] = e
-        elif field == "root":
-            root_at[tag_id[key]] = e
-        else:
-            table = stop_at if field == "stop" else cont_at
-            table[tag_id[key[0]], sbg._SIDE[key[1]], 0 if key[2] else 1] = e
-    return tag_id, attach_at, stop_at, cont_at, root_at
-
-
 class CorpusGroups:
     """The (tags, multiplicity) groups of a corpus with the FeatureSpace of
     their tagset and the corpus graph of their last E-step.
@@ -494,7 +482,6 @@ class CorpusGroups:
         self.groups = list(groups)
         self.space = space or FeatureSpace(
             {t for tags, _ in self.groups for t in tags})
-        self._tables = _decision_tables(self.space)
         self._key = None
         self._graph = None
 
@@ -508,8 +495,7 @@ class CorpusGroups:
         if key != self._key:
             self._graph = None  # the old graph's arrays go before the new
             self._graph = CorpusGraph(
-                self.groups, _forests(self.groups, policy, cs),
-                self.space, self._tables)
+                self.groups, _forests(self.groups, policy, cs), self.space)
             self._key = key
         return self._graph
 
@@ -552,32 +538,17 @@ def sentence_expectations(tags, params, cs, policy=None, length_bias=None):
     return groups.space.dmv_counts(counts), float(logz)
 
 
-def estep(groups, params, cs, policy=None, length_bias=None, jobs=1):
-    """Expected counts over a corpus of (tags, multiplicity) groups.
+def estep(groups, params, cs, policy=None, length_bias=None):
+    """Expected counts over a corpus of (tags, multiplicity) groups, from
+    one inside-outside pass over their corpus graph.
 
     Returns (DmvCounts, log-likelihood, skipped sentence count).  Given a
-    CorpusGroups, the E-step reuses its corpus graph.  With ``jobs > 1``
-    the groups are split into a fixed partition, one part per worker
-    process, and the parts are added in order.
+    CorpusGroups, the E-step reuses its corpus graph.
     """
     if not isinstance(groups, CorpusGroups):
         groups = CorpusGroups(groups)
-    if jobs <= 1 or len(groups.groups) < 2 * jobs:
-        counts, loglik, skipped = groups.expectations(
-            params, cs, policy, length_bias)
-        return groups.space.dmv_counts(counts), loglik, skipped
-    parts = [CorpusGroups(groups.groups[k::jobs], groups.space)
-             for k in range(jobs)]
-    counts = np.zeros(groups.space.n_decisions)
-    loglik = 0.0
-    skipped = 0
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part, ll, sk in pool.map(
-                CorpusGroups.expectations, parts, repeat(params),
-                repeat(cs), repeat(policy), repeat(length_bias)):
-            counts += part
-            loglik += ll
-            skipped += sk
+    counts, loglik, skipped = groups.expectations(
+        params, cs, policy, length_bias)
     return groups.space.dmv_counts(counts), loglik, skipped
 
 
@@ -615,6 +586,9 @@ class TrainConfig:
     lbfgs_iterations: int = 100
     sigma2: float = 10.0
     tol: float = 1e-6
+    # EM runs in one process, so ``train`` accepts only 1.  The field stays
+    # only for the benchmark's TrainConfig(jobs=1) call and goes with it in
+    # the next benchmark change.
     jobs: int = 1
 
     def policy(self):
@@ -653,6 +627,9 @@ def train(corpus, cfg=None):
     decrease across iterations beyond numerical tolerance.
     """
     cfg = cfg or TrainConfig()
+    if cfg.jobs != 1:
+        raise ValueError("jobs must be 1: EM runs in one process, got %r"
+                         % (cfg.jobs,))
     groups = CorpusGroups(corpus_groups(corpus))
     if not groups.groups:
         raise ValueError("empty corpus")
@@ -679,7 +656,7 @@ def train(corpus, cfg=None):
     for it in range(1, cfg.em_iterations + 1):
         t0 = clock()
         counts, loglik, skipped = estep(
-            groups, params, cs, policy, cfg.length_bias, cfg.jobs
+            groups, params, cs, policy, cfg.length_bias
         )
         e_s = clock() - t0
         if skipped >= n_sentences:

@@ -575,24 +575,17 @@ def run_lc_oracle(tree):
     return _replay(LeftCorner(), tree)
 
 
-def run_as_oracle(tree):
-    """Arc-standard oracle; depth is the raw stack size after each action."""
-    return _replay(ArcStandard(), tree)
-
-
-def run_ae_oracle(tree):
-    """Arc-eager oracle; depth counts connected components."""
-    return _replay(ArcEager(), tree)
+_SYSTEM_CLASSES = {cls.name: cls
+                   for cls in (LeftCorner, ArcStandard, ArcEager)}
 
 
 def run_oracle(tree, system=LEFT_CORNER):
-    if system == LEFT_CORNER:
-        return run_lc_oracle(tree)
-    if system == ARC_STANDARD:
-        return run_as_oracle(tree)
-    if system == ARC_EAGER:
-        return run_ae_oracle(tree)
-    raise ValueError("unknown system: %r" % (system,))
+    """Replay ``tree`` with the oracle of the system named ``system``."""
+    try:
+        cls = _SYSTEM_CLASSES[system]
+    except KeyError:
+        raise ValueError("unknown system: %r" % (system,)) from None
+    return _replay(cls(), tree)
 
 
 def depth_re_max(trace):

@@ -489,11 +489,10 @@ def test_criterion_11b_ud_short_sentence_averages():
     if not pairs:
         _skip(11, "no *-ud-train.conllu/*-ud-test.conllu pairs under LCDEP_UD15_DIR")
 
-    jobs = min(8, os.cpu_count() or 1)
     configs = {
-        "uniform": TrainConfig(init="uniform", jobs=jobs),
-        "bounded": TrainConfig(init="uniform", depth_bound=1, size_cutoff=3, jobs=jobs),
-        "biased": TrainConfig(init="uniform", length_bias=0.1, jobs=jobs),
+        "uniform": TrainConfig(init="uniform"),
+        "bounded": TrainConfig(init="uniform", depth_bound=1, size_cutoff=3),
+        "biased": TrainConfig(init="uniform", length_bias=0.1),
     }
     targets = {"uniform": 49.2, "bounded": 51.8, "biased": 53.5}
     scores = {name: [] for name in configs}

@@ -46,8 +46,7 @@ def test_no_command_fails(capsys):
 def test_coverage_matches_library(corpus_file, capsys):
     path, corpus = corpus_file
     code, out, err = run(
-        ["coverage", "--system", "left-corner", "--measure", "depth-re",
-         "--bounds", "1,2,3,4", "--relax", "1", path],
+        ["coverage", "--bounds", "1,2,3,4", "--relax", "1", path],
         capsys,
     )
     assert code == 0
@@ -58,11 +57,21 @@ def test_coverage_matches_library(corpus_file, capsys):
     assert out == analysis.format_tsv(rows) + "\n"
 
 
-def test_coverage_rejects_other_systems(corpus_file, capsys):
+def test_coverage_rejects_other_systems(corpus_file, tmp_path, capsys):
+    # coverage is defined for the left-corner depth-re measure only, so
+    # neither the system nor the measure is an option
     path, _ = corpus_file
-    code, _, err = run(["coverage", "--system", "arc-standard", path], capsys)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("system=left-corner\n", encoding="utf-8")
+    code, _, err = run(["coverage", "--config", str(cfg), path], capsys)
     assert code == 2
-    assert err.splitlines()[-1].startswith("error: ")
+    assert err.splitlines()[-1] == (
+        "error: %s: unknown config key 'system'" % cfg)
+    for flag, value in (("--system", "left-corner"),
+                        ("--measure", "depth-re")):
+        with pytest.raises(SystemExit) as exc:
+            main(["coverage", flag, value, path])
+        assert exc.value.code == 2
 
 
 def test_analyze_depth_matches_library(corpus_file, capsys):

@@ -1,5 +1,6 @@
 """Featurized DMV induction: gradients, initialization, constraints, EM."""
 
+import inspect
 import math
 import random
 import re
@@ -46,6 +47,34 @@ def test_zero_weights_give_uniform_params():
         assert math.isclose(p, 0.5)
     for p in params.root.values():
         assert math.isclose(p, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("tags", [("N",), ("DET", "NOUN", "VERB"),
+                                  tuple("T%02d" % k for k in range(12))])
+def test_decision_tables_index_the_layout(tags):
+    space = induction.FeatureSpace(tags)
+    t = len(tags)
+    attach_at = np.full((t, 2, t), -1)
+    stop_at = np.full((t, 2, 2), -1)
+    cont_at = np.full((t, 2, 2), -1)
+    root_at = np.full(t, -1)
+    side_id = {LEFT: 0, RIGHT: 1}
+    for e, (field, key) in enumerate(space.keys):
+        if field == "attach":
+            h, side, d = key
+            attach_at[space.tag_id[h], side_id[side], space.tag_id[d]] = e
+        elif field == "root":
+            root_at[space.tag_id[key]] = e
+        else:
+            h, side, adj = key
+            table = stop_at if field == "stop" else cont_at
+            table[space.tag_id[h], side_id[side], 0 if adj else 1] = e
+    assert space.tag_id == {tag: k for k, tag in enumerate(space.tags)}
+    for got, want in ((space.attach_at, attach_at), (space.stop_at, stop_at),
+                      (space.cont_at, cont_at), (space.root_at, root_at)):
+        assert (want >= 0).all()  # every entry names a decision
+        assert got.shape == want.shape
+        assert (got == want).all()
 
 
 def test_attach_pair_feature_is_shared_across_directions():
@@ -506,22 +535,18 @@ def test_training_fails_when_nothing_has_mass():
         induction.train(corpus, cfg)
 
 
-def test_estep_parallel_matches_serial():
-    rng = random.Random(17)
-    corpus = random_corpus(rng, n_sent=12, max_len=4)
-    groups = induction.corpus_groups(corpus)
-    params = sbg.random_dmv_params(TAGSET, rng)
-    cs = induction.ConstraintSet(stop_one_tags=frozenset({"DET"}))
-    c1, ll1, sk1 = induction.estep(groups, params, cs, jobs=1)
-    c2, ll2, sk2 = induction.estep(groups, params, cs, jobs=2)
-    assert sk1 == sk2
-    assert math.isclose(ll1, ll2, abs_tol=1e-10)
-    for field in ("attach", "stop", "cont", "root"):
-        d1 = getattr(c1, field)
-        d2 = getattr(c2, field)
-        assert set(d1) == set(d2)
-        for key in d1:
-            assert math.isclose(d1[key], d2[key], abs_tol=1e-10)
+def test_training_rejects_jobs_before_building_a_forest(monkeypatch):
+    # EM runs in one process: a jobs value other than 1 fails fast
+    def no_forest(*args, **kwargs):
+        raise AssertionError("a forest was built")
+
+    monkeypatch.setattr(induction, "_chart_forest", no_forest)
+    with pytest.raises(ValueError, match="jobs"):
+        induction.train([("NOUN", "VERB")], induction.TrainConfig(jobs=2))
+
+
+def test_estep_has_no_jobs_parameter():
+    assert "jobs" not in inspect.signature(induction.estep).parameters
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,11 @@ def test_oracle_of_the_empty_sentence_takes_no_step(system):
     assert trace.arcs == frozenset()
 
 
+def test_oracle_of_an_unknown_system_fails():
+    with pytest.raises(ValueError, match="unknown system"):
+        run_oracle(tree_from_heads((0,)), "left-corner")
+
+
 def test_format_trace():
     tree = tree_from_heads([2, 0, 2])
     lines = format_trace(run_lc_oracle(tree)).splitlines()
