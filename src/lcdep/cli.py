@@ -184,7 +184,6 @@ def _command_table():
                 Opt("function-words", _tag_list, ()),
                 Opt("adp-head", _bool, False, flag=True),
                 Opt("em-iters", int, 50),
-                Opt("lbfgs-iters", int, 100),
                 Opt("sigma2", float, 10.0),
                 Opt("tol", float, 1e-6),
             ),
@@ -413,16 +412,15 @@ def _train_config(resolved):
         length_bias=resolved["beta"],
         **_constraint_fields(resolved),
         em_iterations=resolved["em-iters"],
-        lbfgs_iterations=resolved["lbfgs-iters"],
         sigma2=resolved["sigma2"],
         tol=resolved["tol"],
     )
 
 
-def _lbfgs_summary(run):
-    return "%d L-BFGS iterations, %s (status %d: %s)" % (
+def _mstep_summary(run):
+    return "%d Newton iterations, %s (status %d: %s, |grad| %.1e)" % (
         run.iterations, "converged" if run.converged else "not converged",
-        run.status, run.message)
+        run.status, run.message, run.max_gradient)
 
 
 def _cmd_train_dmv(resolved, args):
@@ -447,12 +445,12 @@ def _cmd_train_dmv(resolved, args):
     runs = dict(model.mstep_runs)
     if 0 in runs:
         log.info("initial M-step: %s in %.3f s, after a %.3f s harmonic "
-                 "E-step", _lbfgs_summary(runs[0]), seconds[0][1],
+                 "E-step", _mstep_summary(runs[0]), seconds[0][1],
                  seconds[0][0])
     for it, objective, skipped in model.history:
         log.info("EM iteration %d: objective %.6f, skipped %d, E-step "
                  "%.3f s, M-step %s in %.3f s", it, objective, skipped,
-                 seconds[it][0], _lbfgs_summary(runs[it]), seconds[it][1])
+                 seconds[it][0], _mstep_summary(runs[it]), seconds[it][1])
     log.info("wrote %s and %s", model_path, metrics_path)
     return 0
 

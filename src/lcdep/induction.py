@@ -4,8 +4,8 @@ A DMV whose multinomials are log-linear over shared back-off features,
 trained with EM: the E-step computes expected decision counts under the
 current parameters (optionally restricted by a stack-depth policy, a
 dependency-length bias, and linguistic constraints), and the M-step fits the
-feature weights to those counts with L-BFGS under a Gaussian prior.  Both
-work on one flat layout of all softmax decisions (``FeatureSpace``): a
+feature weights to those counts by Newton's method under a Gaussian prior.
+Both work on one flat layout of all softmax decisions (``FeatureSpace``): a
 single segment log-softmax gives both the M-step objective and the DMV
 probabilities, and the expected counts are one vector over the layout.
 
@@ -35,7 +35,6 @@ import math
 import time
 
 import numpy as np
-from scipy import optimize
 
 from . import hypergraph, lc_chart, sbg
 from .hypergraph import NEG_INF
@@ -179,6 +178,10 @@ class FeatureSpace:
         return out
 
 
+# Newton iterations per M-step at most; converged M-steps take far fewer
+MSTEP_MAX_ITERATIONS = 100
+
+
 def mstep_objective(space, w, counts, sigma2=10.0):
     """Penalized expected complete-data log-likelihood and its gradient.
 
@@ -197,39 +200,116 @@ def mstep_objective(space, w, counts, sigma2=10.0):
             grad - w / sigma2)
 
 
+def mstep_curvature(space, w, counts, sigma2=10.0):
+    """The Hessian of ``mstep_objective`` at ``w``, negated, as the function
+    v -> -H v.
+
+    -H = F^T blockdiag(T_k (diag p_k - p_k p_k^T)) F + I / sigma2, where F
+    maps decisions to their features, p_k is context k's softmax and T_k its
+    total count, so it is positive definite and one product costs what the
+    gradient costs: a feature gather, one segment sum and one bincount.
+    """
+    p = np.exp(space._log_softmax(np.asarray(w, dtype=float)))
+    tp = np.add.reduceat(counts, space.starts)[space.context_of] * p
+    feats = space.feats
+
+    def product(v):
+        u = v[feats].sum(axis=1)
+        s = np.add.reduceat(p * u, space.starts)[space.context_of]
+        return (np.bincount(feats.ravel(),
+                            weights=np.repeat(tp * (u - s), feats.shape[1]),
+                            minlength=space.n_features)
+                + v / sigma2)
+
+    return product
+
+
 @dataclasses.dataclass(frozen=True)
-class LbfgsRun:
-    """How one M-step's L-BFGS run ended: scipy's iteration count, status
-    (0 converged, 1 iteration or evaluation limit reached, 2 stopped for
-    another reason) and message."""
+class MstepRun:
+    """How one M-step's Newton run ended: Newton iterations taken, status
+    (0 converged, 1 iteration limit reached, 2 line search found no
+    decrease), message and the final gradient's largest magnitude."""
 
     iterations: int
     status: int
     message: str
+    max_gradient: float
 
     @property
     def converged(self):
         return self.status == 0
 
 
-def mstep(space, counts, w0, sigma2=10.0, maxiter=100):
-    """Fit feature weights to expected counts (a DmvCounts) with L-BFGS.
+def _newton_direction(product, g):
+    """Truncated conjugate gradient on ``product(d) = -g`` (Nocedal &
+    Wright, Numerical Optimization, 2nd ed., Algorithm 7.1), stopped at the
+    forcing tolerance min(0.5, sqrt|g|) |g|."""
+    norm = math.sqrt(g @ g)
+    tol = min(0.5, math.sqrt(norm)) * norm
+    z = np.zeros_like(g)
+    r = g.copy()
+    d = -r
+    rr = r @ r
+    for _ in range(len(g)):
+        hd = product(d)
+        curvature = d @ hd
+        if curvature <= 0.0:  # -H is positive definite, so only when g = 0
+            break
+        alpha = rr / curvature
+        z += alpha * d
+        r += alpha * hd
+        rr_next = r @ r
+        if math.sqrt(rr_next) <= tol:
+            break
+        d = -r + (rr_next / rr) * d
+        rr = rr_next
+    return z
 
-    Returns (weights, LbfgsRun)."""
+
+def mstep(space, counts, w0, sigma2=10.0, maxiter=MSTEP_MAX_ITERATIONS):
+    """Fit feature weights to expected counts (a DmvCounts) by line-search
+    Newton-CG on the negated ``mstep_objective``.
+
+    Each Newton direction comes from ``_newton_direction`` with the exact
+    Hessian-vector product of ``mstep_curvature``; a step is the largest of
+    1, 1/2, 1/4, ... that meets the Armijo condition.  The run converges
+    when the Newton decrement -g.d is at most 4 eps max(1, |f|): the
+    objective cannot then be improved beyond its rounding.  Returns
+    (weights, MstepRun); raises ValueError on counts or initial weights
+    that are not finite.
+    """
     c = space.count_vector(counts)
-
-    def neg(w):
-        obj, grad = mstep_objective(space, w, c, sigma2)
-        return -obj, -grad
-
-    res = optimize.minimize(
-        neg,
-        np.asarray(w0, dtype=float),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter, "ftol": 1e-13, "gtol": 1e-9},
-    )
-    return res.x, LbfgsRun(int(res.nit), int(res.status), str(res.message))
+    w = np.array(w0, dtype=float)
+    if not (np.isfinite(c).all() and np.isfinite(w).all()):
+        raise ValueError("M-step needs finite expected counts and initial "
+                         "weights")
+    obj, grad = mstep_objective(space, w, c, sigma2)
+    f, g = -obj, -grad
+    floor = 4.0 * np.finfo(float).eps
+    for it in range(maxiter):
+        d = _newton_direction(mstep_curvature(space, w, c, sigma2), g)
+        decrement = -(g @ d)
+        if decrement <= floor * max(1.0, abs(f)):
+            # take this last, tiny step too: the objective cannot see it,
+            # but it squares the weights' error, so that counts equal up to
+            # rounding give weights equal up to rounding
+            w = w + d
+            _, grad = mstep_objective(space, w, c, sigma2)
+            return w, MstepRun(it + 1, 0, "converged",
+                               float(np.abs(grad).max()))
+        step = 1.0
+        for _ in range(50):
+            w_next = w + step * d
+            obj, grad = mstep_objective(space, w_next, c, sigma2)
+            if -obj <= f - 1e-4 * step * decrement:
+                break
+            step *= 0.5
+        else:
+            return w, MstepRun(it, 2, "line search found no decrease",
+                               float(np.abs(g).max()))
+        w, f, g = w_next, -obj, -grad
+    return w, MstepRun(maxiter, 1, "iteration limit reached",
+                       float(np.abs(g).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +663,6 @@ class TrainConfig:
     function_words: tuple = ()
     adp_head: bool = False
     em_iterations: int = 50
-    lbfgs_iterations: int = 100
     sigma2: float = 10.0
     tol: float = 1e-6
     # EM runs in one process, so ``train`` accepts only 1.  The field stays
@@ -611,7 +690,7 @@ class TrainedModel:
     params: DmvParams
     config: TrainConfig
     history: list  # (iteration, objective, skipped)
-    # (iteration, LbfgsRun) of every M-step; iteration 0 is the fit to the
+    # (iteration, MstepRun) of every M-step; iteration 0 is the fit to the
     # harmonic initialisation's counts
     mstep_runs: list = dataclasses.field(default_factory=list)
     # (iteration, E-step wall s, M-step wall s); iteration 0 is the harmonic
@@ -644,7 +723,7 @@ def train(corpus, cfg=None):
         t0 = clock()
         counts = harmonic_counts(groups)
         t1 = clock()
-        w, run = mstep(space, counts, w, cfg.sigma2, cfg.lbfgs_iterations)
+        w, run = mstep(space, counts, w, cfg.sigma2)
         mstep_runs.append((0, run))
         step_seconds.append((0, t1 - t0, clock() - t1))
     elif cfg.init != "uniform":
@@ -664,7 +743,7 @@ def train(corpus, cfg=None):
         objective = loglik - float(w @ w) / (2.0 * cfg.sigma2)
         history.append((it, objective, skipped))
         t1 = clock()
-        w, run = mstep(space, counts, w, cfg.sigma2, cfg.lbfgs_iterations)
+        w, run = mstep(space, counts, w, cfg.sigma2)
         mstep_runs.append((it, run))
         step_seconds.append((it, e_s, clock() - t1))
         params = space.weights_to_params(w)

@@ -8,9 +8,12 @@ one-line reason and nonzero exit status.
 import logging
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import lcdep
 from lcdep import analysis, induction, supervised
 from lcdep.cli import main
 from lcdep.transition import LEFT_CORNER
@@ -168,18 +171,18 @@ def test_train_dmv_logs_each_m_step(corpus_file, tmp_path, capsys, caplog):
     path, _ = corpus_file
     caplog.set_level(logging.INFO, logger="lcdep")
     code, _, _ = run(
-        ["train-dmv", "--em-iters", "2", "--lbfgs-iters", "3", "--tol", "0",
+        ["train-dmv", "--em-iters", "2", "--tol", "0",
          "--out", str(tmp_path / "run"), path],
         capsys,
     )
     assert code == 0
     lines = [r.getMessage() for r in caplog.records
-             if "L-BFGS iterations" in r.getMessage()]
-    assert lines[0].startswith("initial M-step: 3 L-BFGS iterations, "
-                               "not converged (status 1: ")
+             if "Newton iterations" in r.getMessage()]
+    assert re.match(r"initial M-step: \d+ Newton iterations, converged "
+                    r"\(status 0: converged, \|grad\| ", lines[0])
     assert [line.split(":")[0] for line in lines[1:]] == [
         "EM iteration 1", "EM iteration 2"]
-    assert all("M-step 3 L-BFGS iterations, not converged" in line
+    assert all(re.search(r"M-step \d+ Newton iterations, converged", line)
                for line in lines[1:])
 
 
@@ -240,6 +243,34 @@ def test_train_dmv_has_no_jobs_option(corpus_file, tmp_path, capsys):
         main(["train-dmv", "--jobs", "2", path])
     assert exc.value.code == 2
     assert not (tmp_path / "run").exists()
+
+
+def test_train_dmv_has_no_iteration_cap_option(corpus_file, tmp_path, capsys):
+    # the M-step runs to convergence under one fixed cap
+    path, _ = corpus_file
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("em-iters=1\nlbfgs-iters=100\n", encoding="utf-8")
+    code, _, err = run(["train-dmv", "--config", str(cfg),
+                        "--out", str(tmp_path / "run"), path], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: %s: unknown config key 'lbfgs-iters'" % cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["train-dmv", "--lbfgs-iters", "3", path])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # every command and benchmark worker imports the cli at start-up, where
+    # scipy.optimize alone cost about 0.75 s
+    src = os.path.dirname(os.path.dirname(lcdep.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lcdep.cli, sys; print(sorted(m for m "
+         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_parse_constraint_options_match_the_training_constraint_set(

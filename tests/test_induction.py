@@ -151,6 +151,104 @@ def test_mstep_reaches_a_stationary_point():
     assert np.max(np.abs(grad)) < 1e-4 * (1.0 + abs(obj))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mstep_curvature_matches_differences_of_the_gradient(seed):
+    rng = random.Random(seed)
+    space = induction.FeatureSpace(("A", "B", "C"))
+    counts = space.count_vector(random_counts(space, rng))
+    w = np.array([rng.gauss(0.0, 0.5) for _ in range(space.n_features)])
+    product = induction.mstep_curvature(space, w, counts, sigma2=10.0)
+    eps = 1e-5
+    for _ in range(5):
+        v = np.array([rng.gauss(0.0, 1.0) for _ in range(space.n_features)])
+        _, gp = induction.mstep_objective(space, w + eps * v, counts)
+        _, gm = induction.mstep_objective(space, w - eps * v, counts)
+        num = -(gp - gm) / (2.0 * eps)  # the curvature is of -objective
+        hv = product(v)
+        assert np.max(np.abs(hv - num) / np.maximum(1.0, np.abs(num))) <= 1e-6
+        assert v @ hv >= (v @ v) / 10.0  # at least the prior's curvature
+
+
+def _dense_newton_optimum(space, counts, sigma2=10.0):
+    """The M-step optimum by Newton steps with the explicit Hessian of the
+    negated objective (decisions x features map F, per-context softmax
+    covariance blocks), solved densely."""
+    f_map = np.zeros((space.n_decisions, space.n_features))
+    for e, row in enumerate(space.feats):
+        f_map[e, row] += 1.0
+    same = space.context_of[:, None] == space.context_of[None, :]
+    totals = np.array([counts[space.context_of == k].sum()
+                       for k in space.context_of])
+    w = np.zeros(space.n_features)
+    for _ in range(100):
+        obj, grad = induction.mstep_objective(space, w, counts, sigma2)
+        p = np.exp(space._log_softmax(w))
+        block = np.diag(totals * p) - totals[:, None] * np.outer(p, p) * same
+        hessian = f_map.T @ block @ f_map + np.eye(space.n_features) / sigma2
+        step = np.linalg.solve(hessian, grad)
+        if np.max(np.abs(step)) <= 1e-10:
+            # one more full step: the one after it would be below the
+            # rounding of w
+            return w + step
+        t = 1.0
+        # damped far from the optimum, full steps near it, where the
+        # objective's rounding would reject them
+        while (np.max(np.abs(step)) > 1e-4 and induction.mstep_objective(
+                space, w + t * step, counts, sigma2)[0] < obj):
+            t *= 0.5
+        w = w + t * step
+    raise AssertionError("the dense Newton reference did not converge")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_mstep_matches_a_dense_newton_solve(seed):
+    rng = random.Random(seed)
+    space = induction.FeatureSpace(("A", "B", "C"))
+    counts = random_counts(space, rng)
+    for field in ("attach", "stop", "root"):  # wider count scales
+        for key in getattr(counts, field):
+            getattr(counts, field)[key] *= rng.choice((0.01, 1.0, 50.0))
+    want = _dense_newton_optimum(space, space.count_vector(counts))
+    w0 = np.array([rng.gauss(0.0, 2.0) for _ in range(space.n_features)])
+    w, run = induction.mstep(space, counts, w0)
+    assert run.converged
+    assert np.max(np.abs(w - want)) <= 1e-9
+
+
+def _perturbed(counts, rng, rel=1e-14):
+    out = sbg.DmvCounts.zero()
+    for field in ("attach", "stop", "cont", "root"):
+        getattr(out, field).update(
+            (key, c * (1.0 + rel * rng.uniform(-1.0, 1.0)))
+            for key, c in getattr(counts, field).items())
+    return out
+
+
+def test_em_trajectory_is_stable_under_count_rounding(monkeypatch):
+    # the north star's gate: expected counts that differ in the last digits
+    # (another summation order) leave the EM objectives within 1e-8,
+    # because every M-step converges rather than stopping at its cap
+    corpus = random_corpus(random.Random(8), n_sent=16, max_len=7)
+    cfg = induction.TrainConfig(em_iterations=6, tol=0.0, depth_bound=1,
+                                size_cutoff=3)
+    base = induction.train(corpus, cfg)
+    rng = random.Random(0)
+    estep, harmonic = induction.estep, induction.harmonic_counts
+
+    def perturbed_estep(*args):
+        counts, loglik, skipped = estep(*args)
+        return _perturbed(counts, rng), loglik, skipped
+
+    monkeypatch.setattr(induction, "estep", perturbed_estep)
+    monkeypatch.setattr(induction, "harmonic_counts",
+                        lambda groups: _perturbed(harmonic(groups), rng))
+    moved = induction.train(corpus, cfg)
+    assert len(base.history) == len(moved.history) == 6
+    assert all(run.converged for _, run in base.mstep_runs + moved.mstep_runs)
+    for (_, a, _), (_, b, _) in zip(base.history, moved.history):
+        assert abs(a - b) <= 1e-8
+
+
 def _counts_with_empty_contexts(space, rng):
     """Random counts where about a third of the contexts have none."""
     counts = random_counts(space, rng)
@@ -664,19 +762,60 @@ def test_model_file_weight_that_is_not_a_number_is_rejected():
 # M-step observability and degenerate weights
 
 
-def test_mstep_runs_record_lbfgs_iterations_and_status():
+def test_mstep_runs_record_newton_iterations_and_status():
     rng = random.Random(3)
     corpus = random_corpus(rng, n_sent=6, max_len=4)
-    capped = induction.train(corpus, induction.TrainConfig(
-        em_iterations=2, tol=0.0, lbfgs_iterations=2))
-    assert [it for it, _ in capped.mstep_runs] == [0, 1, 2]
-    for _, run in capped.mstep_runs:
-        assert run.iterations == 2
-        assert run.status == 1 and not run.converged
-    free = induction.train(corpus, induction.TrainConfig(
-        init="uniform", em_iterations=1, lbfgs_iterations=15000))
-    [(it, run)] = free.mstep_runs
-    assert it == 1 and run.converged and 2 < run.iterations < 15000
+    model = induction.train(corpus, induction.TrainConfig(
+        em_iterations=2, tol=0.0))
+    assert [it for it, _ in model.mstep_runs] == [0, 1, 2]
+    for _, run in model.mstep_runs:
+        assert run.converged and run.status == 0
+        assert 0 < run.iterations < induction.MSTEP_MAX_ITERATIONS
+        assert run.max_gradient < 1e-8
+    space = model.space
+    counts = random_counts(space, rng)
+    _, capped = induction.mstep(space, counts, np.zeros(space.n_features),
+                                maxiter=2)
+    assert capped.iterations == 2
+    assert capped.status == 1 and not capped.converged
+    assert capped.max_gradient > 1e-8
+
+
+def test_mstep_stops_when_the_line_search_finds_no_decrease(monkeypatch):
+    space = induction.FeatureSpace(("A", "B"))
+    counts = random_counts(space, random.Random(4))
+    w0 = np.zeros(space.n_features)
+    objective = induction.mstep_objective
+
+    def nowhere_better(space_, w, *args):
+        obj, grad = objective(space_, w, *args)
+        return (obj if np.array_equal(w, w0) else NEG_INF), grad
+
+    monkeypatch.setattr(induction, "mstep_objective", nowhere_better)
+    w, run = induction.mstep(space, counts, w0)
+    assert run.status == 2 and not run.converged and run.iterations == 0
+    assert run.message == "line search found no decrease"
+    assert np.array_equal(w, w0) and run.max_gradient > 0.0
+
+
+@pytest.mark.parametrize("bad", ["counts", "w0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_mstep_rejects_weights_or_counts_that_are_not_finite(
+        bad, value, monkeypatch):
+    space = induction.FeatureSpace(("A", "B"))
+    counts = random_counts(space, random.Random(0))
+    w0 = np.zeros(space.n_features)
+    if bad == "counts":
+        counts.stop["A", LEFT, True] = value
+    else:
+        w0[3] = value
+    calls = []
+    monkeypatch.setattr(induction, "mstep_objective",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="M-step needs finite"):
+        induction.mstep(space, counts, w0)
+    assert not calls  # it failed before the first evaluation
 
 
 def _params_with(tagset, value):
