@@ -64,21 +64,6 @@ TIE_TOL = 1e-12
 TIE_GAP = 2 * TIE_TOL
 
 
-class EdgeEvents:
-    """Read-only per-edge view of the edge -> event CSR: ``[e]`` is the
-    tuple of event ids of edge ``e``."""
-
-    def __init__(self, ptr, flat):
-        self._ptr = ptr
-        self._flat = flat
-
-    def __len__(self):
-        return len(self._ptr) - 1
-
-    def __getitem__(self, e):
-        return tuple(self._flat[self._ptr[e]:self._ptr[e + 1]].tolist())
-
-
 class Forest:
     """An acyclic hypergraph with a single goal item, as flat arrays (see
     the module docstring for the layout); a ``disjoint_union`` has one goal
@@ -114,7 +99,6 @@ class Forest:
         self.event_ptr = np.concatenate(([0], np.cumsum(n_ev)))
         self.event_flat = flat
         self._no_events = n_ev == 0
-        self.edge_events = EdgeEvents(self.event_ptr, self.event_flat)
         self.group_head, self.group_ptr, self.level_ptr = _groups(head, level)
         self._levels = _plan(self.group_head, self.group_ptr, self.level_ptr)
         self._uses = None

@@ -8,6 +8,9 @@ feature weights to those counts by Newton's method under a Gaussian prior.
 Both work on one flat layout of all softmax decisions (``FeatureSpace``): a
 single segment log-softmax gives both the M-step objective and the DMV
 probabilities, and the expected counts are one vector over the layout.
+``train`` runs EM in that layout alone; ``DmvParams`` and ``DmvCounts``
+appear only at the public edges (``estep``, ``sentence_expectations``,
+decoding and ``TrainedModel.params``).
 
 The E-step runs inside-outside once over a *corpus graph*
 (``CorpusGraph``), the disjoint union of the chart forests of every
@@ -163,11 +166,6 @@ class FeatureSpace:
                 getattr(params, field)[key] = p
         return params
 
-    def count_vector(self, counts):
-        """A DmvCounts as one count per decision of the flat layout."""
-        return np.array([getattr(counts, field).get(key, 0.0)
-                         for field, key in self.keys])
-
     def dmv_counts(self, vector):
         """The DmvCounts of one count per decision; zero counts are left
         out."""
@@ -267,8 +265,9 @@ def _newton_direction(product, g):
 
 
 def mstep(space, counts, w0, sigma2=10.0, maxiter=MSTEP_MAX_ITERATIONS):
-    """Fit feature weights to expected counts (a DmvCounts) by line-search
-    Newton-CG on the negated ``mstep_objective``.
+    """Fit feature weights to expected counts, one per decision of
+    ``space``'s flat layout, by line-search Newton-CG on the negated
+    ``mstep_objective``.
 
     Each Newton direction comes from ``_newton_direction`` with the exact
     Hessian-vector product of ``mstep_curvature``; a step is the largest of
@@ -278,7 +277,7 @@ def mstep(space, counts, w0, sigma2=10.0, maxiter=MSTEP_MAX_ITERATIONS):
     (weights, MstepRun); raises ValueError on counts or initial weights
     that are not finite.
     """
-    c = space.count_vector(counts)
+    c = np.asarray(counts, dtype=float)
     w = np.array(w0, dtype=float)
     if not (np.isfinite(c).all() and np.isfinite(w).all()):
         raise ValueError("M-step needs finite expected counts and initial "
@@ -352,9 +351,10 @@ class ConstraintSet:
 # pass.  Each of its events names two decisions of a FeatureSpace layout and
 # weighs the sum of their log-weights, plus the length bias for a real-head
 # transition; the event's expected count goes to the same two decisions.
-# Slot ZERO of the log-weight vector, one past the decisions, weighs 0 and
-# slot ZERO + 1 weighs -inf; counts landing on ZERO are dropped.  Decoding
-# runs the same graph and prices under the max semiring.
+# ``CorpusGraph.prices`` appends two slots to the decision log-weights: slot
+# ZERO, one past the decisions, weighs 0 and slot ZERO + 1 weighs -inf;
+# counts landing on ZERO are dropped.  Decoding runs the same graph and
+# prices under the max semiring.
 
 _UNTRAINED = "tag %r has no DMV parameters: the model was not trained on it"
 
@@ -411,7 +411,7 @@ def _chart_forest(n, policy=None, blocked=frozenset()):
 def _decision_logw(space, params):
     """Log-weight of every decision of ``space`` under ``params``: the log
     of its probability (-inf for zero), a continue decision's probability
-    being one minus its stop's; then the 0 and -inf slots."""
+    being one minus its stop's."""
     out = []
     try:
         for field, key in space.keys:
@@ -426,7 +426,7 @@ def _decision_logw(space, params):
             out.append(sbg._log(p))
     except KeyError:
         raise ValueError(_UNTRAINED % (key[0],)) from None
-    return np.array(out + [0.0, NEG_INF])
+    return np.array(out)
 
 
 class CorpusGraph:
@@ -485,13 +485,15 @@ class CorpusGraph:
         self._prices = None
 
     def prices(self, logw, cs, length_bias=None):
-        """Log-weight of every event, given the decision log-weights
-        ``logw`` (``_decision_logw``), constraint set ``cs`` and length
-        bias beta: each event weighs ``logw[a] + logw[b]`` over its two
-        pricing decisions (``_price_maps``), plus -beta * (|h - d| - 1) for
-        a real-head transition, so the root arc and adjacent arcs carry no
-        bias.  The E-step and decoding both price events here."""
+        """Log-weight of every event, given one log-weight per decision
+        ``logw``, constraint set ``cs`` and length bias beta: each event
+        weighs ``logw[a] + logw[b]`` over its two pricing decisions
+        (``_price_maps``; the 0 and -inf slots are appended here), plus
+        -beta * (|h - d| - 1) for a real-head transition, so the root arc
+        and adjacent arcs carry no bias.  The E-step and decoding both
+        price events here."""
         a, b = self._price_maps(cs)
+        logw = np.concatenate((logw, (0.0, NEG_INF)))
         eventw = logw[a] + logw[b]
         if length_bias:
             eventw += -float(length_bias) * np.maximum(self.dist - 1, 0)
@@ -553,9 +555,10 @@ class CorpusGroups:
     """The (tags, multiplicity) groups of a corpus with the FeatureSpace of
     their tagset and the corpus graph of their last E-step.
 
-    ``estep`` and ``harmonic_counts`` given this object reuse its graph for
-    as long as the chart (depth policy and blocked tags) stays the same, so
-    ``train`` assembles a corpus graph once per chart.
+    Its E-steps (``expectations``, ``harmonic`` and ``estep`` given this
+    object) reuse its graph for as long as the chart (depth policy and
+    blocked tags) stays the same, so ``train`` assembles a corpus graph once
+    per chart.
     """
 
     def __init__(self, groups, space=None):
@@ -579,12 +582,12 @@ class CorpusGroups:
             self._key = key
         return self._graph
 
-    def expectations(self, params, cs, policy=None, length_bias=None):
+    def expectations(self, logw, cs, policy=None, length_bias=None):
         """(count per decision of ``space``, log-likelihood, skipped
-        sentence count) of one E-step."""
+        sentence count) of one E-step under decision log-weights ``logw``
+        (one per decision of ``space``)."""
         if not self.groups:
             return np.zeros(self.space.n_decisions), 0.0, 0
-        logw = _decision_logw(self.space, params)
         graph = self.graph(policy, cs)
         return graph.expectations(graph.prices(logw, cs, length_bias))
 
@@ -611,8 +614,8 @@ def sentence_expectations(tags, params, cs, policy=None, length_bias=None):
     """(DmvCounts, log marginal) for one sentence, or (None, -inf) when the
     constraints leave no admissible analysis."""
     groups = CorpusGroups([(tuple(tags), 1)])
-    counts, logz, skipped = groups.expectations(params, cs, policy,
-                                                length_bias)
+    counts, logz, skipped = groups.expectations(
+        _decision_logw(groups.space, params), cs, policy, length_bias)
     if skipped:
         return None, NEG_INF
     return groups.space.dmv_counts(counts), float(logz)
@@ -628,7 +631,7 @@ def estep(groups, params, cs, policy=None, length_bias=None):
     if not isinstance(groups, CorpusGroups):
         groups = CorpusGroups(groups)
     counts, loglik, skipped = groups.expectations(
-        params, cs, policy, length_bias)
+        _decision_logw(groups.space, params), cs, policy, length_bias)
     return groups.space.dmv_counts(counts), loglik, skipped
 
 
@@ -639,14 +642,6 @@ def estep(groups, params, cs, policy=None, length_bias=None):
 def corpus_groups(corpus):
     counter = collections.Counter(sbg._tag_sequences(corpus))
     return sorted(counter.items())
-
-
-def harmonic_counts(groups):
-    """Expected counts of one E-step where attaching positions i and j has
-    weight 1/|i-j| and root and stop choices are uniform."""
-    if not isinstance(groups, CorpusGroups):
-        groups = CorpusGroups(groups)
-    return groups.space.dmv_counts(groups.harmonic())
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +696,11 @@ class TrainedModel:
 def train(corpus, cfg=None):
     """EM over a corpus of tag sequences (or trees).
 
-    The reported objective is the penalized constrained marginal
-    log-likelihood of the parameters entering each iteration; it cannot
-    decrease across iterations beyond numerical tolerance.
+    Each E-step is priced from the weights' log-softmax and each M-step
+    fits its count vector; the DMV parameters are computed once, from the
+    final weights.  The reported objective is the penalized constrained
+    marginal log-likelihood of the parameters entering each iteration; it
+    cannot decrease across iterations beyond numerical tolerance.
     """
     cfg = cfg or TrainConfig()
     if cfg.jobs != 1:
@@ -721,22 +718,20 @@ def train(corpus, cfg=None):
     clock = time.perf_counter
     if cfg.init == "harmonic":
         t0 = clock()
-        counts = harmonic_counts(groups)
+        counts = groups.harmonic()
         t1 = clock()
         w, run = mstep(space, counts, w, cfg.sigma2)
         mstep_runs.append((0, run))
         step_seconds.append((0, t1 - t0, clock() - t1))
     elif cfg.init != "uniform":
         raise ValueError("unknown init %r" % cfg.init)
-    params = space.weights_to_params(w)
     history = []
     prev = None
     n_sentences = sum(mult for _, mult in groups.groups)
     for it in range(1, cfg.em_iterations + 1):
         t0 = clock()
-        counts, loglik, skipped = estep(
-            groups, params, cs, policy, cfg.length_bias
-        )
+        counts, loglik, skipped = groups.expectations(
+            space._log_softmax(w), cs, policy, cfg.length_bias)
         e_s = clock() - t0
         if skipped >= n_sentences:
             raise ValueError("every sentence has zero constrained mass")
@@ -746,12 +741,11 @@ def train(corpus, cfg=None):
         w, run = mstep(space, counts, w, cfg.sigma2)
         mstep_runs.append((it, run))
         step_seconds.append((it, e_s, clock() - t1))
-        params = space.weights_to_params(w)
         if prev is not None and abs(objective - prev) < cfg.tol:
             break
         prev = objective
-    return TrainedModel(space, w, params, cfg, history, mstep_runs,
-                        step_seconds)
+    return TrainedModel(space, w, space.weights_to_params(w), cfg, history,
+                        mstep_runs, step_seconds)
 
 
 # ---------------------------------------------------------------------------

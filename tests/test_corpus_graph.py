@@ -1,8 +1,8 @@
 """The corpus-graph E-step and decoders pinned to the per-sentence
 reference.
 
-At fixed parameters ``induction.estep`` and ``induction.harmonic_counts``
-must agree with ``tests/util.py``'s sentence-at-a-time E-step: counts and
+At fixed parameters ``induction.estep`` and ``CorpusGroups.harmonic`` must
+agree with ``tests/util.py``'s sentence-at-a-time E-step: counts and
 log-likelihood within 1e-9 and equal skipped counts, under every chart and
 constraint configuration.  ``induction.decode`` and
 ``induction.decode_constrained`` must give the trees of
@@ -250,7 +250,7 @@ def test_nan_event_weights_skip_every_group(chart, recwarn):
 
 def test_harmonic_counts_match_the_per_sentence_reference():
     groups = corpus_groups(13)
-    got = induction.harmonic_counts(groups)
+    got = util.harmonic_counts(groups)
     assert_estep_close((got, 0.0, 0),
                        (util.reference_harmonic_counts(groups), 0.0, 0))
 
@@ -280,8 +280,7 @@ def test_empty_corpus_estep_is_zero():
         TAGSET), induction.ConstraintSet())
     assert (loglik, skipped) == (0.0, 0)
     assert not any(getattr(counts, field) for field in FIELDS)
-    harmonic = induction.harmonic_counts([])
-    assert not any(getattr(harmonic, field) for field in FIELDS)
+    assert not induction.CorpusGroups([]).harmonic().any()
 
 
 def test_sentence_expectations_match_the_reference():

@@ -41,7 +41,7 @@ def test_edge_weights_sum_each_edges_events(edge_event_lists):
     eventw = np.arange(1.0, len(forest.events) + 1.0)
     got = forest.edge_weights(eventw)
     for e in range(forest.n_edges):
-        expected = sum(eventw[k] for k in forest.edge_events[e])
+        expected = sum(eventw[k] for k in util.edge_events(forest, e))
         assert got[e] == pytest.approx(expected)
 
 
@@ -54,7 +54,7 @@ def test_edge_weights_multi_event_edge_before_empty_edge():
     first = [
         e
         for e in range(forest.n_edges)
-        if len(forest.edge_events[e]) == 2
+        if len(util.edge_events(forest, e)) == 2
     ]
     assert got[first[0]] == pytest.approx(5.0)
     assert sum(abs(x) for x in got) == pytest.approx(5.0)
@@ -246,7 +246,7 @@ def test_level_passes_match_sequential_references(case):
     assert hypergraph.inside_count(forest) == util.reference_inside_count(ref)
 
     def edge_arcs(e):
-        return forest.edge_events[e]
+        return util.edge_events(forest, e)
 
     scores, best = hypergraph.inside_max(forest, eventw, edge_arcs)
     ref_scores, ref_best = util.reference_inside_max(ref, eventw, edge_arcs)
@@ -301,7 +301,7 @@ def test_tied_viterbi_compares_whole_derivations():
     eventw = np.zeros(len(forest.events))
 
     def arcs(e):
-        return [forest.events[k][1] for k in forest.edge_events[e]]
+        return [forest.events[k][1] for k in util.edge_events(forest, e)]
 
     _, best = hypergraph.inside_max(forest, eventw, arcs)
     edges = hypergraph.backtrace(forest, best)

@@ -1,5 +1,6 @@
 """Featurized DMV induction: gradients, initialization, constraints, EM."""
 
+import collections
 import inspect
 import math
 import random
@@ -120,7 +121,7 @@ def test_mstep_gradient_matches_central_differences(seed):
     rng = random.Random(seed)
     space = induction.FeatureSpace(("A", "B", "C"))
     counts = random_counts(space, rng)
-    cvecs = space.count_vector(counts)
+    cvecs = util.count_vector(space, counts)
     w = np.array([rng.gauss(0.0, 0.5) for _ in range(space.n_features)])
     _, grad = induction.mstep_objective(space, w, cvecs, sigma2=10.0)
     eps = 1e-5
@@ -140,8 +141,8 @@ def test_mstep_reaches_a_stationary_point():
     rng = random.Random(5)
     space = induction.FeatureSpace(("A", "B"))
     counts = random_counts(space, rng)
-    cvecs = space.count_vector(counts)
-    w, run = induction.mstep(space, counts, np.zeros(space.n_features))
+    cvecs = util.count_vector(space, counts)
+    w, run = induction.mstep(space, cvecs, np.zeros(space.n_features))
     assert run.converged and run.iterations > 0
     obj, grad = induction.mstep_objective(space, w, cvecs, sigma2=10.0)
     obj0, _ = induction.mstep_objective(
@@ -155,7 +156,7 @@ def test_mstep_reaches_a_stationary_point():
 def test_mstep_curvature_matches_differences_of_the_gradient(seed):
     rng = random.Random(seed)
     space = induction.FeatureSpace(("A", "B", "C"))
-    counts = space.count_vector(random_counts(space, rng))
+    counts = util.count_vector(space, random_counts(space, rng))
     w = np.array([rng.gauss(0.0, 0.5) for _ in range(space.n_features)])
     product = induction.mstep_curvature(space, w, counts, sigma2=10.0)
     eps = 1e-5
@@ -208,7 +209,8 @@ def test_mstep_matches_a_dense_newton_solve(seed):
     for field in ("attach", "stop", "root"):  # wider count scales
         for key in getattr(counts, field):
             getattr(counts, field)[key] *= rng.choice((0.01, 1.0, 50.0))
-    want = _dense_newton_optimum(space, space.count_vector(counts))
+    counts = util.count_vector(space, counts)
+    want = _dense_newton_optimum(space, counts)
     w0 = np.array([rng.gauss(0.0, 2.0) for _ in range(space.n_features)])
     w, run = induction.mstep(space, counts, w0)
     assert run.converged
@@ -216,12 +218,8 @@ def test_mstep_matches_a_dense_newton_solve(seed):
 
 
 def _perturbed(counts, rng, rel=1e-14):
-    out = sbg.DmvCounts.zero()
-    for field in ("attach", "stop", "cont", "root"):
-        getattr(out, field).update(
-            (key, c * (1.0 + rel * rng.uniform(-1.0, 1.0)))
-            for key, c in getattr(counts, field).items())
-    return out
+    return counts * (1.0 + rel * np.array([rng.uniform(-1.0, 1.0)
+                                           for _ in counts]))
 
 
 def test_em_trajectory_is_stable_under_count_rounding(monkeypatch):
@@ -233,20 +231,80 @@ def test_em_trajectory_is_stable_under_count_rounding(monkeypatch):
                                 size_cutoff=3)
     base = induction.train(corpus, cfg)
     rng = random.Random(0)
-    estep, harmonic = induction.estep, induction.harmonic_counts
+    expectations = induction.CorpusGroups.expectations
+    harmonic = induction.CorpusGroups.harmonic
+    calls = []
 
-    def perturbed_estep(*args):
-        counts, loglik, skipped = estep(*args)
+    def perturbed_expectations(self, *args):
+        calls.append("estep")
+        counts, loglik, skipped = expectations(self, *args)
         return _perturbed(counts, rng), loglik, skipped
 
-    monkeypatch.setattr(induction, "estep", perturbed_estep)
-    monkeypatch.setattr(induction, "harmonic_counts",
-                        lambda groups: _perturbed(harmonic(groups), rng))
+    def perturbed_harmonic(self):
+        calls.append("harmonic")
+        return _perturbed(harmonic(self), rng)
+
+    monkeypatch.setattr(induction.CorpusGroups, "expectations",
+                        perturbed_expectations)
+    monkeypatch.setattr(induction.CorpusGroups, "harmonic",
+                        perturbed_harmonic)
     moved = induction.train(corpus, cfg)
+    assert calls == ["harmonic"] + ["estep"] * 6  # every count was moved
     assert len(base.history) == len(moved.history) == 6
     assert all(run.converged for _, run in base.mstep_runs + moved.mstep_runs)
     for (_, a, _), (_, b, _) in zip(base.history, moved.history):
         assert abs(a - b) <= 1e-8
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("policy", [None, DepthPolicy(1, 3)],
+                         ids=["head-split", "D1C3"])
+def test_flat_pricing_matches_the_params_entry(policy, scale):
+    # ``train`` prices its E-steps from the weights' log-softmax; ``estep``
+    # prices the same weights through DmvParams.  The scales stop at 2:
+    # the DmvParams path prices a continue decision as log(1 - p_stop),
+    # which loses digits as p_stop nears 1 (at scale 5 counts can differ
+    # by 1e-6, and at scale 20 several continue decisions price to -inf),
+    # and there the flat path is the more accurate one.
+    rng = random.Random("%s %s" % (policy, scale))
+    groups = induction.CorpusGroups(induction.corpus_groups(
+        random_corpus(rng, n_sent=12, max_len=6)))
+    space = groups.space
+    w = np.array([rng.gauss(0.0, 1.0) * scale
+                  for _ in range(space.n_features)])
+    cs = induction.ConstraintSet(stop_one_tags=frozenset({"DET"}),
+                                 root_mode="verb-or-noun")
+    counts, loglik, skipped = groups.expectations(
+        space._log_softmax(w), cs, policy, 0.3)
+    want, want_loglik, want_skipped = induction.estep(
+        groups, space.weights_to_params(w), cs, policy, 0.3)
+    assert skipped == want_skipped
+    assert abs(loglik - want_loglik) <= 1e-9
+    assert np.max(np.abs(counts - util.count_vector(space, want))) <= 1e-9
+
+
+def test_training_stays_in_the_flat_layout(monkeypatch):
+    # EM runs on weight and count vectors: DmvParams are made once, from
+    # the final weights, and no DmvCounts is made at all
+    calls = collections.Counter()
+
+    def count_calls(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count_calls(induction.FeatureSpace, "weights_to_params")
+    count_calls(induction.FeatureSpace, "dmv_counts")
+    count_calls(induction, "_decision_logw")
+    corpus = random_corpus(random.Random(6), n_sent=8, max_len=5)
+    model = induction.train(corpus, induction.TrainConfig(em_iterations=3,
+                                                          tol=0.0))
+    assert len(model.history) == 3
+    assert calls == {"weights_to_params": 1}
 
 
 def _counts_with_empty_contexts(space, rng):
@@ -268,7 +326,7 @@ def test_flat_mstep_objective_matches_per_context_reference(seed, scale):
     counts = _counts_with_empty_contexts(space, rng)
     cvecs = util.reference_context_counts(contexts, counts)
     assert any(v.sum() == 0.0 for v in cvecs)
-    flat = space.count_vector(counts)
+    flat = util.count_vector(space, counts)
     assert np.array_equal(flat, np.concatenate(cvecs))
     w = np.array([rng.gauss(0.0, 1.0) * scale
                   for _ in range(space.n_features)])
@@ -322,7 +380,7 @@ def test_harmonic_init_on_two_token_corpus_matches_uniform_estep():
     uniform = sbg.uniform_dmv_params(("NOUN", "VERB"))
     from_uniform, _, _ = induction.estep(
         groups, uniform, induction.ConstraintSet())
-    assert_counts_close(induction.harmonic_counts(groups), from_uniform, 1e-12)
+    assert_counts_close(util.harmonic_counts(groups), from_uniform, 1e-12)
 
 
 def test_harmonic_init_matches_enumeration_oracle():
@@ -335,11 +393,11 @@ def test_harmonic_init_matches_enumeration_oracle():
     events, _ = sbg.brute_force_expected_counts(tags, sent)
     oracle = util.merge_counts(
         sbg.DmvCounts.zero(), util.dmv_counts_from_events(events, tags), 2)
-    assert_counts_close(induction.harmonic_counts([(tags, 2)]), oracle, 1e-10)
+    assert_counts_close(util.harmonic_counts([(tags, 2)]), oracle, 1e-10)
 
 
 def test_harmonic_init_prefers_adjacent_attachment():
-    counts = induction.harmonic_counts([(("A", "B", "C"), 1)])
+    counts = util.harmonic_counts([(("A", "B", "C"), 1)])
     # C's left dependents: B is adjacent, A is two away
     assert counts.attach["C", LEFT, "B"] > counts.attach["C", LEFT, "A"]
     assert counts.attach["A", RIGHT, "B"] > counts.attach["A", RIGHT, "C"]
@@ -349,8 +407,8 @@ def test_harmonic_init_is_deterministic():
     groups = induction.corpus_groups(
         [("NOUN", "VERB", "DET"), ("VERB", "NOUN")])
     induction.clear_forest_cache()
-    a = induction.harmonic_counts(groups)  # builds the forests
-    b = induction.harmonic_counts(groups)  # reuses them
+    a = util.harmonic_counts(groups)  # builds the forests
+    b = util.harmonic_counts(groups)  # reuses them
     assert a == b
 
 
@@ -773,7 +831,7 @@ def test_mstep_runs_record_newton_iterations_and_status():
         assert 0 < run.iterations < induction.MSTEP_MAX_ITERATIONS
         assert run.max_gradient < 1e-8
     space = model.space
-    counts = random_counts(space, rng)
+    counts = util.count_vector(space, random_counts(space, rng))
     _, capped = induction.mstep(space, counts, np.zeros(space.n_features),
                                 maxiter=2)
     assert capped.iterations == 2
@@ -783,7 +841,7 @@ def test_mstep_runs_record_newton_iterations_and_status():
 
 def test_mstep_stops_when_the_line_search_finds_no_decrease(monkeypatch):
     space = induction.FeatureSpace(("A", "B"))
-    counts = random_counts(space, random.Random(4))
+    counts = util.count_vector(space, random_counts(space, random.Random(4)))
     w0 = np.zeros(space.n_features)
     objective = induction.mstep_objective
 
@@ -804,10 +862,10 @@ def test_mstep_stops_when_the_line_search_finds_no_decrease(monkeypatch):
 def test_mstep_rejects_weights_or_counts_that_are_not_finite(
         bad, value, monkeypatch):
     space = induction.FeatureSpace(("A", "B"))
-    counts = random_counts(space, random.Random(0))
+    counts = util.count_vector(space, random_counts(space, random.Random(0)))
     w0 = np.zeros(space.n_features)
     if bad == "counts":
-        counts.stop["A", LEFT, True] = value
+        counts[space.stop_at[space.tag_id["A"], 0, 0]] = value  # left, adj
     else:
         w0[3] = value
     calls = []

@@ -406,6 +406,13 @@ def reference_disjoint_union(forests):
          cat([f.event_flat + b for f, b in zip(forests, event_base)])))
 
 
+def edge_events(forest, e):
+    """The event ids of edge ``e`` of an array ``hypergraph.Forest``, read
+    off its edge -> event CSR."""
+    return tuple(forest.event_flat[forest.event_ptr[e]:
+                                   forest.event_ptr[e + 1]].tolist())
+
+
 def edges_by_head(forest):
     """item -> [(tail items, event tuples)] of its edges, in edge order."""
     out = {}
@@ -413,7 +420,7 @@ def edges_by_head(forest):
                                         *forest.edge_tail.tolist())):
         tails = tuple(forest.items[t] for t in (t0, t1)
                       if t != forest.sentinel)
-        events = tuple(forest.events[k] for k in forest.edge_events[e])
+        events = tuple(forest.events[k] for k in edge_events(forest, e))
         out.setdefault(forest.items[h], []).append((tails, events))
     return out
 
@@ -432,8 +439,8 @@ class ListForest:
             tuple(t for t in tails if t != forest.sentinel)
             for tails in forest.edge_tail.T.tolist()
         ]
-        events = forest.edge_events
-        self.edge_events = [events[e] for e in range(forest.n_edges)]
+        self.edge_events = [edge_events(forest, e)
+                            for e in range(forest.n_edges)]
         self.head_edges = [[] for _ in range(self.n_items)]
         for e, h in enumerate(self.edge_head):
             self.head_edges[h].append(e)
@@ -562,7 +569,7 @@ def reference_event_posteriors(forest, eventw):
 
 # ---------------------------------------------------------------------------
 # The E-step and decoding one sentence at a time: the reference the corpus
-# graphs of ``induction.estep``, ``induction.harmonic_counts`` and the
+# graphs of ``induction.estep``, ``induction.CorpusGroups.harmonic`` and the
 # decoders are checked against
 
 
@@ -680,6 +687,13 @@ def reference_estep(groups, params, cs, policy=None, length_bias=None):
         tags, params, cs, policy, length_bias))
 
 
+def harmonic_counts(groups):
+    """The DmvCounts of ``induction.CorpusGroups.harmonic``'s count vector
+    over (tags, multiplicity) groups."""
+    corpus = induction.CorpusGroups(groups)
+    return corpus.space.dmv_counts(corpus.harmonic())
+
+
 def reference_harmonic_counts(groups):
     """Counts of one E-step where attaching positions i and j has weight
     1/|i-j|, one sentence at a time."""
@@ -747,6 +761,13 @@ def em_step(corpus, params):
 # ---------------------------------------------------------------------------
 # The featurized DMV M-step one softmax context at a time: the reference the
 # flat layout of ``induction.FeatureSpace`` is checked against
+
+
+def count_vector(space, counts):
+    """A DmvCounts as one count per decision of ``space``'s flat layout, as
+    the E-step gives it and the M-step takes it."""
+    return np.array([getattr(counts, field).get(key, 0.0)
+                     for field, key in space.keys])
 
 
 def reference_contexts(space):
