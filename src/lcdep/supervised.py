@@ -6,12 +6,21 @@ a full and a lookahead-limited feature set), arc-standard, and arc-eager.
 Decoding can bound the stack depth, either on every configuration ("raw") or
 only after reduce actions ("depthRe", which tolerates the transient element
 a shift pushes).
+
+Each system lists its feature templates; a configuration fills a vector of
+slots, and each template reads its key from it (the value for a
+one-component template, else the tuple of values).  Weights live in one
+scoring table per template, mapping a key to its weights by action, from
+training through decoding.  The ``name=v1|v2>action`` strings of a
+feature are made only for parser files and for the flat views that
+``ParserModel.weights`` and ``final_weights`` build on demand; since a
+feature is identified by its string, keys whose values join alike (when a
+form or tag holds "|") share one row of weights.
 """
 
 import dataclasses
 import random
-from concurrent import futures
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import itemgetter
 
 from .transition import (
@@ -135,19 +144,46 @@ _N_SLOTS = len(_SLOT)
 _S0, _S1, _Q0, _Q1 = (_SLOT[a, roles[0], "w"] for a, roles in _VIEWS[:4])
 
 
-def _getters(templates):
-    """(prefix, getter) per template; the getter picks the template's slot
-    values as a sequence, ready for "|".join."""
-    out = []
-    for idx, template in enumerate(templates):
-        slots = [_SLOT[c] for c in template]
-        getter = (itemgetter(*slots) if len(slots) > 1
-                  else itemgetter(slice(slots[0], slots[0] + 1)))
-        out.append(("%d=" % idx, getter))
-    return tuple(out)
+def _key_templates(names, slot_lists):
+    """(names, component counts, key getters) of one system's templates.
+
+    A getter reads its template's key from the slot vector: the value
+    itself for a one-component template, else the tuple of values.
+    """
+    return (tuple(names), tuple(map(len, slot_lists)),
+            tuple(itemgetter(*slots) for slots in slot_lists))
 
 
-_GETTERS = {fs: _getters(t) for fs, t in _TEMPLATES.items()}
+_LC_KEYS = {
+    fs: _key_templates(map(str, range(len(t))),
+                       [[_SLOT[c] for c in template] for template in t])
+    for fs, t in _TEMPLATES.items()
+}
+
+
+def _feature(name, key):
+    """A key's feature string, as model files spell it: ``name=v1|v2``, or
+    ``name=v`` for a one-component template."""
+    return name + "=" + (key if key.__class__ is str else "|".join(key))
+
+
+def _splits(body, k):
+    """Every key of a k-component template whose values join to ``body``:
+    one per way to cut it at k - 1 of its pipes, none when it has fewer."""
+    if k == 1:
+        return [body]
+    parts = body.split("|")
+    ends = (len(parts),)
+    return [tuple("|".join(parts[i:j]) for i, j in zip((0,) + cut, cut + ends))
+            for cut in combinations(range(1, len(parts)), k - 1)]
+
+
+def _aliases(key):
+    """``key`` and every other key of its template spelling the same
+    feature, which happens only when a value holds a pipe."""
+    if key.__class__ is str or not any("|" in v for v in key):
+        return (key,)
+    return _splits("|".join(key), len(key))
 
 
 def _put(vals, at, toks, forms, tags):
@@ -158,13 +194,8 @@ def _put(vals, at, toks, forms, tags):
         at += 2
 
 
-def extract_lc_features(config, forms, tags, feature_set=FULL):
-    """Feature strings (action not yet conjoined) for one configuration.
-
-    Absent addresses and roles contribute a NULL placeholder rather than
-    suppressing the template.
-    """
-    getters = _for_feature_set(_GETTERS, feature_set)
+def _lc_slots(config, forms, tags):
+    """The slot vector of one left-corner configuration."""
     vals = [NULL] * _N_SLOTS
     spines = config.spines
     pos = config.buffer_pos
@@ -188,7 +219,19 @@ def extract_lc_features(config, forms, tags, feature_set=FULL):
         _put(vals, at + 6, spine.dummy.left[:2], forms, tags)
     # buffer positions start at 1, so only the sentence end cuts q1 and q2
     _put(vals, _Q1, range(after, min(after + 1, n) + 1), forms, tags)
-    return [prefix + "|".join(get(vals)) for prefix, get in getters]
+    return vals
+
+
+def extract_lc_features(config, forms, tags, feature_set=FULL):
+    """Feature strings (action not yet conjoined) for one configuration.
+
+    Absent addresses and roles contribute a NULL placeholder rather than
+    suppressing the template.  Parsing reads the same values as keys
+    (``_LcSystem.keys``); this is their string form.
+    """
+    names, _, getters = _for_feature_set(_LC_KEYS, feature_set)
+    vals = _lc_slots(config, forms, tags)
+    return [_feature(name, get(vals)) for name, get in zip(names, getters)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +248,8 @@ class _LcSystem(LeftCorner):
 
     def __init__(self, feature_set=FULL):
         self.feature_set = feature_set
+        self.names, self.arity, self.getters = _for_feature_set(
+            _LC_KEYS, feature_set)
 
     def depth_ok(self, state, action, bound, measure, relax_c=1):
         if bound is None:
@@ -217,19 +262,38 @@ class _LcSystem(LeftCorner):
             return state.stack_depth <= bound
         return True
 
-    def features(self, state, forms, tags):
-        return extract_lc_features(state, forms, tags, self.feature_set)
+    def keys(self, state, forms, tags):
+        """The template keys of one configuration, in template order."""
+        vals = _lc_slots(state, forms, tags)
+        return [get(vals) for get in self.getters]
 
     def read_heads(self, state, n):
         return postprocess_terminal(state)
 
 
+def _flat_templates(slots, names):
+    """Templates of arc-standard or arc-eager over their ``slots``: a name's
+    parts, split at "_", are slot names, except that "s0wt" reads s0w and
+    s0t."""
+    at = {slot: i for i, slot in enumerate(slots)}
+    return _key_templates(names, [
+        [i for part in name.split("_")
+         for i in ([at[part]] if part in at
+                   else [at[part[:-1]], at[part[:-2] + "t"]])]
+        for name in names])
+
+
 class _FlatParser:
-    """Depth bound and head reading of arc-standard and arc-eager; both
-    bound every configuration by the system's depth."""
+    """Depth bound, keys and head reading of arc-standard and arc-eager;
+    both bound every configuration by the system's depth."""
 
     def depth_ok(self, state, action, bound, measure, relax_c=1):
         return bound is None or self.depth(state) <= bound
+
+    def keys(self, state, forms, tags):
+        """The template keys of one configuration, in template order."""
+        vals = self.slots(state, forms, tags)
+        return [get(vals) for get in self.getters]
 
     def read_heads(self, state, n):
         heads = {d: h for h, d in state.arcs}
@@ -246,82 +310,57 @@ def _flat_wt(tok, forms, tags):
     return forms[tok - 1], tags[tok - 1]
 
 
+def _side_tags(state, tok, tags):
+    """Tags of the leftmost and rightmost children of ``tok``."""
+    kids = _flat_children(state, tok) if tok else []
+    return (tags[kids[0] - 1], tags[kids[-1] - 1]) if kids else (NULL, NULL)
+
+
 class _AsSystem(_FlatParser, ArcStandard):
     action_ids = _action_ids(ArcStandard.actions)
+    names, arity, getters = _flat_templates(
+        ("s0w", "s0t", "s1w", "s1t", "q0w", "q0t", "q1t", "q2t",
+         "s0lt", "s0rt", "s1lt", "s1rt"),
+        ("s0w", "s0t", "s0wt", "s1w", "s1t", "s1wt", "q0w", "q0t", "q0wt",
+         "s1w_s0w", "s1t_s0t", "s0t_q0t", "s1t_s0t_q0t", "s1t_s0t_s0lt",
+         "s1t_s0t_s0rt", "s1t_s1lt_s0t", "s1t_s1rt_s0t", "s0t_q0t_q1t",
+         "q0t_q1t_q2t"))
 
-    def features(self, state, forms, tags):
+    def slots(self, state, forms, tags):
         s0 = state.stack[-1] if len(state.stack) >= 1 else None
         s1 = state.stack[-2] if len(state.stack) >= 2 else None
         q = [
             state.front + k if state.front + k <= state.n else None
             for k in range(3)
         ]
-        s0w, s0t = _flat_wt(s0, forms, tags)
-        s1w, s1t = _flat_wt(s1, forms, tags)
-        q0w, q0t = _flat_wt(q[0], forms, tags)
-        _, q1t = _flat_wt(q[1], forms, tags)
-        _, q2t = _flat_wt(q[2], forms, tags)
-
-        def side_tags(tok):
-            kids = _flat_children(state, tok) if tok else []
-            lt = tags[kids[0] - 1] if kids else NULL
-            rt = tags[kids[-1] - 1] if kids else NULL
-            return lt, rt
-
-        s0lt, s0rt = side_tags(s0)
-        s1lt, s1rt = side_tags(s1)
-        pieces = [
-            ("s0w", s0w), ("s0t", s0t), ("s0wt", s0w + "|" + s0t),
-            ("s1w", s1w), ("s1t", s1t), ("s1wt", s1w + "|" + s1t),
-            ("q0w", q0w), ("q0t", q0t), ("q0wt", q0w + "|" + q0t),
-            ("s1w_s0w", s1w + "|" + s0w), ("s1t_s0t", s1t + "|" + s0t),
-            ("s0t_q0t", s0t + "|" + q0t),
-            ("s1t_s0t_q0t", "|".join((s1t, s0t, q0t))),
-            ("s1t_s0t_s0lt", "|".join((s1t, s0t, s0lt))),
-            ("s1t_s0t_s0rt", "|".join((s1t, s0t, s0rt))),
-            ("s1t_s1lt_s0t", "|".join((s1t, s1lt, s0t))),
-            ("s1t_s1rt_s0t", "|".join((s1t, s1rt, s0t))),
-            ("s0t_q0t_q1t", "|".join((s0t, q0t, q1t))),
-            ("q0t_q1t_q2t", "|".join((q0t, q1t, q2t))),
-        ]
-        return ["%s=%s" % kv for kv in pieces]
+        return [*_flat_wt(s0, forms, tags), *_flat_wt(s1, forms, tags),
+                *_flat_wt(q[0], forms, tags), _flat_wt(q[1], forms, tags)[1],
+                _flat_wt(q[2], forms, tags)[1],
+                *_side_tags(state, s0, tags), *_side_tags(state, s1, tags)]
 
 
 class _AeSystem(_FlatParser, ArcEager):
     action_ids = _action_ids(ArcEager.actions)
+    names, arity, getters = _flat_templates(
+        ("s0w", "s0t", "q0w", "q0t", "q1w", "q1t", "q2t", "s0ht", "s0lt",
+         "s0rt", "q0lt"),
+        ("s0w", "s0t", "s0wt", "q0w", "q0t", "q0wt", "q1w", "q1t", "q2t",
+         "s0w_q0w", "s0t_q0t", "s0w_q0t", "s0t_q0w", "q0t_q1t",
+         "q0t_q1t_q2t", "s0t_q0t_q1t", "s0ht_s0t", "s0t_s0lt", "s0t_s0rt",
+         "q0t_q0lt"))
 
-    def features(self, state, forms, tags):
+    def slots(self, state, forms, tags):
         s0 = state.stack[-1] if state.stack else None
         q = [
             state.front + k if state.front + k <= state.n else None
             for k in range(3)
         ]
-        s0w, s0t = _flat_wt(s0, forms, tags)
-        q0w, q0t = _flat_wt(q[0], forms, tags)
-        q1w, q1t = _flat_wt(q[1], forms, tags)
-        _, q2t = _flat_wt(q[2], forms, tags)
         heads = {d: h for h, d in state.arcs}
         s0h = heads.get(s0) if s0 else None
-        _, s0ht = _flat_wt(s0h, forms, tags)
-        s0kids = _flat_children(state, s0) if s0 else []
-        s0lt = tags[s0kids[0] - 1] if s0kids else NULL
-        s0rt = tags[s0kids[-1] - 1] if s0kids else NULL
-        q0kids = _flat_children(state, q[0]) if q[0] else []
-        q0lt = tags[q0kids[0] - 1] if q0kids else NULL
-        pieces = [
-            ("s0w", s0w), ("s0t", s0t), ("s0wt", s0w + "|" + s0t),
-            ("q0w", q0w), ("q0t", q0t), ("q0wt", q0w + "|" + q0t),
-            ("q1w", q1w), ("q1t", q1t), ("q2t", q2t),
-            ("s0w_q0w", s0w + "|" + q0w), ("s0t_q0t", s0t + "|" + q0t),
-            ("s0w_q0t", s0w + "|" + q0t), ("s0t_q0w", s0t + "|" + q0w),
-            ("q0t_q1t", q0t + "|" + q1t),
-            ("q0t_q1t_q2t", "|".join((q0t, q1t, q2t))),
-            ("s0t_q0t_q1t", "|".join((s0t, q0t, q1t))),
-            ("s0ht_s0t", s0ht + "|" + s0t),
-            ("s0t_s0lt", s0t + "|" + s0lt), ("s0t_s0rt", s0t + "|" + s0rt),
-            ("q0t_q0lt", q0t + "|" + q0lt),
-        ]
-        return ["%s=%s" % kv for kv in pieces]
+        return [*_flat_wt(s0, forms, tags), *_flat_wt(q[0], forms, tags),
+                *_flat_wt(q[1], forms, tags), _flat_wt(q[2], forms, tags)[1],
+                _flat_wt(s0h, forms, tags)[1], *_side_tags(state, s0, tags),
+                _side_tags(state, q[0], tags)[0]]
 
 
 def _system(name, feature_set=FULL):
@@ -344,15 +383,15 @@ class BeamState:
     score: float
     actions: tuple
     parent: object = None
-    feats: list = ()  # features of the parent's configuration
+    keys: list = ()  # template keys of the parent's configuration
 
-    def path_features(self):
-        """(features, action) of every step on the path to this state, in
-        order."""
+    def path_keys(self):
+        """(template keys, action) of every step on the path to this state,
+        in order."""
         out = []
         node = self
         while node.parent is not None:
-            out.append((node.feats, node.actions[-1]))
+            out.append((node.keys, node.actions[-1]))
             node = node.parent
         return out[::-1]
 
@@ -371,37 +410,74 @@ def _single_rooted(heads):
     return tuple(out)
 
 
-# Weights are kept as a scoring table: feature -> list of weights indexed by
-# the system's action ids, so one lookup per feature serves every action.
-# Model files and ParserModel hold the flat "feature>action" form.
+# Weights are kept as a scoring table: one dict per template, mapping each
+# key to a row of weights by the system's action ids, so one lookup per
+# template serves every action.  Training, ParserModel and decoding hold
+# only tables; "feature>action" strings are made for model files and for
+# the flat views of ParserModel.
 
 
-def _table(weights, action_ids):
-    """Scoring table of a flat ``feature>action -> weight`` dict; keys whose
-    action the system lacks can never score and are left out."""
-    table = {}
-    width = len(action_ids)
-    split = map(str.rpartition, weights, repeat(">"))
-    for (feat, sep, action), w in zip(split, weights.values()):
-        aid = action_ids.get(action)
-        if sep and aid is not None:
-            row = table.get(feat)
-            if row is None:
-                row = table[feat] = [0.0] * width
-            row[aid] = w
+def _table(entries, sys_):
+    """Scoring table of ``(feature>action, weight, line number)`` entries.
+
+    A feature is registered under every key that spells it (``_splits``),
+    all on one row.  An entry whose feature names no template of the
+    system, whose action the system lacks, or whose values are too few for
+    its template raises ValueError naming its line (its key when the line
+    number is None).
+    """
+    index = {name: t for t, name in enumerate(sys_.names)}
+    ids = sys_.action_ids
+    table = [{} for _ in sys_.names]
+    for key, w, lineno in entries:
+        feat, _, action = key.rpartition(">")
+        name, eq, body = feat.partition("=")
+        t = index.get(name) if eq else None
+        aid = ids.get(action)
+        if t is None:
+            problem = "names no template"
+        elif aid is None:
+            problem = "names no action"
+        else:
+            keys = _splits(body, sys_.arity[t])
+            problem = None if keys else "has too few values for a template"
+        if problem:
+            raise ValueError("%s %s of the %s system: %r" % (
+                "weight" if lineno is None else "model line %d" % lineno,
+                problem, sys_.name, key))
+        rows = table[t]
+        row = rows.get(keys[0])
+        if row is None:
+            row = [0.0] * len(ids)
+            for k in keys:
+                rows[k] = row
+        row[aid] = w
     return table
 
 
-def _score(table, feats, actions):
+def _flat(table, sys_):
+    """The flat ``feature>action -> weight`` dict of a table, zeros left
+    out."""
+    out = {}
+    for name, rows in zip(sys_.names, table):
+        for key, row in rows.items():
+            feat = _feature(name, key) + ">"
+            for action, w in zip(sys_.actions, row):
+                if w:
+                    out[feat + action] = w
+    return out
+
+
+def _score(table, keys, actions):
     """Score of each action id in ``actions`` for one configuration.
 
-    ``table`` maps a feature to a row that starts with its weights by
-    action id.  Each sum runs over the features in template order with the
-    builtin sum, so it equals, bit for bit, the sum of
+    ``table`` holds one dict per template, mapping a key to a row that
+    starts with its weights by action id.  Each sum runs over the templates
+    in order with the builtin sum, so it equals, bit for bit, the sum of
     ``weights.get(f + ">" + action, 0.0)`` over the flat weights: the
     entries left out would only add zeros.
     """
-    rows = [row for row in map(table.get, feats) if row is not None]
+    rows = [row for row in map(dict.get, table, keys) if row is not None]
     return [sum([row[a] for row in rows], 0.0) for a in actions]
 
 
@@ -429,10 +505,10 @@ def _beam_run(sys_, table, forms, tags, beam_size, depth_bound, depth_measure,
                 finals.append(st)
                 base.append(None)
                 continue
-            feats = sys_.features(st.state, forms, tags)
-            base.append(feats)
+            keys = sys_.keys(st.state, forms, tags)
+            base.append(keys)
             valid = sys_.valid(st.state)
-            scores = _score(table, feats, [ids[a] for a in valid])
+            scores = _score(table, keys, [ids[a] for a in valid])
             for action, step in zip(valid, scores):
                 candidates.append((-(st.score + step), st.actions, action, k))
         candidates.sort()
@@ -492,7 +568,8 @@ def beam_decode(sentence, weights, beam_size=8, depth_bound=None,
     """Highest-scoring parse within the beam as a DepTree.
 
     ``sentence`` is a DepTree (gold heads ignored) or a (forms, tags) pair;
-    ``weights`` maps ``feature>action`` to a weight.  Equal scores break
+    ``weights`` maps ``feature>action`` to a weight; a key that names no
+    feature of the system raises ValueError.  Equal scores break
     toward the lexicographically smaller action-name sequence, so zero
     weights give a deterministic parse.  When the depth bound kills every
     completion, the best partial state is repaired into a tree (headless
@@ -500,8 +577,9 @@ def beam_decode(sentence, weights, beam_size=8, depth_bound=None,
     """
     _check_beam(beam_size)
     sys_ = _system(system, feature_set)
-    return _decode(sentence, sys_, _table(weights, sys_.action_ids),
-                   beam_size, depth_bound, depth_measure, relax_c)
+    table = _table(zip(weights, weights.values(), repeat(None)), sys_)
+    return _decode(sentence, sys_, table, beam_size, depth_bound,
+                   depth_measure, relax_c)
 
 
 # ---------------------------------------------------------------------------
@@ -510,25 +588,42 @@ def beam_decode(sentence, weights, beam_size=8, depth_bound=None,
 
 @dataclasses.dataclass
 class ParserModel:
+    """A trained parser; ``table`` holds the averaged weights and
+    ``final_table`` the last ones, as scoring tables (see ``_table``)."""
+
     system: str
     feature_set: str
     beam_size: int
-    weights: dict          # averaged
-    final_weights: dict
+    table: list
+    final_table: list
     n_updates: int
     snapshots: list = None
+
+    def _sys(self):
+        return _system(self.system, self.feature_set or FULL)
+
+    @property
+    def weights(self):
+        """The averaged weights as a flat ``feature>action`` dict."""
+        return _flat(self.table, self._sys())
+
+    @property
+    def final_weights(self):
+        """The final weights as a flat ``feature>action`` dict."""
+        return _flat(self.final_table, self._sys())
 
 
 def _gold_path(sys_, tree, table, forms, tags):
     """Walk the oracle once, scoring each prefix; returns the list of
-    (cumulative score, features of the step's configuration, action)."""
+    (cumulative score, template keys of the step's configuration,
+    action)."""
     ids = sys_.action_ids
     score = 0.0
     path = []
     for state, action, _ in oracle_steps(sys_, tree):
-        base = sys_.features(state, forms, tags)
-        score += _score(table, base, (ids[action],))[0]
-        path.append((score, base, action))
+        keys = sys_.keys(state, forms, tags)
+        score += _score(table, keys, (ids[action],))[0]
+        path.append((score, keys, action))
     return path
 
 
@@ -548,11 +643,12 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
     sys_ = _system(system, feature_set)
     ids = sys_.action_ids
     width = len(ids)
+    templates = range(len(sys_.names))
     rng = random.Random(seed)
-    # feature -> [weight per action id, then the lazily accumulated sum of
-    # its snapshots per action id, then the visit at which the current
-    # weight took effect per action id]
-    table = {}
+    # per template, key -> [weight per action id, then the lazily
+    # accumulated sum of its snapshots per action id, then the visit at
+    # which the current weight took effect per action id]
+    table = [{} for _ in templates]
     visit = 0
     n_updates = 0
     snapshots = [] if keep_snapshots else None
@@ -581,23 +677,28 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
                 # both paths take t_star + 1 steps; up to their first
                 # differing action they pass the same configurations, whose
                 # features cancel, so the update starts there
-                beam_path = record[t_star].path_features()
+                beam_path = record[t_star].path_keys()
                 start = 0
                 while start <= t_star and beam_path[start][1] == gold[start][2]:
                     start += 1
+                # keys spelling one feature may stand apart here; they
+                # update one row, so the weights come out the same
                 delta = {}
-                for _, fs, action in gold[start: t_star + 1]:
-                    for f in fs:
-                        delta[f, action] = delta.get((f, action), 0) + 1
-                for fs, action in beam_path[start:]:
-                    for f in fs:
-                        delta[f, action] = delta.get((f, action), 0) - 1
-                for (f, action), d in delta.items():
+                for _, keys, action in gold[start: t_star + 1]:
+                    for k in zip(templates, keys, repeat(action)):
+                        delta[k] = delta.get(k, 0) + 1
+                for keys, action in beam_path[start:]:
+                    for k in zip(templates, keys, repeat(action)):
+                        delta[k] = delta.get(k, 0) - 1
+                for (t, key, action), d in delta.items():
                     if d == 0:
                         continue
-                    row = table.get(f)
+                    rows = table[t]
+                    row = rows.get(key)
                     if row is None:
-                        row = table[f] = [0.0] * (2 * width) + [0] * width
+                        row = [0.0] * (2 * width) + [0] * width
+                        for alias in _aliases(key):
+                            rows[alias] = row
                     j = ids[action]
                     old = row[j]
                     row[width + j] += old * (visit - row[2 * width + j])
@@ -605,34 +706,32 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
                     row[j] = old + d
                 n_updates += 1
             if snapshots is not None:
-                snapshots.append({
-                    f + ">" + a: row[j]
-                    for f, row in table.items() for a, j in ids.items()
-                    if row[j]
-                })
-    # the flat "feature>action" dicts, sharing one key string per entry;
-    # rows are dropped as they are read, so the table and the dicts do
-    # not peak together
-    weights, averaged = {}, {}
-    while table:
-        f, row = table.popitem()
-        for action, j in ids.items():
-            w, total = row[j], row[width + j]
-            if w:
-                total += w * (visit - row[2 * width + j] + 1)
-            if not (w or total):
-                continue
-            key = f + ">" + action
-            if w:
-                weights[key] = w
-            if total:
-                averaged[key] = total / visit
+                snapshots.append(_flat(table, sys_))
+    # the averaged and the final tables; training rows are dropped as they
+    # are read, so the training table and the model's do not peak together
+    averaged, final = [], []
+    for rows in table:
+        avg_rows, final_rows = {}, {}
+        averaged.append(avg_rows)
+        final.append(final_rows)
+        while rows:
+            key, row = rows.popitem()
+            ws = row[:width]
+            totals = [
+                total + w * (visit - last + 1) if w else total
+                for w, total, last in zip(ws, row[width:], row[2 * width:])
+            ]
+            if any(totals):
+                avg_rows[key] = [
+                    total / visit if total else 0.0 for total in totals]
+            if any(ws):
+                final_rows[key] = ws
     return ParserModel(
         system=system,
         feature_set=feature_set if system == LEFT_CORNER else "",
         beam_size=beam_size,
-        weights=averaged,
-        final_weights=weights,
+        table=averaged,
+        final_table=final,
         n_updates=n_updates,
         snapshots=snapshots,
     )
@@ -641,16 +740,18 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
 def decode_corpus(corpus, model, beam_size=None, depth_bound=None,
                   depth_measure=RAW, relax_c=1, jobs=1):
     """Parse every sentence with the trained model; parallel over sentences
-    when jobs > 1 (decoding is read-only).  Workers receive the scoring
-    table once, then take sentences one at a time as they free up."""
+    when jobs > 1 (decoding is read-only).  Workers receive the model's
+    scoring table once, then take sentences one at a time as they free
+    up."""
     corpus = list(corpus)
     beam_size = beam_size or model.beam_size
     _check_beam(beam_size)
-    sys_ = _system(model.system, model.feature_set or FULL)
-    setting = (sys_, _table(model.weights, sys_.action_ids), beam_size,
-               depth_bound, depth_measure, relax_c)
+    setting = (model._sys(), model.table, beam_size, depth_bound,
+               depth_measure, relax_c)
     if jobs <= 1 or len(corpus) < 2 * jobs:
         return [_decode(tree, *setting) for tree in corpus]
+    # imported here: no other path of the program loads concurrent.futures
+    from concurrent import futures
     with futures.ProcessPoolExecutor(
         max_workers=jobs, initializer=_set_worker_setting, initargs=(setting,)
     ) as pool:
@@ -679,8 +780,9 @@ def parser_to_lines(model):
     lines.append("# system: %s" % model.system)
     lines.append("# feature-set: %s" % (model.feature_set or "-"))
     lines.append("# beam: %d" % model.beam_size)
-    for key in sorted(model.weights):
-        lines.append("%s\t%.17g" % (key, model.weights[key]))
+    weights = model.weights
+    for key in sorted(weights):
+        lines.append("%s\t%.17g" % (key, weights[key]))
     return lines
 
 
@@ -688,7 +790,7 @@ def parser_from_lines(lines):
     system = LEFT_CORNER
     feature_set = FULL
     beam = 8
-    weights = {}
+    weights = {}  # feature>action -> (weight, line number)
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -717,15 +819,17 @@ def parser_from_lines(lines):
         if not tab:
             raise ValueError("model line %d has no tab: %r" % (lineno, line))
         try:
-            weights[key] = float(w)
+            weights[key] = (float(w), lineno)
         except ValueError:
             raise ValueError("model line %d has a weight that is not a "
                              "number: %r" % (lineno, line)) from None
+    table = _table(((key, w, lineno) for key, (w, lineno) in weights.items()),
+                   _system(system, feature_set or FULL))
     return ParserModel(
         system=system,
         feature_set=feature_set,
         beam_size=beam,
-        weights=weights,
-        final_weights=dict(weights),
+        table=table,
+        final_table=table,
         n_updates=0,
     )

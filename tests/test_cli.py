@@ -263,11 +263,13 @@ def test_train_dmv_has_no_iteration_cap_option(corpus_file, tmp_path, capsys):
 
 def test_importing_the_cli_loads_no_scipy():
     # every command and benchmark worker imports the cli at start-up, where
-    # scipy.optimize alone cost about 0.75 s
+    # scipy.optimize alone cost about 0.75 s; the process pools of
+    # multiprocessing and concurrent.futures serve only `parse --jobs`
     src = os.path.dirname(os.path.dirname(lcdep.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", "import lcdep.cli, sys; print(sorted(m for m "
-         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing') "
+         "or m.startswith('concurrent.futures')))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120, check=True)
     assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Tests for beam-search parsing and perceptron training."""
 
 import random
+from itertools import repeat
 
 import pytest
 
@@ -21,6 +22,7 @@ from lcdep.transition import (
 )
 from lcdep.treebank import append_root, tree_from_heads
 
+from tests.test_supervised_golden import CASES, CORPORA
 from tests.util import random_projective_tree, reference_lc_features
 
 
@@ -178,17 +180,18 @@ def test_score_equals_flat_weight_sum(system):
         weights = {}
         visited = []
         for action in [s.action for s in run_oracle(tree, system).steps]:
-            feats = sys_.features(state, forms, tags)
+            keys = sys_.keys(state, forms, tags)
+            feats = list(map(sp._feature, sys_.names, keys))
             for f in feats:
                 for a in sys_.action_ids:
                     if rng.random() < 0.7:
                         weights[f + ">" + a] = rng.uniform(-3.0, 3.0) / 7.0
-            visited.append((state, feats))
+            visited.append((state, keys, feats))
             state = sys_.apply(state, action)
-        table = sp._table(weights, sys_.action_ids)
-        for state, feats in visited:
+        table = sp._table(zip(weights, weights.values(), repeat(None)), sys_)
+        for state, keys, feats in visited:
             valid = sys_.valid(state)
-            got = sp._score(table, feats, [sys_.action_ids[a] for a in valid])
+            got = sp._score(table, keys, [sys_.action_ids[a] for a in valid])
             want = [sum(weights.get(f + ">" + a, 0.0) for f in feats)
                     for a in valid]
             assert got == want
@@ -373,9 +376,10 @@ def test_averaged_weights_are_mean_of_snapshots():
     keys = set()
     for snap in model.snapshots:
         keys |= set(snap)
+    weights = model.weights
     for key in keys:
         mean = sum(s.get(key, 0.0) for s in model.snapshots) / len(model.snapshots)
-        assert model.weights.get(key, 0.0) == pytest.approx(mean, abs=1e-9)
+        assert weights.get(key, 0.0) == pytest.approx(mean, abs=1e-9)
 
 
 def test_updates_stop_after_convergence():
@@ -481,3 +485,101 @@ def test_parser_file_weight_that_is_not_a_number_is_rejected():
     with pytest.raises(ValueError, match="line 3 has a weight that is not a "
                                          "number"):
         sp.parser_from_lines(lines)
+
+
+@pytest.mark.parametrize("system,feature_set", CASES)
+def test_parser_file_roundtrip_with_separators_in_the_forms(system,
+                                                            feature_set):
+    train, heldout = CORPORA["separators"]
+    model = sp.train_perceptron(train, system=system, feature_set=feature_set,
+                                beam_size=4, epochs=3, seed=5)
+    lines = sp.parser_to_lines(model)
+    back = sp.parser_from_lines(lines)
+    assert sp.parser_to_lines(back) == lines
+    assert ([t.heads for t in sp.decode_corpus(heldout, back)]
+            == [t.heads for t in sp.decode_corpus(heldout, model)])
+
+
+def test_trained_table_shares_a_row_between_spellings_of_a_feature():
+    # q0.w q0.t (template 14) of a|b tagged c and of a tagged b|c
+    train, _ = CORPORA["separators"]
+    model = sp.train_perceptron(train, beam_size=4, epochs=3, seed=5)
+    rows = model.table[14]
+    row = rows[("a|b", "c")]
+    assert any(row) and rows[("a", "b|c")] == row
+    assert ({k: w for k, w in model.weights.items()
+             if k.startswith("14=a|b|c>")}
+            == {"14=a|b|c>" + a: row[j]
+                for a, j in sp._LcSystem.action_ids.items() if row[j]})
+
+
+def test_split_rule_registers_every_cut_of_the_values():
+    assert sp._splits("a|b|c", 2) == [("a", "b|c"), ("a|b", "c")]
+    assert sp._splits("a|b", 2) == [("a", "b")]
+    assert sp._splits("a|b", 1) == ["a|b"]
+    assert sp._splits("a", 2) == []
+    # template 8 reads two components (s0.p.w s0.p.t), template 0 one
+    model = sp.parser_from_lines(["# system: leftCorner",
+                                  "8=a|b|c>shift\t1.5", "0=a|b>insert\t2"])
+    rows = model.table[8]
+    assert set(rows) == {("a", "b|c"), ("a|b", "c")}
+    assert rows["a", "b|c"] is rows["a|b", "c"]
+    assert rows["a", "b|c"][sp._LcSystem.action_ids["shift"]] == 1.5
+    assert set(model.table[0]) == {"a|b"}
+    assert model.weights == {"8=a|b|c>shift": 1.5, "0=a|b>insert": 2.0}
+
+
+@pytest.mark.parametrize("header,line,message", [
+    ("# system: leftCorner", "99=x>shift", "line 3 names no template"),
+    ("# system: leftCorner", "s0w=x>shift", "line 3 names no template"),
+    ("# system: leftCorner", "0x>shift", "line 3 names no template"),
+    ("# system: leftCorner", "0=x", "line 3 names no template"),
+    ("# feature-set: limited", "50=a|b>shift", "line 3 names no template"),
+    ("# system: arcEager", "0=x>shift", "line 3 names no template"),
+    ("# system: leftCorner", "0=x>reduce", "line 3 names no action"),
+    ("# system: leftCorner", "8=x>shift", "line 3 has too few values"),
+    ("# system: leftCorner", "30=a|b>shift", "line 3 has too few values"),
+    ("# system: arcStandard", "s0wt=x>shift", "line 3 has too few values"),
+])
+def test_parser_file_line_naming_no_feature_is_rejected(header, line,
+                                                        message):
+    lines = [header, "# beam: 4", line + "\t0.5"]
+    with pytest.raises(ValueError, match=message):
+        sp.parser_from_lines(lines)
+
+
+# ---------------------------------------------------------------------------
+# weights stay in scoring tables
+
+
+def test_decoding_converts_no_string_to_the_table(monkeypatch):
+    corpus = [random_projective_tree(5, seed=s) for s in range(7)]
+    model = sp.train_perceptron(corpus[:3], epochs=2, beam_size=2, seed=0)
+    loaded = sp.parser_from_lines(sp.parser_to_lines(model))
+
+    def convert(*args):
+        raise AssertionError("decoding converted strings to a table")
+
+    monkeypatch.setattr(sp, "_table", convert)
+    want = [t.heads for t in sp.decode_corpus(corpus, model)]
+    assert [t.heads for t in sp.decode_corpus(corpus, loaded)] == want
+    assert [t.heads for t in sp.decode_corpus(corpus, model, jobs=2)] == want
+
+
+def test_training_formats_no_feature_string_until_asked(monkeypatch):
+    calls = []
+    feature = sp._feature
+
+    def counted(name, key):
+        calls.append(name)
+        return feature(name, key)
+
+    monkeypatch.setattr(sp, "_feature", counted)
+    model = sp.train_perceptron(toy_corpus(), epochs=2, beam_size=2, seed=0)
+    sp.decode_corpus(toy_corpus(), model)
+    assert calls == []
+    for ask in (lambda: model.weights, lambda: model.final_weights,
+                lambda: sp.parser_to_lines(model)):
+        ask()
+        assert calls
+        calls.clear()

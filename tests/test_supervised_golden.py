@@ -3,7 +3,10 @@
 The digests pin the model file, the final weights, the update count and
 the decoded heads (unbounded, raw bound 2, depthRe bound 2 with relax_c=2)
 of every transition system, so any change to feature extraction, scoring,
-the beam or the update must reproduce them bit for bit.  Regenerate with
+the beam or the update must reproduce them bit for bit.  A second corpus
+puts the separators "|", ">" and "=" into forms and tags, so that value
+tuples such as ("a|b", "c") and ("a", "b|c") spell the same feature and
+must share its weight.  Regenerate with
 
     PYTHONPATH=src python -m tests.test_supervised_golden
 """
@@ -29,6 +32,10 @@ CASES = (
     (ARC_STANDARD, sp.FULL),
     (ARC_EAGER, sp.FULL),
 )
+
+# forms and tags holding the separators: a|b + c and a + b|c join alike
+SEP_TAGS = ("c", "b|c", "a", "N=V", "V>")
+SEP_FORMS = ("a|b", "a", "b|c", "c", "x>y", "p=q")
 
 GOLDEN = {
     ('leftCorner', 'full'): {
@@ -65,20 +72,60 @@ GOLDEN = {
     },
 }
 
+GOLDEN_SEPARATORS = {
+    ('leftCorner', 'full'): {
+        'model': '940eb5de3309067a84011936941d61539dfa9b96ea28fa76bb8671f0fbef3494',
+        'final': '8bc83fc9a1f8b4535da6a92dcfa6517fd110f9acc2d0b8e9b0c3645105bff244',
+        'updates': 24,
+        'unbounded': '25a96fab1d0edd9c585a270490b730b6c522e65d42772c23408f78046d1f0a0f',
+        'raw2': '25a96fab1d0edd9c585a270490b730b6c522e65d42772c23408f78046d1f0a0f',
+        'depthRe2': '25a96fab1d0edd9c585a270490b730b6c522e65d42772c23408f78046d1f0a0f',
+    },
+    ('leftCorner', 'limited'): {
+        'model': '5261cce7005c7cb29b42024206b52e0e744924bbc5d9d5dca71e9281427c8d0c',
+        'final': '61bf93f163ef4202ad3b07a4186530539ff61f97424d9569b4a99ac73bbc0c6e',
+        'updates': 25,
+        'unbounded': '8818accd754dc80b25ca2b4d0cdbc827b1205c883ef780904a31b2fcf5fc6e3e',
+        'raw2': '8818accd754dc80b25ca2b4d0cdbc827b1205c883ef780904a31b2fcf5fc6e3e',
+        'depthRe2': '8818accd754dc80b25ca2b4d0cdbc827b1205c883ef780904a31b2fcf5fc6e3e',
+    },
+    ('arcStandard', 'full'): {
+        'model': '4323a0ca21f001da4c916a8674626a5fd56850c30aa2d535aab7e20556e85222',
+        'final': 'b9521ff96227d29b9d1249dbd807d43e29cde8b48b90d4ef346d6575c0d1677e',
+        'updates': 21,
+        'unbounded': '016701a442a90d92b6ebe5b6a55fcbb3dba5a4cf743457a0e6acc86c21e300ba',
+        'raw2': '62d26c73517ac6c744c8ad2e1f63dc26be1e01acce50be7f7394a85c1760d35c',
+        'depthRe2': '62d26c73517ac6c744c8ad2e1f63dc26be1e01acce50be7f7394a85c1760d35c',
+    },
+    ('arcEager', 'full'): {
+        'model': '9ed794d9e8494d9d0d218c6b057afb3652de782e4d6f69b18643e34540c19845',
+        'final': '5e16332df55d41fdacca2effccf7fffc30c61f85fd5e07e1a8c92e72de84e50d',
+        'updates': 28,
+        'unbounded': '84e2e49fa5ee38c6413c57bc5c8c7b2957e36d8b0232f5e3a684eb23cc90c9cb',
+        'raw2': '412bbb10871fc346ef245caa5be02de10c13d908317453c4ca78bcc88055a357',
+        'depthRe2': '412bbb10871fc346ef245caa5be02de10c13d908317453c4ca78bcc88055a357',
+    },
+}
 
-def _corpus(seed, lengths):
+
+def _corpus(seed, lengths, tagset=TAGS, formset=FORMS):
     rng = random.Random(seed)
     out = []
     for k, n in enumerate(lengths):
         heads = random_projective_tree(n, seed=1000 * seed + k).heads
-        tags = [rng.choice(TAGS) for _ in range(n)]
-        forms = [rng.choice(FORMS) for _ in range(n)]
+        tags = [rng.choice(tagset) for _ in range(n)]
+        forms = [rng.choice(formset) for _ in range(n)]
         out.append(tree_from_heads(heads, tags=tags, forms=forms))
     return out
 
 
-TRAIN = _corpus(1, (3, 5, 7, 4, 6, 8, 5, 9, 11, 6))
-HELDOUT = _corpus(4, (6, 9, 12, 15))
+TRAIN_LENGTHS = (3, 5, 7, 4, 6, 8, 5, 9, 11, 6)
+HELDOUT_LENGTHS = (6, 9, 12, 15)
+CORPORA = {
+    "plain": (_corpus(1, TRAIN_LENGTHS), _corpus(4, HELDOUT_LENGTHS)),
+    "separators": (_corpus(1, TRAIN_LENGTHS, SEP_TAGS, SEP_FORMS),
+                   _corpus(4, HELDOUT_LENGTHS, SEP_TAGS, SEP_FORMS)),
+}
 
 
 def _sha(text):
@@ -89,19 +136,20 @@ def _heads(decoded):
     return _sha(repr([t.heads for t in decoded]))
 
 
-def digests(system, feature_set):
-    model = sp.train_perceptron(TRAIN, system=system, feature_set=feature_set,
+def digests(system, feature_set, corpus="plain"):
+    train, heldout = CORPORA[corpus]
+    model = sp.train_perceptron(train, system=system, feature_set=feature_set,
                                 beam_size=4, epochs=3, seed=5)
     return {
         "model": _sha("\n".join(sp.parser_to_lines(model))),
         "final": _sha("\n".join(
             "%s\t%r" % kv for kv in sorted(model.final_weights.items()))),
         "updates": model.n_updates,
-        "unbounded": _heads(sp.decode_corpus(HELDOUT, model)),
-        "raw2": _heads(sp.decode_corpus(HELDOUT, model, depth_bound=2,
+        "unbounded": _heads(sp.decode_corpus(heldout, model)),
+        "raw2": _heads(sp.decode_corpus(heldout, model, depth_bound=2,
                                         depth_measure=sp.RAW)),
         "depthRe2": _heads(sp.decode_corpus(
-            HELDOUT, model, depth_bound=2, depth_measure=sp.DEPTH_RE,
+            heldout, model, depth_bound=2, depth_measure=sp.DEPTH_RE,
             relax_c=2)),
     }
 
@@ -111,11 +159,19 @@ def test_golden_training_and_decoding(system, feature_set):
     assert digests(system, feature_set) == GOLDEN[system, feature_set]
 
 
+@pytest.mark.parametrize("system,feature_set", CASES)
+def test_golden_with_separators_in_the_forms(system, feature_set):
+    assert (digests(system, feature_set, "separators")
+            == GOLDEN_SEPARATORS[system, feature_set])
+
+
 if __name__ == "__main__":
-    print("GOLDEN = {")
-    for case in CASES:
-        print("    %r: {" % (case,))
-        for key, value in digests(*case).items():
-            print("        %r: %r," % (key, value))
-        print("    },")
-    print("}")
+    for name, corpus in (("GOLDEN", "plain"),
+                         ("GOLDEN_SEPARATORS", "separators")):
+        print("%s = {" % name)
+        for case in CASES:
+            print("    %r: {" % (case,))
+            for key, value in digests(*case, corpus).items():
+                print("        %r: %r," % (key, value))
+            print("    },")
+        print("}")
