@@ -139,6 +139,7 @@ _CORPUS_OPTS = (
 
 
 def _command_table():
+    dmv = induction.TrainConfig()  # the train-dmv defaults
     return {
         "analyze-depth": (
             _COMMON + _CORPUS_OPTS + (
@@ -176,16 +177,16 @@ def _command_table():
         ),
         "train-dmv": (
             _COMMON + _CORPUS_OPTS + (
-                Opt("init", str, "harmonic"),
-                Opt("depth", _opt_int, None),
-                Opt("relax-c", int, 1),
-                Opt("root", str, "none"),
-                Opt("beta", _opt_float, None),
-                Opt("function-words", _tag_list, ()),
-                Opt("adp-head", _bool, False, flag=True),
-                Opt("em-iters", int, 50),
-                Opt("sigma2", float, 10.0),
-                Opt("tol", float, 1e-6),
+                Opt("init", str, dmv.init),
+                Opt("depth", _opt_int, dmv.depth_bound),
+                Opt("relax-c", int, dmv.size_cutoff),
+                Opt("root", str, dmv.root_constraint),
+                Opt("beta", _opt_float, dmv.length_bias),
+                Opt("function-words", _tag_list, dmv.function_words),
+                Opt("adp-head", _bool, dmv.adp_head, flag=True),
+                Opt("em-iters", int, dmv.em_iterations),
+                Opt("sigma2", float, dmv.sigma2),
+                Opt("tol", float, dmv.tol),
             ),
             ("input",),
             _cmd_train_dmv,
@@ -193,7 +194,8 @@ def _command_table():
         "parse": (
             _COMMON + _CORPUS_OPTS + (
                 Opt("model", str, None),
-                Opt("beam", int, 8),
+                Opt("beam", _opt_int, None,
+                    help="beam size; defaults to the parser file's beam"),
                 Opt("depth", _opt_int, None),
                 Opt("measure", _measure, supervised.RAW),
                 Opt("relax-c", int, 1),

@@ -13,23 +13,19 @@ appear only at the public edges (``estep``, ``sentence_expectations``,
 decoding and ``TrainedModel.params``).
 
 The E-step runs inside-outside once over a *corpus graph*
-(``CorpusGraph``), the disjoint union of the chart forests of every
-distinct tag sequence, whose levels run together.  The forests come from
-the one forest cache (``_chart_forest``), which keeps one per sentence
-length, depth policy and blocked positions.  Each event of the graph
-is priced by gathering two decision log-weights (plus the length bias), and
+(``CorpusGraph``): the disjoint union of the cached chart forests
+(``_chart_forest``) of every distinct tag sequence, with the constraints
+and the length bias folded into its prices once, when it is built.  Each
+event is priced by gathering two decision log-weights (plus the bias), and
 its expected count lands on the same decisions, so no sentence's automata
-are priced and no count dict is merged.  ``train`` assembles the graph once
-and reuses it across its E-steps.
+are priced and no count dict is merged.  ``train`` builds its E-step graph
+once; ``estep``, ``sentence_expectations`` and the decoders, one per call.
 
 Constraints follow the cost framing: they multiply tree weights by factors
 in [0, 1] and are never renormalized, so the E-step posterior is simply the
-restricted chart's posterior.  They are priced in one place, the corpus
-graph's index maps (``CorpusGraph.prices``), and decoding reuses them:
-Viterbi runs the same graph and prices under the max semiring, once over
-the distinct tag sequences to decode.  ``decode`` runs it under the
-unconstrained model, ``decode_constrained`` under the training
-restrictions.
+restricted chart's posterior.  Decoding runs the same graphs and prices
+under the max semiring: ``decode`` under the unconstrained model,
+``decode_constrained`` under the training restrictions.
 """
 
 import collections
@@ -180,7 +176,7 @@ class FeatureSpace:
 MSTEP_MAX_ITERATIONS = 100
 
 
-def mstep_objective(space, w, counts, sigma2=10.0):
+def mstep_objective(space, w, counts, sigma2):
     """Penalized expected complete-data log-likelihood and its gradient.
 
     ``counts`` holds one expected count per decision of ``space``'s flat
@@ -198,7 +194,7 @@ def mstep_objective(space, w, counts, sigma2=10.0):
             grad - w / sigma2)
 
 
-def mstep_curvature(space, w, counts, sigma2=10.0):
+def mstep_curvature(space, w, counts, sigma2):
     """The Hessian of ``mstep_objective`` at ``w``, negated, as the function
     v -> -H v.
 
@@ -264,7 +260,7 @@ def _newton_direction(product, g):
     return z
 
 
-def mstep(space, counts, w0, sigma2=10.0, maxiter=MSTEP_MAX_ITERATIONS):
+def mstep(space, counts, w0, sigma2, maxiter=MSTEP_MAX_ITERATIONS):
     """Fit feature weights to expected counts, one per decision of
     ``space``'s flat layout, by line-search Newton-CG on the negated
     ``mstep_objective``.
@@ -353,8 +349,8 @@ class ConstraintSet:
 # transition; the event's expected count goes to the same two decisions.
 # ``CorpusGraph.prices`` appends two slots to the decision log-weights: slot
 # ZERO, one past the decisions, weighs 0 and slot ZERO + 1 weighs -inf;
-# counts landing on ZERO are dropped.  Decoding runs the same graph and
-# prices under the max semiring.
+# counts landing on ZERO are dropped.  Decoding prices its graph the same
+# way and runs it under the max semiring.
 
 _UNTRAINED = "tag %r has no DMV parameters: the model was not trained on it"
 
@@ -431,17 +427,23 @@ def _decision_logw(space, params):
 
 class CorpusGraph:
     """The chart forests of some (tags, multiplicity) groups as one
-    hypergraph, with every event's decisions in a FeatureSpace layout.
+    hypergraph, every event priced and counted in the FeatureSpace layout
+    ``space``: what an E-step, the harmonic initialisation and a decode
+    run on.
 
+    The forests are those of ``policy``'s chart with the positions ``cs``
+    blocks (``ConstraintSet.blocked_positions``).  The rest of ``cs`` and
+    the length bias beta are folded into the prices here, once.
     ``count_a`` and ``count_b`` are the decisions an event's expected count
     goes to (ZERO for none): attach and continue for a real-head
     transition, stop for a final, the root choice for a root transition.
-    Without constraints they also price the event; ``prices`` folds the
-    constraints in.  ``dist`` is |h - d| for a real-head transition, else
-    0.
+    ``dist`` is |h - d| for a real-head transition, else 0.
     """
 
-    def __init__(self, groups, forests, space):
+    def __init__(self, groups, space, policy=None, cs=None, length_bias=None):
+        cs = cs or ConstraintSet()
+        forests = [_chart_forest(len(tags), policy, cs.blocked_positions(tags))
+                   for tags, _ in groups]
         self.groups = groups
         self.log_mult = np.log([float(mult) for _, mult in groups])
         zero = space.n_decisions
@@ -473,57 +475,44 @@ class CorpusGraph:
         self.forest = hypergraph.disjoint_union(forests)
         self.count_a, self.count_b = a, b
         self.dist = np.where(trans, np.abs(h - d), 0)
-        self._head_tag, self._dep, self._trans, self._final, self._root = (
-            ht, d, trans, final, root)
+        # the two decisions that price each event: a head whose tag stops
+        # at once finishes at weight 0 and continues at -inf, and a root
+        # transition to a position the root restriction excludes weighs -inf
+        a, b = a.copy(), b.copy()
+        stop_ids = [tag_id[t] for t in cs.stop_one_tags if t in tag_id]
+        if stop_ids:
+            stops = np.isin(ht, stop_ids)
+            a[stops & final] = zero
+            b[stops & trans] = zero + 1
+        base = np.cumsum([0] + sizes)
+        for g, (tags, _) in enumerate(groups):
+            allowed = cs.root_allowed(tags)
+            if allowed is not None:
+                lo, hi = base[g], base[g + 1]
+                out = root[lo:hi] & ~np.isin(d[lo:hi], sorted(allowed))
+                a[lo:hi][out] = zero + 1
+        self._price_a, self._price_b = a, b
+        self._bias = (-float(length_bias) * np.maximum(self.dist - 1, 0)
+                      if length_bias else None)
+        self._dep = d
         # an arc's head position, 0 for the root
         self._head = np.where(real, h, 0)
         self._lengths = lengths.tolist()
-        self._event_base = np.cumsum([0] + sizes)
         self._count_at = np.concatenate((self.count_a, self.count_b))
         self._n_decisions = zero
-        self._tag_id = tag_id
-        self._prices = None
 
-    def prices(self, logw, cs, length_bias=None):
+    def prices(self, logw):
         """Log-weight of every event, given one log-weight per decision
-        ``logw``, constraint set ``cs`` and length bias beta: each event
-        weighs ``logw[a] + logw[b]`` over its two pricing decisions
-        (``_price_maps``; the 0 and -inf slots are appended here), plus
+        ``logw``: each event weighs ``logw[a] + logw[b]`` over its two
+        pricing decisions (the 0 and -inf slots are appended here), plus
         -beta * (|h - d| - 1) for a real-head transition, so the root arc
         and adjacent arcs carry no bias.  The E-step and decoding both
         price events here."""
-        a, b = self._price_maps(cs)
         logw = np.concatenate((logw, (0.0, NEG_INF)))
-        eventw = logw[a] + logw[b]
-        if length_bias:
-            eventw += -float(length_bias) * np.maximum(self.dist - 1, 0)
+        eventw = logw[self._price_a] + logw[self._price_b]
+        if self._bias is not None:
+            eventw += self._bias
         return eventw
-
-    def _price_maps(self, cs):
-        """The two decisions that price each event under ``cs``: a head
-        whose tag stops at once finishes at weight 0 and continues at -inf,
-        and a root transition to a position the root restriction excludes
-        weighs -inf."""
-        if self._prices is not None and self._prices[0] == cs:
-            return self._prices[1:]
-        zero = self._n_decisions
-        a, b = self.count_a.copy(), self.count_b.copy()
-        stop_ids = [self._tag_id[t] for t in cs.stop_one_tags
-                    if t in self._tag_id]
-        if stop_ids:
-            stops = np.isin(self._head_tag, stop_ids)
-            a[stops & self._final] = zero
-            b[stops & self._trans] = zero + 1
-        for g, (tags, _) in enumerate(self.groups):
-            allowed = cs.root_allowed(tags)
-            if allowed is None:
-                continue
-            lo, hi = self._event_base[g], self._event_base[g + 1]
-            out = self._root[lo:hi] & ~np.isin(self._dep[lo:hi],
-                                               sorted(allowed))
-            a[lo:hi][out] = zero + 1
-        self._prices = (cs, a, b)
-        return a, b
 
     def expectations(self, eventw):
         """(count per decision, log-likelihood, skipped sentence count)
@@ -542,6 +531,15 @@ class CorpusGraph:
                 loglik += mult * z
         return counts[:self._n_decisions], loglik, skipped
 
+    def harmonic(self):
+        """Counts per decision of one E-step where attaching positions h
+        and d weighs 1/|h - d| and every other decision 1.  It reads only
+        ``dist``, never the prices; the harmonic initialisation runs it on
+        a graph over the head-split chart with no blocked position."""
+        far = int(self.dist.max(initial=0))
+        logw = [0.0] + [-math.log(k) for k in range(1, far + 1)]
+        return self.expectations(np.array(logw)[self.dist])[0]
+
     def viterbi(self, eventw):
         """The heads of the best tree of every group under event
         log-weights ``eventw``, as ``sbg.forest_viterbi`` decodes one
@@ -551,88 +549,36 @@ class CorpusGraph:
                                   self._lengths)
 
 
-class CorpusGroups:
-    """The (tags, multiplicity) groups of a corpus with the FeatureSpace of
-    their tagset and the corpus graph of their last E-step.
-
-    Its E-steps (``expectations``, ``harmonic`` and ``estep`` given this
-    object) reuse its graph for as long as the chart (depth policy and
-    blocked tags) stays the same, so ``train`` assembles a corpus graph once
-    per chart.
-    """
-
-    def __init__(self, groups, space=None):
-        self.groups = list(groups)
-        self.space = space or FeatureSpace(
-            {t for tags, _ in self.groups for t in tags})
-        self._key = None
-        self._graph = None
-
-    def graph(self, policy=None, cs=None):
-        """The corpus graph of every group over the charts of ``policy``
-        and the positions ``cs`` blocks (``ConstraintSet.blocked_positions``;
-        None blocks none).  The other constraints of ``cs`` act on prices,
-        not on the graph."""
-        cs = cs or ConstraintSet()
-        key = (policy, cs.must_head_tags)
-        if key != self._key:
-            self._graph = None  # the old graph's arrays go before the new
-            self._graph = CorpusGraph(
-                self.groups, _forests(self.groups, policy, cs), self.space)
-            self._key = key
-        return self._graph
-
-    def expectations(self, logw, cs, policy=None, length_bias=None):
-        """(count per decision of ``space``, log-likelihood, skipped
-        sentence count) of one E-step under decision log-weights ``logw``
-        (one per decision of ``space``)."""
-        if not self.groups:
-            return np.zeros(self.space.n_decisions), 0.0, 0
-        graph = self.graph(policy, cs)
-        return graph.expectations(graph.prices(logw, cs, length_bias))
-
-    def harmonic(self):
-        """Counts per decision of one E-step over the head-split chart where
-        attaching positions h and d weighs 1/|h - d| and every other
-        decision 1."""
-        if not self.groups:
-            return np.zeros(self.space.n_decisions)
-        graph = self.graph()
-        far = int(graph.dist.max(initial=0))
-        logw = [0.0] + [-math.log(k) for k in range(1, far + 1)]
-        return graph.expectations(np.array(logw)[graph.dist])[0]
-
-
-def _forests(groups, policy, cs):
-    """The cached chart forest of every group under ``policy`` and the
-    positions ``cs`` blocks."""
-    return [_chart_forest(len(tags), policy, cs.blocked_positions(tags))
-            for tags, _ in groups]
-
-
 def sentence_expectations(tags, params, cs, policy=None, length_bias=None):
     """(DmvCounts, log marginal) for one sentence, or (None, -inf) when the
     constraints leave no admissible analysis."""
-    groups = CorpusGroups([(tuple(tags), 1)])
-    counts, logz, skipped = groups.expectations(
-        _decision_logw(groups.space, params), cs, policy, length_bias)
+    counts, logz, skipped = _expected_counts([(tuple(tags), 1)], params,
+                                             cs, policy, length_bias)
     if skipped:
         return None, NEG_INF
-    return groups.space.dmv_counts(counts), float(logz)
+    return counts, float(logz)
 
 
 def estep(groups, params, cs, policy=None, length_bias=None):
     """Expected counts over a corpus of (tags, multiplicity) groups, from
     one inside-outside pass over their corpus graph.
 
-    Returns (DmvCounts, log-likelihood, skipped sentence count).  Given a
-    CorpusGroups, the E-step reuses its corpus graph.
+    Returns (DmvCounts, log-likelihood, skipped sentence count).
     """
-    if not isinstance(groups, CorpusGroups):
-        groups = CorpusGroups(groups)
-    counts, loglik, skipped = groups.expectations(
-        _decision_logw(groups.space, params), cs, policy, length_bias)
-    return groups.space.dmv_counts(counts), loglik, skipped
+    return _expected_counts(groups, params, cs, policy, length_bias)
+
+
+def _expected_counts(groups, params, cs, policy, length_bias):
+    # the body of both E-step entries, so that timing either public
+    # function never counts the other's calls inside it
+    groups = list(groups)
+    if not groups:
+        return DmvCounts.zero(), 0.0, 0
+    space = FeatureSpace({t for tags, _ in groups for t in tags})
+    logw = _decision_logw(space, params)
+    graph = CorpusGraph(groups, space, policy, cs, length_bias)
+    counts, loglik, skipped = graph.expectations(graph.prices(logw))
+    return space.dmv_counts(counts), loglik, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -706,19 +652,24 @@ def train(corpus, cfg=None):
     if cfg.jobs != 1:
         raise ValueError("jobs must be 1: EM runs in one process, got %r"
                          % (cfg.jobs,))
-    groups = CorpusGroups(corpus_groups(corpus))
-    if not groups.groups:
+    groups = corpus_groups(corpus)
+    if not groups:
         raise ValueError("empty corpus")
-    space = groups.space
+    space = FeatureSpace({t for tags, _ in groups for t in tags})
     cs = cfg.constraint_set()
     policy = cfg.policy()
     w = np.zeros(space.n_features)
     mstep_runs = []
     step_seconds = []
     clock = time.perf_counter
+    graph = None
     if cfg.init == "harmonic":
         t0 = clock()
-        counts = groups.harmonic()
+        # the harmonic counts come from the head-split chart; when that is
+        # also the E-steps' chart, the E-step graph serves both
+        if policy is None and not cs.must_head_tags:
+            graph = CorpusGraph(groups, space, None, cs, cfg.length_bias)
+        counts = (graph or CorpusGraph(groups, space)).harmonic()
         t1 = clock()
         w, run = mstep(space, counts, w, cfg.sigma2)
         mstep_runs.append((0, run))
@@ -727,11 +678,15 @@ def train(corpus, cfg=None):
         raise ValueError("unknown init %r" % cfg.init)
     history = []
     prev = None
-    n_sentences = sum(mult for _, mult in groups.groups)
+    n_sentences = sum(mult for _, mult in groups)
     for it in range(1, cfg.em_iterations + 1):
         t0 = clock()
-        counts, loglik, skipped = groups.expectations(
-            space._log_softmax(w), cs, policy, cfg.length_bias)
+        # the E-step graph, unless the harmonic's serves, is built in the
+        # first E-step's time
+        graph = graph or CorpusGraph(groups, space, policy, cs,
+                                     cfg.length_bias)
+        counts, loglik, skipped = graph.expectations(
+            graph.prices(space._log_softmax(w)))
         e_s = clock() - t0
         if skipped >= n_sentences:
             raise ValueError("every sentence has zero constrained mass")
@@ -773,12 +728,12 @@ def _viterbi_trees(params, corpus, cs, policy=None, length_bias=None):
     corpus = list(sbg._tag_sequences(corpus))
     if not corpus:
         return []
-    groups = CorpusGroups(corpus_groups(corpus), FeatureSpace(params.root))
-    graph = groups.graph(policy, cs)
-    eventw = graph.prices(_decision_logw(groups.space, params), cs,
-                          length_bias)
+    groups = corpus_groups(corpus)
+    space = FeatureSpace(params.root)
+    graph = CorpusGraph(groups, space, policy, cs, length_bias)
+    eventw = graph.prices(_decision_logw(space, params))
     trees = {tags: tree_from_heads(heads, tags=tags) for (tags, _), heads
-             in zip(groups.groups, graph.viterbi(eventw))}
+             in zip(groups, graph.viterbi(eventw))}
     return [trees[tags] for tags in corpus]
 
 

@@ -574,6 +574,11 @@ def beam_decode(sentence, weights, beam_size=8, depth_bound=None,
     weights give a deterministic parse.  When the depth bound kills every
     completion, the best partial state is repaired into a tree (headless
     tokens attach to the first root).
+
+    Every call converts ``weights`` to a scoring table first: 13-25 ms on
+    a 2-core machine for the 31,585 weights of the benchmark's
+    ``supervised-lc`` model.  To decode many sentences, use
+    ``decode_corpus``, which scores with the model's own table.
     """
     _check_beam(beam_size)
     sys_ = _system(system, feature_set)
@@ -739,12 +744,13 @@ def train_perceptron(corpus, system=LEFT_CORNER, feature_set=FULL, beam_size=8,
 
 def decode_corpus(corpus, model, beam_size=None, depth_bound=None,
                   depth_measure=RAW, relax_c=1, jobs=1):
-    """Parse every sentence with the trained model; parallel over sentences
-    when jobs > 1 (decoding is read-only).  Workers receive the model's
-    scoring table once, then take sentences one at a time as they free
-    up."""
+    """Parse every sentence with the trained model, at the model's beam
+    unless ``beam_size`` is given; parallel over sentences when jobs > 1
+    (decoding is read-only).  Workers receive the model's scoring table
+    once, then take sentences one at a time as they free up."""
     corpus = list(corpus)
-    beam_size = beam_size or model.beam_size
+    if beam_size is None:
+        beam_size = model.beam_size
     _check_beam(beam_size)
     setting = (model._sys(), model.table, beam_size, depth_bound,
                depth_measure, relax_c)

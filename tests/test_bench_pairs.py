@@ -2,6 +2,7 @@
 results; no benchmark runs."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -58,5 +59,77 @@ def test_rows_name_metric_unit_and_wins():
     header, row = bench_pairs.format_rows({"train_tok_per_s": s},
                                           {"train_tok_per_s": "tok/s"})
     assert header.split("\t")[0] == "metric"
+    assert header.split("\t")[-1] == "verdict"
     assert row.split("\t") == ["train_tok_per_s (tok/s)", "1 [1, 1]",
-                               "2 [2, 2]", "2.000", "1/1", "yes"]
+                               "2 [2, 2]", "2.000", "1/1", "yes", "gain"]
+
+
+def test_a_median_worse_beyond_the_bound_is_worse():
+    # throughput down 30 % against a 25 % bound
+    pairs = [(100.0 + k, 70.0 + k) for k in range(10)]
+    assert bench_pairs.summarize(pairs, "higher", 0.25)["verdict"] == "worse"
+    # set-up time up 40 %, in a metric where lower is better
+    pairs = [(0.25, 0.35)] * 5
+    assert bench_pairs.summarize(pairs, "lower", 0.25)["verdict"] == "worse"
+    # worse is checked first, so a wide spread cannot hide it
+    pairs = [(100.0, 10.0), (100.0, 200.0), (100.0, 20.0)]
+    s = bench_pairs.summarize(pairs, "higher", 0.25)
+    assert s["change"][1] == 20.0 and s["verdict"] == "worse"
+
+
+def test_a_loss_within_the_bound_is_the_same():
+    pairs = [(100.0 + k, 90.0 + k) for k in range(10)]
+    s = bench_pairs.summarize(pairs, "higher", 0.25)
+    assert (s["wins"], s["verdict"]) == (0, "same")
+
+
+def test_a_wide_spread_on_either_side_is_unresolved():
+    wide = [50.0, 150.0, 80.0, 120.0, 100.0]
+    tight = [99.0, 100.0, 101.0, 100.0, 100.0]
+    for parent, change in ((wide, tight), (tight, wide)):
+        s = bench_pairs.summarize(list(zip(parent, change)), "higher", 0.25)
+        assert s["verdict"] == "unresolved"
+        # the same runs under a looser bound are resolved
+        assert bench_pairs.summarize(list(zip(parent, change)), "higher",
+                                     1.0)["verdict"] == "same"
+
+
+def test_a_change_beating_every_parent_run_is_resolved_despite_spread():
+    parent = [50.0, 150.0, 80.0, 120.0, 100.0]
+    change = [400.0, 160.0, 300.0, 200.0, 250.0]  # above every parent run
+    s = bench_pairs.summarize(list(zip(parent, change)), "higher", 0.25)
+    assert (s["wins"], s["gain"], s["verdict"]) == (5, True, "gain")
+    # one change run below a parent run: back to unresolved
+    change[1] = 140.0
+    s = bench_pairs.summarize(list(zip(parent, change)), "higher", 0.25)
+    assert s["verdict"] == "unresolved"
+
+
+def test_a_clear_gain_within_the_bound_is_a_gain():
+    pairs = [(100.0 + k, 130.0 + k) for k in range(10)]
+    assert bench_pairs.summarize(pairs, "higher", 0.25)["verdict"] == "gain"
+
+
+def _main(tmp_path, monkeypatch, change_value):
+    spec = {"end_to_end": [{"name": "setup_s", "unit": "s",
+                            "better": "lower", "bound": 0.25}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_bench(checkout, workload, seed, seconds):
+        value = change_value if checkout == tmp_path else 1.0
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "metrics": {"setup_s": {"value": value}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    bench_pairs.main([str(tmp_path.parent), str(tmp_path), "--workload",
+                      "w", "--pairs", "3"])
+
+
+def test_main_exits_nonzero_when_a_metric_is_worse(tmp_path, monkeypatch,
+                                                   capsys):
+    _main(tmp_path, monkeypatch, 1.1)  # within the bound: returns
+    assert capsys.readouterr().out.splitlines()[-1].endswith("\tsame")
+    with pytest.raises(SystemExit) as exc:
+        _main(tmp_path, monkeypatch, 1.5)
+    assert exc.value.code == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith("\tworse")

@@ -7,6 +7,7 @@ one-line reason and nonzero exit status.
 
 import logging
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,10 +15,11 @@ import sys
 import pytest
 
 import lcdep
-from lcdep import analysis, induction, supervised
+from lcdep import analysis, cli, induction, supervised
 from lcdep.cli import main
 from lcdep.transition import LEFT_CORNER
 from lcdep.treebank import parse_conll, serialize_conll, tree_from_heads
+from tests.util import random_projective_tree
 
 
 @pytest.fixture
@@ -399,6 +401,53 @@ def test_train_supervised_and_parse(corpus_file, tmp_path, capsys):
     parsed = parse_conll(pred_path.read_text(encoding="utf-8"))
     want = supervised.decode_corpus(corpus, model, beam_size=4)
     assert [t.heads for t in parsed] == [t.heads for t in want]
+
+
+def test_parse_defaults_to_the_parser_files_beam(tmp_path, capsys):
+    rng = random.Random(0)
+    corpus = []
+    for k, n in enumerate((4, 6, 8, 5, 7, 9)):
+        corpus.append(tree_from_heads(
+            random_projective_tree(n, seed=k).heads,
+            tags=[rng.choice("NVDAP") for _ in range(n)],
+            forms=[rng.choice(("the", "dog", "saw", "in")) for _ in range(n)]))
+    path = tmp_path / "in.conll"
+    path.write_text(serialize_conll(corpus), encoding="utf-8")
+    model_path = tmp_path / "parser.txt"
+    code, _, _ = run(["train-supervised", "--epochs", "2", "--beam", "2",
+                      "--features", "limited", "--out", str(model_path),
+                      str(path)], capsys)
+    assert code == 0
+    model = supervised.parser_from_lines(
+        model_path.read_text(encoding="utf-8").splitlines())
+    want = [t.heads for t in supervised.decode_corpus(corpus, model)]
+    # the corpus tells the beams apart
+    assert want != [t.heads for t in supervised.decode_corpus(
+        corpus, model, beam_size=8)]
+    pred_path = tmp_path / "pred.conll"
+    code, _, err = run(["parse", "--model", str(model_path), "--out",
+                        str(pred_path), str(path)], capsys)
+    assert code == 0
+    parsed = parse_conll(pred_path.read_text(encoding="utf-8"))
+    assert [t.heads for t in parsed] == want
+    assert " beam=none " in err  # the echo does not claim a beam of its own
+    # an explicit beam wins, and an invalid one is refused
+    code, _, _ = run(["parse", "--model", str(model_path), "--beam", "8",
+                      "--out", str(pred_path), str(path)], capsys)
+    assert code == 0
+    parsed = parse_conll(pred_path.read_text(encoding="utf-8"))
+    assert [t.heads for t in parsed] != want
+    code, _, err = run(["parse", "--model", str(model_path), "--beam", "0",
+                        str(path)], capsys)
+    assert code == 2
+    assert "beam size must be at least 1" in err.splitlines()[-1]
+
+
+def test_train_dmv_defaults_are_the_train_config_defaults(tmp_path):
+    table = cli._command_table()
+    ns = cli._build_parser(table).parse_args(["train-dmv", "in.conll"])
+    resolved = cli._resolve(table["train-dmv"][0], ns)
+    assert cli._train_config(resolved) == induction.TrainConfig()
 
 
 def test_parse_rejects_unknown_model_header(corpus_file, tmp_path, capsys):

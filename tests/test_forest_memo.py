@@ -125,7 +125,7 @@ def test_every_unbounded_policy_shares_one_forest_and_memo():
     induction.clear_forest_cache()
 
 
-def test_a_second_forests_call_builds_no_automata(monkeypatch):
+def test_a_second_corpus_graph_builds_no_automata(monkeypatch):
     built = []
 
     class Counted(sbg.SentenceAutomata):
@@ -137,16 +137,16 @@ def test_a_second_forests_call_builds_no_automata(monkeypatch):
     induction.clear_forest_cache()
     groups = [(tags_of(3), 1), (tags_of(5), 2), (tags_of(5)[::-1], 1),
               (tags_of(7), 1)]
+    space = util.feature_space(groups)
     for policy, cs in ((None, induction.ConstraintSet()),
                        (DepthPolicy(1, 3), induction.ConstraintSet()),
                        (DepthPolicy(1, 3), induction.ConstraintSet(
                            must_head_tags=frozenset({"V"})))):
-        first = induction._forests(groups, policy, cs)
+        induction.CorpusGraph(groups, space, policy, cs)
         assert built
         built.clear()
-        again = induction._forests(groups, policy, cs)
-        assert all(a is b for a, b in zip(first, again))
-        assert not built
+        induction.CorpusGraph(groups, space, policy, cs)
+        assert not built  # every forest came from the cache
     induction.clear_forest_cache()
 
 

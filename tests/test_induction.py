@@ -142,7 +142,7 @@ def test_mstep_reaches_a_stationary_point():
     space = induction.FeatureSpace(("A", "B"))
     counts = random_counts(space, rng)
     cvecs = util.count_vector(space, counts)
-    w, run = induction.mstep(space, cvecs, np.zeros(space.n_features))
+    w, run = induction.mstep(space, cvecs, np.zeros(space.n_features), 10.0)
     assert run.converged and run.iterations > 0
     obj, grad = induction.mstep_objective(space, w, cvecs, sigma2=10.0)
     obj0, _ = induction.mstep_objective(
@@ -162,8 +162,8 @@ def test_mstep_curvature_matches_differences_of_the_gradient(seed):
     eps = 1e-5
     for _ in range(5):
         v = np.array([rng.gauss(0.0, 1.0) for _ in range(space.n_features)])
-        _, gp = induction.mstep_objective(space, w + eps * v, counts)
-        _, gm = induction.mstep_objective(space, w - eps * v, counts)
+        _, gp = induction.mstep_objective(space, w + eps * v, counts, 10.0)
+        _, gm = induction.mstep_objective(space, w - eps * v, counts, 10.0)
         num = -(gp - gm) / (2.0 * eps)  # the curvature is of -objective
         hv = product(v)
         assert np.max(np.abs(hv - num) / np.maximum(1.0, np.abs(num))) <= 1e-6
@@ -212,7 +212,7 @@ def test_mstep_matches_a_dense_newton_solve(seed):
     counts = util.count_vector(space, counts)
     want = _dense_newton_optimum(space, counts)
     w0 = np.array([rng.gauss(0.0, 2.0) for _ in range(space.n_features)])
-    w, run = induction.mstep(space, counts, w0)
+    w, run = induction.mstep(space, counts, w0, 10.0)
     assert run.converged
     assert np.max(np.abs(w - want)) <= 1e-9
 
@@ -231,25 +231,27 @@ def test_em_trajectory_is_stable_under_count_rounding(monkeypatch):
                                 size_cutoff=3)
     base = induction.train(corpus, cfg)
     rng = random.Random(0)
-    expectations = induction.CorpusGroups.expectations
-    harmonic = induction.CorpusGroups.harmonic
+    expectations = induction.CorpusGraph.expectations
+    harmonic = induction.CorpusGraph.harmonic
     calls = []
 
-    def perturbed_expectations(self, *args):
+    # ``harmonic`` takes its counts from ``expectations``, so perturbing
+    # ``expectations`` alone moves every E-step's counts exactly once
+    def perturbed_expectations(self, eventw):
         calls.append("estep")
-        counts, loglik, skipped = expectations(self, *args)
+        counts, loglik, skipped = expectations(self, eventw)
         return _perturbed(counts, rng), loglik, skipped
 
-    def perturbed_harmonic(self):
+    def recorded_harmonic(self):
         calls.append("harmonic")
-        return _perturbed(harmonic(self), rng)
+        return harmonic(self)
 
-    monkeypatch.setattr(induction.CorpusGroups, "expectations",
+    monkeypatch.setattr(induction.CorpusGraph, "expectations",
                         perturbed_expectations)
-    monkeypatch.setattr(induction.CorpusGroups, "harmonic",
-                        perturbed_harmonic)
+    monkeypatch.setattr(induction.CorpusGraph, "harmonic", recorded_harmonic)
     moved = induction.train(corpus, cfg)
-    assert calls == ["harmonic"] + ["estep"] * 6  # every count was moved
+    # every count was moved once: the harmonic's, then six E-steps'
+    assert calls == ["harmonic"] + ["estep"] * (1 + 6)
     assert len(base.history) == len(moved.history) == 6
     assert all(run.converged for _, run in base.mstep_runs + moved.mstep_runs)
     for (_, a, _), (_, b, _) in zip(base.history, moved.history):
@@ -267,15 +269,16 @@ def test_flat_pricing_matches_the_params_entry(policy, scale):
     # by 1e-6, and at scale 20 several continue decisions price to -inf),
     # and there the flat path is the more accurate one.
     rng = random.Random("%s %s" % (policy, scale))
-    groups = induction.CorpusGroups(induction.corpus_groups(
-        random_corpus(rng, n_sent=12, max_len=6)))
-    space = groups.space
+    groups = induction.corpus_groups(random_corpus(rng, n_sent=12,
+                                                   max_len=6))
+    space = util.feature_space(groups)
     w = np.array([rng.gauss(0.0, 1.0) * scale
                   for _ in range(space.n_features)])
     cs = induction.ConstraintSet(stop_one_tags=frozenset({"DET"}),
                                  root_mode="verb-or-noun")
-    counts, loglik, skipped = groups.expectations(
-        space._log_softmax(w), cs, policy, 0.3)
+    graph = induction.CorpusGraph(groups, space, policy, cs, 0.3)
+    counts, loglik, skipped = graph.expectations(
+        graph.prices(space._log_softmax(w)))
     want, want_loglik, want_skipped = induction.estep(
         groups, space.weights_to_params(w), cs, policy, 0.3)
     assert skipped == want_skipped
@@ -833,7 +836,7 @@ def test_mstep_runs_record_newton_iterations_and_status():
     space = model.space
     counts = util.count_vector(space, random_counts(space, rng))
     _, capped = induction.mstep(space, counts, np.zeros(space.n_features),
-                                maxiter=2)
+                                10.0, maxiter=2)
     assert capped.iterations == 2
     assert capped.status == 1 and not capped.converged
     assert capped.max_gradient > 1e-8
@@ -850,7 +853,7 @@ def test_mstep_stops_when_the_line_search_finds_no_decrease(monkeypatch):
         return (obj if np.array_equal(w, w0) else NEG_INF), grad
 
     monkeypatch.setattr(induction, "mstep_objective", nowhere_better)
-    w, run = induction.mstep(space, counts, w0)
+    w, run = induction.mstep(space, counts, w0, 10.0)
     assert run.status == 2 and not run.converged and run.iterations == 0
     assert run.message == "line search found no decrease"
     assert np.array_equal(w, w0) and run.max_gradient > 0.0
@@ -872,7 +875,7 @@ def test_mstep_rejects_weights_or_counts_that_are_not_finite(
     monkeypatch.setattr(induction, "mstep_objective",
                         lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="M-step needs finite"):
-        induction.mstep(space, counts, w0)
+        induction.mstep(space, counts, w0, 10.0)
     assert not calls  # it failed before the first evaluation
 
 

@@ -569,7 +569,7 @@ def reference_event_posteriors(forest, eventw):
 
 # ---------------------------------------------------------------------------
 # The E-step and decoding one sentence at a time: the reference the corpus
-# graphs of ``induction.estep``, ``induction.CorpusGroups.harmonic`` and the
+# graphs of ``induction.estep``, ``induction.CorpusGraph.harmonic`` and the
 # decoders are checked against
 
 
@@ -687,11 +687,16 @@ def reference_estep(groups, params, cs, policy=None, length_bias=None):
         tags, params, cs, policy, length_bias))
 
 
+def feature_space(groups):
+    """The FeatureSpace of the tagset of (tags, multiplicity) groups."""
+    return induction.FeatureSpace({t for tags, _ in groups for t in tags})
+
+
 def harmonic_counts(groups):
-    """The DmvCounts of ``induction.CorpusGroups.harmonic``'s count vector
-    over (tags, multiplicity) groups."""
-    corpus = induction.CorpusGroups(groups)
-    return corpus.space.dmv_counts(corpus.harmonic())
+    """The DmvCounts of ``induction.CorpusGraph.harmonic``'s count vector
+    over (tags, multiplicity) groups, on the head-split chart."""
+    space = feature_space(groups)
+    return space.dmv_counts(induction.CorpusGraph(groups, space).harmonic())
 
 
 def reference_harmonic_counts(groups):
