@@ -139,7 +139,7 @@ _CORPUS_OPTS = (
 
 
 def _command_table():
-    dmv = induction.TrainConfig()  # the train-dmv defaults
+    dmv = induction.TrainConfig()  # the train-dmv and parse defaults
     return {
         "analyze-depth": (
             _COMMON + _CORPUS_OPTS + (
@@ -196,13 +196,15 @@ def _command_table():
                 Opt("model", str, None),
                 Opt("beam", _opt_int, None,
                     help="beam size; defaults to the parser file's beam"),
-                Opt("depth", _opt_int, None),
+                Opt("depth", _opt_int, dmv.depth_bound),
                 Opt("measure", _measure, supervised.RAW),
-                Opt("relax-c", int, 1),
-                Opt("root", str, "none"),
-                Opt("beta", _opt_float, None),
-                Opt("function-words", _tag_list, ()),
-                Opt("adp-head", _bool, False, flag=True),
+                Opt("relax-c", int, dmv.size_cutoff,
+                    help="element size cutoff: the grammar decode's "
+                         "size_cutoff and the perceptron decode's relax_c"),
+                Opt("root", str, dmv.root_constraint),
+                Opt("beta", _opt_float, dmv.length_bias),
+                Opt("function-words", _tag_list, dmv.function_words),
+                Opt("adp-head", _bool, dmv.adp_head, flag=True),
                 Opt("jobs", int, 1),
             ),
             ("input",),
@@ -406,17 +408,22 @@ def _constraint_fields(resolved):
     )
 
 
-def _train_config(resolved):
+def _dmv_config(resolved, **fields):
+    """The ``TrainConfig`` of the options ``train-dmv`` and ``parse`` share,
+    with ``fields`` set too."""
     return induction.TrainConfig(
-        init=resolved["init"],
         depth_bound=resolved["depth"],
         size_cutoff=resolved["relax-c"],
         length_bias=resolved["beta"],
         **_constraint_fields(resolved),
-        em_iterations=resolved["em-iters"],
-        sigma2=resolved["sigma2"],
-        tol=resolved["tol"],
+        **fields,
     )
+
+
+def _train_config(resolved):
+    return _dmv_config(resolved, init=resolved["init"],
+                       em_iterations=resolved["em-iters"],
+                       sigma2=resolved["sigma2"], tol=resolved["tol"])
 
 
 def _mstep_summary(run):
@@ -487,12 +494,7 @@ def _cmd_parse(resolved, args):
     header = lines[0].strip() if lines else ""
     if header.startswith("# featurized-dmv"):
         space, weights = induction.model_from_lines(lines)
-        cfg = induction.TrainConfig(
-            depth_bound=resolved["depth"],
-            size_cutoff=resolved["relax-c"],
-            length_bias=resolved["beta"],
-            **_constraint_fields(resolved),
-        )
+        cfg = _dmv_config(resolved)
         parsed = induction.decode_constrained(
             space.weights_to_params(weights),
             sentences,
@@ -525,10 +527,6 @@ def _cmd_parse(resolved, args):
 def _cmd_eval_uas(resolved, args):
     pred = _load_corpus(args["pred"], resolved)
     gold = _load_corpus(args["gold"], resolved)
-    if len(pred) != len(gold):
-        raise CliError(
-            "corpus size mismatch: %d predicted vs %d gold" % (len(pred), len(gold))
-        )
     uas = induction.evaluate_uas(
         pred, gold, punct_tags=frozenset(resolved["punct-tags"])
     )

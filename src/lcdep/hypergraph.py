@@ -24,8 +24,8 @@ build has.  The forest is then taken from the memo: one walk over its items
 finds the order in which a build from nothing would pop them, which fixes
 that build's item ids, event ids and edge order, and the arrays are
 gathered.  The forest cache in ``induction`` gives each chart one memo per
-depth policy, shared across the sentence lengths of the DMV; the items that
-depend on the length (those at the root position n+1) are keyed apart by n.
+depth policy, shared across the sentence lengths of the DMV: every item but
+a length's goal ``("ROOT", n)`` has the same edges at every length.
 
 Array layout.  Items keep the ids they were interned with (``items[i]``);
 id ``n_items`` is a sentinel whose value is 0 in log space (1 in the count
@@ -191,7 +191,7 @@ class ExpansionMemo:
 
     def __init__(self):
         self.items = []        # global id -> item
-        self.index = {}        # memo key -> global id
+        self.index = {}        # item -> global id
         self.events = []
         self.event_index = {}
         self.start = np.zeros(0, dtype=np.intp)   # first edge of each item
@@ -247,7 +247,7 @@ class ExpansionMemo:
         return self._kids, self._kid_lo, self._kid_hi
 
 
-def build_forest(goal, expand, memo=None, key=None):
+def build_forest(goal, expand, memo=None):
     """Memoize a backward-chaining expansion into a Forest.
 
     ``expand(item)`` returns an iterable of ``(tails, events)`` pairs with
@@ -262,25 +262,19 @@ def build_forest(goal, expand, memo=None, key=None):
     ``memo`` (an ``ExpansionMemo``) keeps the expansions for later builds:
     this build expands only the items the memo has not, then takes the
     forest out of the memo (``_take``) with the same ids and edge order as a
-    build from nothing.  ``key(item)`` is an item's memo key, by default the
-    item.  Builds that share a memo must key an item whose expansion differs
-    between them apart, as (n, item) for an item that depends on the
-    sentence length n; every tail of an item keyed by itself must be keyed
-    by itself too.
+    build from nothing.  Builds that share a memo must give every item they
+    share the same expansion.
     """
     keep = memo is not None
     if not keep:
-        memo, key = ExpansionMemo(), None
+        memo = ExpansionMemo()
     items, index = memo.items, memo.index
     events, event_index = memo.events, memo.event_index
     base, event_base = len(items), len(events)
-    goal_key = goal if key is None else key(goal)
-    goal_id = index.get(goal_key)
+    goal_id = index.get(goal)
     if goal_id is None:
-        goal_id = index[goal_key] = len(items)
+        goal_id = index[goal] = len(items)
         items.append(goal)
-    # items whose tails take their keys from ``key``
-    keyed = {goal_id} if goal_key is not goal else set()
     head, tail0, tail1, n_ev, flat = [], [], [], [], []
     # an item's edges are contiguous, from first[item] on
     first = {}
@@ -291,7 +285,6 @@ def build_forest(goal, expand, memo=None, key=None):
             if iid in first:
                 continue
             first[iid] = len(head)
-            rekey = iid in keyed
             children = []
             for tails, evs in expand(items[iid]):
                 if len(tails) > 2:
@@ -299,13 +292,10 @@ def build_forest(goal, expand, memo=None, key=None):
                                      % (len(tails), items[iid]))
                 ids = []
                 for t in tails:
-                    tk = key(t) if rekey else t
-                    tid = index.get(tk)
+                    tid = index.get(t)
                     if tid is None:
-                        tid = index[tk] = len(items)
+                        tid = index[t] = len(items)
                         items.append(t)
-                        if tk is not t:
-                            keyed.add(tid)
                     ids.append(tid)
                 children += ids
                 ids += (-1, -1)

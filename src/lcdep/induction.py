@@ -378,7 +378,7 @@ def _chart_forest(n, policy=None, blocked=frozenset()):
     depends only on the automata's structure, so one serves every sentence
     of its length and is re-priced per sentence.
 
-    Only the root position's items depend on n, so with no blocked position
+    Only the goal ``("ROOT", n)`` depends on n, so with no blocked position
     every length's forest is taken from one ``hypergraph.ExpansionMemo`` per
     chart and policy, which expands each shared item once.  Blocked
     positions change the expansions, so a blocked set gets a build of its
@@ -741,8 +741,12 @@ def evaluate_uas(predicted, gold, punct_tags=DEFAULT_PUNCT_TAGS):
     """Micro-averaged unlabeled attachment score (percentage).
 
     Tokens whose gold tag is punctuation are excluded; the root arc counts
-    like any other (head 0 must match head 0).
+    like any other (head 0 must match head 0).  The two corpora must hold
+    the same number of trees.
     """
+    if len(predicted) != len(gold):
+        raise ValueError("corpus size mismatch: %d predicted vs %d gold"
+                         % (len(predicted), len(gold)))
     correct = 0
     total = 0
     for ptree, gtree in zip(predicted, gold):

@@ -13,8 +13,11 @@ derivation keeps the relaxed post-reduce stack depth at or below D:
     after a predict/compose step, and with cutoff C an element is charged
     only while it spans more than C positions (dummy slot included).
 
-Items (all positions 1-based, position n+1 is the root; spans inclusive):
+Items (all positions 1-based, in 1..n; spans inclusive):
 
+    ("ROOT", n)                     the goal: the root n+1 with its one
+                                    dependent d, from ("TRI", 1, d, n, 1)
+                                    (``sbg._root_edges``)
     ("LI", i, h, d)                 head h with its left dependents covering
                                     i..h, left machine finished
     ("RF", h, j, d)                 head h with its right dependents covering
@@ -51,20 +54,18 @@ automaton states are reachable, judged from the transition structure alone
 (see ``_lc_expand``), so re-pricing a forest never needs an item that was
 skipped.
 
-The chart runs left to right, so on DMV automata only the items at the root
-position n+1 depend on the length n: ``LI(., n+1, .)``, and ``RECT`` and
-``HR`` items whose p is n+1.  Every other item has the same edges at every
+The chart runs left to right and only the goal mentions the root position
+n+1, so on DMV automata every item but the goal has the same edges at every
 length (an unbounded policy has no depth check, so this holds for it too).
 With no blocked position, each length's forest can therefore be taken from
-one expansion memo per depth policy (``_lc_length_key``), which expands
-every shared item once.
+one expansion memo per depth policy, which expands every shared item once.
 """
 
 import dataclasses
 import math
 
 from . import hypergraph
-from .sbg import LEFT, RIGHT
+from .sbg import LEFT, RIGHT, _root_edges
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,6 +126,9 @@ def _lc_expand(sent, policy, blocked):
     def expand(item):
         kind = item[0]
         edges = []
+        if kind == "ROOT":
+            n = item[1]
+            return _root_edges(n, lambda d: (("TRI", 1, d, n, 1),))
         if kind == "LI":
             _, i, h, d = item
             if i == h:
@@ -300,22 +304,6 @@ def _lc_expand(sent, policy, blocked):
     return expand
 
 
-def _lc_length_key(n):
-    """Memo key of an LC item at length n: the items at the root position
-    n+1 (``LI(., n+1, .)``, and ``RECT`` and ``HR`` items whose p is n+1)
-    depend on n and are keyed (n, item); every other item is its own key."""
-    root = n + 1
-
-    def key(item):
-        kind = item[0]
-        if ((kind == "LI" and item[2] == root)
-                or (kind in ("RECT", "HR") and item[3] == root)):
-            return (n, item)
-        return item
-
-    return key
-
-
 def lc_forest(sent, policy=None, blocked=frozenset(), memo=None):
     """The left-corner forest of ``sent`` under ``policy`` (None is
     unbounded), taken from ``memo`` (an ``hypergraph.ExpansionMemo`` of DMV
@@ -325,8 +313,6 @@ def lc_forest(sent, policy=None, blocked=frozenset(), memo=None):
     blocked is a collection of positions whose token must head at least one
     dependent; derivations where such a token stays childless are removed.
     """
-    n = sent.n
     return hypergraph.build_forest(
-        ("LI", 1, n + 1, 1),
-        _lc_expand(sent, policy or DepthPolicy(), blocked), memo,
-        _lc_length_key(n))
+        ("ROOT", sent.n), _lc_expand(sent, policy or DepthPolicy(), blocked),
+        memo)

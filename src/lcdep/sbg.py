@@ -205,6 +205,20 @@ def _add_root_machine(sent, n, root_logw):
     sent.add_machine(LEFT, n + 1, {ROOT_STATE0: 0.0}, {ROOT_STATE1: 0.0}, trans)
 
 
+def _root_edges(n, subtree):
+    """The edges of a chart's goal ``("ROOT", n)``.  The root machine at
+    n+1 takes exactly one dependent, so the goal has one edge per dependent
+    d in ascending order: its tails are ``subtree(d)``, the items of d's
+    subtree over 1..n, and its events the root's init, transition on d and
+    final.  No other item mentions position n+1, so every other item has
+    the same edges at every length."""
+    root = n + 1
+    return [(subtree(d), ((LEFT, root, "init", ROOT_STATE0),
+                          (LEFT, root, "trans", ROOT_STATE0, ROOT_STATE1, d),
+                          (LEFT, root, "final", ROOT_STATE1)))
+            for d in range(1, n + 1)]
+
+
 def dmv_sentence_automata(tags, params):
     """DMV automata over one sentence: two states per side, adjacency split.
 
@@ -441,6 +455,8 @@ def brute_force_viterbi(tags, sent, tree_filter=None):
 # the O(n^3) head-split chart
 #
 # Item shapes (spans are inclusive, head positions 1-based, root at n+1):
+#   ("ROOT", n)       the goal: the root n+1 with its one dependent d, from
+#                     ("LF", 1, d) and ("RF", d, n) (``_root_edges``)
 #   ("LF", i, h)      finished left half of h covering i..h
 #   ("LQ", q, i, h)   left half of h covering i..h, automaton in state q
 #   ("LT", r, d, h)   left half extended by the arc h -> d, d's right half
@@ -449,7 +465,7 @@ def brute_force_viterbi(tags, sent, tree_filter=None):
 #
 # Walking a left automaton forward consumes dependents nearest-first, so the
 # chart grows left halves outward: ("LQ", q, i, h) extends to a farther
-# dependent d < i.  The goal is the root's finished left half ("LF", 1, n+1).
+# dependent d < i.  Every head but the goal's lies in 1..n.
 
 
 def _eisner_expand(sent):
@@ -468,6 +484,9 @@ def _eisner_expand(sent):
     def expand(item):
         kind = item[0]
         out = []
+        if kind == "ROOT":
+            n = item[1]
+            return _root_edges(n, lambda d: (("LF", 1, d), ("RF", d, n)))
         if kind == "LF":
             _, i, h = item
             for q, _ in sent.final_states(LEFT, h):
@@ -525,26 +544,11 @@ def _eisner_expand(sent):
     return expand
 
 
-def _eisner_length_key(n):
-    """Memo key of a head-split item at length n: the halves of the root
-    position n+1 (``LF``, ``LQ`` and ``LT`` items whose head is n+1) depend
-    on n and are keyed (n, item); every other item is its own key."""
-    root = n + 1
-
-    def key(item):
-        if item[-1] == root and item[0] in ("LF", "LQ", "LT"):
-            return (n, item)
-        return item
-
-    return key
-
-
 def eisner_forest(sent, memo=None):
     """The head-split forest of ``sent``, taken from ``memo`` (an
     ``hypergraph.ExpansionMemo`` of DMV automata) when one is given."""
-    n = sent.n
-    return hypergraph.build_forest(("LF", 1, n + 1), _eisner_expand(sent),
-                                   memo, _eisner_length_key(n))
+    return hypergraph.build_forest(("ROOT", sent.n), _eisner_expand(sent),
+                                   memo)
 
 
 def eisner_inside(tags, sent, semiring="logsum"):

@@ -27,34 +27,34 @@ POLICIES = (None, DepthPolicy(1, 1), DepthPolicy(1, 3), DepthPolicy(2, 1),
             DepthPolicy(2, 2))
 
 GOLDEN = {
-    ('lc', 'dmv', 1): '9587e6fa163dd81a0093aec63967ed07a7e07f05c6df188cbeb382136bdcb2f0',
-    ('lc', 'dmv', 2): '0145f9958191901897906381adad4767c7f1b1706f2c9f711b037a2842ea32fc',
-    ('lc', 'dmv', 3): '9f0ba2fbb4f151bbb2f0a68ac489d6892c0b11230ad06ccdf9f655f7064d07c7',
-    ('lc', 'dmv', 4): 'c11cdd4fcba9c8597e2715dc0b524f30bfca3ae2c35c7799d931ab220aaec681',
-    ('lc', 'dmv', 5): '59be8910bcb572e4d1b37c85f3fb6877803c7f23f6982fab6ca17a1146c473f6',
-    ('lc', 'dmv', 6): 'a985c74edb116521c0b7f7829b081303ff5ee62d3fa70fbf1494b5c7aea2f566',
-    ('lc', 'dmv', 7): '139442f8742867b4cebcc32405d1c997a23395ff05595b99e16834b0a472c4b9',
-    ('lc', 'random', 1): 'e97e9c2b03dbd73d9fa4c579b1c81e1bffbcf1208ca0fd37cfed49d7438fc0ba',
-    ('lc', 'random', 2): '0b5699e73ad7ef8a350554ba589b270a7777ffe2236007627662c2deea513dad',
-    ('lc', 'random', 3): '3754420b50561a5a1203a5a0f3e2c94864ddb0048af5b11be7c3ced300348916',
-    ('lc', 'random', 4): '9a46c4e6b05e5e4473cd59e86a72e537ac58314ca754ca4aef870172fbac316c',
-    ('lc', 'random', 5): 'e8cff9fa8484c29b73f2b7bb78f6eb61eafc398e62078b2e6ce2dac506a363e9',
-    ('lc', 'random', 6): 'dd593676f86d7811b3648b55fe2a64e52ec4ba3c1713c3b865368686b5db205a',
-    ('lc', 'random', 7): 'e6d6c11aee3e4fd9b6300bda6a6f4d58de0d43e8b0ea08aad9fb69c46c7d0ab8',
-    ('eisner', 'dmv', 1): 'e0ea072a20195961c048642ffe70451831e288735db33d55543a86e1e625237b',
-    ('eisner', 'dmv', 2): 'fda2808c17d974cd7705bbc7ed6ac160e0cae1e9a0c5020bc58cc658766a4cce',
-    ('eisner', 'dmv', 3): 'f501b6022f2b635f73c7c5e6fc7f8201e17ed65028bf697d75fea9dece5d083a',
-    ('eisner', 'dmv', 4): '4dcbfe3f960b0d1736230216f01c554ae99e7e5d3691dc529ab60026fd8c0943',
-    ('eisner', 'dmv', 5): 'd54f43fa7a127e7fd963d05d7276a5e53a06496cd0207e3ac1c673e360f84a33',
-    ('eisner', 'dmv', 6): '115f8db0da98f51c8916a6403b884f0d2d81858fac68f999ca0d2c5bd375e3b4',
-    ('eisner', 'dmv', 7): '783c62565aee6647ae34fd94a76e100960171ae11b1cd463f838d25d5443b2bc',
-    ('eisner', 'random', 1): '2833f465af2bf211c0a94bbd6429347abe6d4176181d15d8d761abd18059430c',
-    ('eisner', 'random', 2): '9c4d7e365d1c78e1c6d1b08b98117066043b8b5fd8cbb9f7c69b6f53a10a4dd1',
-    ('eisner', 'random', 3): '100c16c3817663776b9b490d084520411972a7136faf038abda1f6e840c2e0bb',
-    ('eisner', 'random', 4): 'ad9719cd991b0e3ba970ffa503d082cc77215564476804d203ec6e7b14da0289',
-    ('eisner', 'random', 5): '8d8caa26272424d6eab4c813dd9785a1462a4104a3f3576a34c70e9320fd1959',
-    ('eisner', 'random', 6): '7e06385db5b476e431593d714f8288b526550fe682150a3e9c6cc64ee299ad23',
-    ('eisner', 'random', 7): '561d63e4c42772413130ff3c2f5b591682449c4bdd81a6b58f19cb596bf4946e',
+    ('lc', 'dmv', 1): '205864caf1ac356e2d79387b84cb63ea762574a560a4a60761270f5e07e8f2b6',
+    ('lc', 'dmv', 2): '2810b9c2c66fb9e1e7b9dadbf0026a5765dc4af46098b6142a950307bfc1b951',
+    ('lc', 'dmv', 3): '5ee35ed671a020e8d10b01ec5f5bff670f30b834530a63720b02d11eb72952d3',
+    ('lc', 'dmv', 4): '262646559da1cdc6b2f25360679434cf51b9977acaadd60d9d6e7270d37bb439',
+    ('lc', 'dmv', 5): 'b432c5e339f2e3bc341ebff55c1b31f956310cbfeef1f5c34e6c72dfe28bbe05',
+    ('lc', 'dmv', 6): 'e087a73d93d4770a78ebceab9f9a72d61e3b8708a9eda412e810a9da7e19dcf1',
+    ('lc', 'dmv', 7): '64c4ed958b7e7a2daa48e912d9766907e9af848163000fe4737fa19756cdc797',
+    ('lc', 'random', 1): '11ff0c9814da5b2bbc60bf6c53b12d1da2a04be807ddd8fcd518aedb2bb31c77',
+    ('lc', 'random', 2): '204fd4c0b1a08d203d71b19e9c0df7e06ad02b61996ebe48fa24ab7ca5c1ad82',
+    ('lc', 'random', 3): 'f7713f6414d85b8b054dd59c4da1f46ef429b8229b749720905f7f9f38f2818f',
+    ('lc', 'random', 4): '72f49bd92fda7e0fc43165f269a287177dbe85160407b94f62dc64d436ff5901',
+    ('lc', 'random', 5): '9146109ce2b6b66f11cede63a8dea99c95b1dd9647d1386d37f4f244cd4c4bf5',
+    ('lc', 'random', 6): 'fb817fe9d9c9f3d2899f1fe35383fe5d6ee88be1a559c7eb767a98532e780d0d',
+    ('lc', 'random', 7): 'dee284e3244c8f510eaed4bb6355e942c34130a5e177fe357b9b34a392447a5b',
+    ('eisner', 'dmv', 1): '65065ddff54e3151adec10d236bbcdcb0ace2ce28ff633c3cbb2ee4e5ea30bfe',
+    ('eisner', 'dmv', 2): 'df3a931abe98f4bbb1d7bd1b6a92e84c2ee349bcb3967ec62e3628a067fed191',
+    ('eisner', 'dmv', 3): 'a812521ce8707ae776ca5a886986c36179c64d95f910caf295821cda574a79f9',
+    ('eisner', 'dmv', 4): '0717d946d5b7dc8afad4b1918353fb0d6fd86dc673d2e3eed544b39074d174f0',
+    ('eisner', 'dmv', 5): 'ea3138e37e3a7f132e3d0d36edca289dd900320a8de76d5b2718afa1579574b8',
+    ('eisner', 'dmv', 6): '527bc4c34a83233d77bb293509b9605ba129a6413b47ca3b26e7d4f82b319cef',
+    ('eisner', 'dmv', 7): '44d1b795c539edb9a1022e3e42933b6e808e63f02081a5aac028a4cbc19d029f',
+    ('eisner', 'random', 1): 'ca2be47a138f3b4e0b6dfcb82eef2d48ea5cc11e56bf18969011b1cb016f4db6',
+    ('eisner', 'random', 2): '7e3a23e7b8631086e9d2d10b287894b39cd7e48af9aa5e0cc09bc91271f02429',
+    ('eisner', 'random', 3): 'fd784d12cb7740cf00d3faeea19c140a5547d385531dd6237958a05e012ffa50',
+    ('eisner', 'random', 4): '1d7753b5eac16a327796c8aa81a2c0b08ff4d3494a78c4ab70f62fb01840e82a',
+    ('eisner', 'random', 5): '45ef91e734ba9872f2c8ba7f73f7d6fcf68ea422cf82f4b9041859fbae6b0e5b',
+    ('eisner', 'random', 6): '1ade3b62ec300f671166e03a08fdfe93d1706dffb1216bc61c861a0c5fa13eb8',
+    ('eisner', 'random', 7): 'e4b156da4096e8e6d03af1b76814e0ed260a31e55b190b00520e43ec75334c78',
 }
 
 

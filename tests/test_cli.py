@@ -450,6 +450,16 @@ def test_train_dmv_defaults_are_the_train_config_defaults(tmp_path):
     assert cli._train_config(resolved) == induction.TrainConfig()
 
 
+def test_parse_dmv_defaults_are_the_train_config_defaults():
+    table = cli._command_table()
+    ns = cli._build_parser(table).parse_args(["parse", "in.conll"])
+    cfg = cli._dmv_config(cli._resolve(table["parse"][0], ns))
+    want = induction.TrainConfig()
+    assert cfg.policy() == want.policy()
+    assert cfg.constraint_set() == want.constraint_set()
+    assert cfg.length_bias == want.length_bias
+
+
 def test_parse_rejects_unknown_model_header(corpus_file, tmp_path, capsys):
     path, _ = corpus_file
     bogus = tmp_path / "bogus.txt"

@@ -18,7 +18,7 @@ from lcdep import hypergraph, induction, lc_chart, sbg
 from lcdep.lc_chart import DepthPolicy
 
 from tests import util
-from tests.test_chart_golden import POLICIES
+from tests.test_chart_golden import POLICIES, blocked_sets
 
 ARRAYS = ("item_level", "edge_head", "edge_tail", "event_ptr", "event_flat",
           "group_head", "group_ptr", "level_ptr")
@@ -49,13 +49,34 @@ def orders(max_n):
 
 def lc_reference(sent, policy, blocked=frozenset()):
     return util.reference_build_forest(
-        ("LI", 1, sent.n + 1, 1),
+        ("ROOT", sent.n),
         lc_chart._lc_expand(sent, policy or DepthPolicy(), blocked))
 
 
 def eisner_reference(sent):
-    return util.reference_build_forest(("LF", 1, sent.n + 1),
+    return util.reference_build_forest(("ROOT", sent.n),
                                        sbg._eisner_expand(sent))
+
+
+def root_event_heads(forest, root):
+    """The items heading an edge that charges an event of position root."""
+    root = {k for k, ev in enumerate(forest.events) if ev[1] == root}
+    ptr, flat = forest.event_ptr, forest.event_flat
+    return {forest.items[h]
+            for e, h in enumerate(forest.edge_head.tolist())
+            if root.intersection(flat[ptr[e]:ptr[e + 1]].tolist())}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_only_the_goal_charges_root_events(n):
+    # so that every other item has the same edges at every length
+    sent = dmv(n)
+    forests = [sbg.eisner_forest(sent)] + [
+        lc_chart.lc_forest(sent, policy, blocked)
+        for policy in POLICIES for blocked in blocked_sets(n)]
+    for forest in forests:
+        assert root_event_heads(forest, n + 1) == (
+            {forest.goal} if forest.n_edges else set())
 
 
 def check_orders(max_n, forest_of, reference_of):
@@ -121,7 +142,8 @@ def test_every_unbounded_policy_shares_one_forest_and_memo():
     assert list(induction._MEMOS) == [None]
     blocked = frozenset({2})
     assert forest(6, None, blocked) is forest(6, DepthPolicy(), blocked)
-    assert forest(6, None, blocked).goal[0] == "LI"
+    # a left-corner forest: the head-split chart has no LI item
+    assert "LI" in {item[0] for item in forest(6, None, blocked).items}
     induction.clear_forest_cache()
 
 
@@ -150,14 +172,16 @@ def test_a_second_corpus_graph_builds_no_automata(monkeypatch):
     induction.clear_forest_cache()
 
 
-def test_a_shorter_length_adds_only_its_root_items_to_the_memo():
-    policy = DepthPolicy(1, 3)
+@pytest.mark.parametrize("build", [
+    lambda sent, memo: lc_chart.lc_forest(sent, DepthPolicy(1, 3), memo=memo),
+    sbg.eisner_forest,
+], ids=["lc", "head-split"])
+def test_a_shorter_length_adds_only_its_goal_to_the_memo(build):
     memo = hypergraph.ExpansionMemo()
-    lc_chart.lc_forest(dmv(20), policy, memo=memo)
+    build(dmv(20), memo)
     before = set(memo.index)
-    lc_chart.lc_forest(dmv(19), policy, memo=memo)
-    added = set(memo.index) - before
-    assert added and all(key[0] == 19 for key in added)
+    build(dmv(19), memo)
+    assert set(memo.index) - before == {("ROOT", 19)}
 
 
 def test_clearing_the_cache_drops_every_memo():

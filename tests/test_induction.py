@@ -590,7 +590,7 @@ def test_constrained_decode_respects_all_constraints():
                 assert pos in heads
 
 
-@pytest.mark.parametrize("policy,blocked,goal", [
+@pytest.mark.parametrize("policy,blocked,kind", [
     (None, (), "LF"),
     (DepthPolicy(), (), "LF"),
     (DepthPolicy(None, 3), (), "LF"),
@@ -599,9 +599,11 @@ def test_constrained_decode_respects_all_constraints():
     (DepthPolicy(), (2,), "LI"),
 ])
 def test_head_split_chart_serves_exactly_the_unbounded_unblocked_case(
-        policy, blocked, goal):
+        policy, blocked, kind):
+    # LF items belong to the head-split chart only, LI items to the
+    # left-corner chart only
     forest = induction._chart_forest(3, policy, blocked)
-    assert forest.goal[0] == goal
+    assert {item[0] for item in forest.items} & {"LF", "LI"} == {kind}
 
 
 @pytest.mark.parametrize("beta", [None, 0.5, 1.0])
@@ -752,6 +754,15 @@ def test_evaluate_uas_rejects_length_mismatch():
     pred = [tree_from_heads((0,), tags=("N",))]
     with pytest.raises(ValueError):
         induction.evaluate_uas(pred, gold)
+
+
+def test_evaluate_uas_rejects_a_corpus_size_mismatch():
+    gold = [tree_from_heads((0, 1), tags=("N", "N")),
+            tree_from_heads((2, 0), tags=("N", "N"))]
+    with pytest.raises(ValueError, match="1 predicted vs 2 gold"):
+        induction.evaluate_uas(gold[:1], gold)
+    with pytest.raises(ValueError, match="2 predicted vs 1 gold"):
+        induction.evaluate_uas(gold, gold[:1])
 
 
 def test_sampler_generates_valid_projective_trees():
