@@ -60,11 +60,11 @@ def eisner_reference(sent):
 
 def root_event_heads(forest, root):
     """The items heading an edge that charges an event of position root."""
-    root = {k for k, ev in enumerate(forest.events) if ev[1] == root}
+    events = {k for k, ev in enumerate(forest.events) if ev[1] == root}
     ptr, flat = forest.event_ptr, forest.event_flat
     return {forest.items[h]
             for e, h in enumerate(forest.edge_head.tolist())
-            if root.intersection(flat[ptr[e]:ptr[e + 1]].tolist())}
+            if events.intersection(flat[ptr[e]:ptr[e + 1]].tolist())}
 
 
 @pytest.mark.parametrize("n", range(1, 13))
