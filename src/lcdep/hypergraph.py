@@ -18,16 +18,18 @@ undecided, which is an error.  Charts should emit only items that can be
 derived (see ``lc_chart`` and ``sbg``): every dead item is expanded all the
 same and then dropped.
 
-Builds can share an ``ExpansionMemo``, which keeps every item's edges and
-level under global ids, so that a build expands only the items no earlier
-build has.  The forest is then taken from the memo: one walk over its items
-finds the order in which a build from nothing would pop them, which fixes
-that build's item ids, event ids and edge order, and the arrays are
-gathered.  The forest cache in ``induction`` gives each chart one memo per
-depth policy, shared across the sentence lengths of the DMV: every item but
-a length's goal ``("ROOT", n)`` has the same edges at every length.
+Translation classes.  When a chart's expansion is the same under
+translation and at every length but for the goal, as on DMV automata with
+no blocked position, ``TranslationClasses`` serves every length from one
+table: it expands each item shape (a class: an item moved so that its least
+position is 1) once, keeping its edges as (tail class, relative offset) and
+its events as (event class, relative offset), and lays out a length's
+forest by array arithmetic, from every derivable class at every offset that
+fits, keeping what the goal reaches.  Such a forest's items and events are
+made on demand (``Shifted``): the passes read only arrays.  The forest cache
+in ``induction`` keeps one table per chart and depth policy.
 
-Array layout.  Items keep the ids they were interned with (``items[i]``);
+Array layout.  Items keep the ids their build gave them (``items[i]``);
 id ``n_items`` is a sentinel whose value is 0 in log space (1 in the count
 semiring).  Every derivable item gets a topological *level*: 0 when all its
 edges have no tails, otherwise 1 + the highest level among its tails.  Edges
@@ -54,6 +56,9 @@ Edge weights are never stored: the log-weight of an edge is the sum of its
 events' log-weights, supplied at pass time as an array indexed by event id.
 """
 
+import bisect
+import collections.abc
+
 import numpy as np
 
 NEG_INF = float("-inf")
@@ -67,7 +72,9 @@ TIE_GAP = 2 * TIE_TOL
 class Forest:
     """An acyclic hypergraph with a single goal item, as flat arrays (see
     the module docstring for the layout); a ``disjoint_union`` has one goal
-    per forest in ``goal_ids``."""
+    per forest in ``goal_ids``.  ``items`` and ``events`` are sequences of
+    tuples: lists from a build, made on demand from a translation-class
+    layout or a union.  The goal is item 0."""
 
     def __init__(self, goal, items, events, level, edges):
         """``level`` gives each item's level (-1 when not derivable);
@@ -168,86 +175,18 @@ def _groups(owner, level):
 def _plan(group_owner, group_ptr, level_ptr):
     """Per level: (owner ids, first row, end row, group starts relative to
     the first row, group sizes)."""
+    sizes = np.diff(group_ptr)
+    levels = level_ptr.tolist()
+    rows = group_ptr[level_ptr].tolist()
     out = []
-    for l in range(len(level_ptr) - 1):
-        ga, gb = level_ptr[l], level_ptr[l + 1]
-        if ga == gb:
-            continue
-        lo, hi = group_ptr[ga], group_ptr[gb]
-        starts = group_ptr[ga:gb] - lo
-        out.append((group_owner[ga:gb], lo, hi, starts,
-                    np.diff(group_ptr[ga:gb + 1])))
+    for ga, gb, lo, hi in zip(levels, levels[1:], rows, rows[1:]):
+        if ga < gb:
+            out.append((group_owner[ga:gb], lo, hi, group_ptr[ga:gb] - lo,
+                        sizes[ga:gb]))
     return out
 
 
-class ExpansionMemo:
-    """Expansions kept across ``build_forest`` calls.
-
-    Items and events are interned to global int ids.  Each item is expanded
-    once and its edges are stored as global (tail ids, event ids), contiguous
-    in expansion order, next to the item's level.  Every item the memo holds
-    is expanded, and so is every item below it.
-    """
-
-    def __init__(self):
-        self.items = []        # global id -> item
-        self.index = {}        # item -> global id
-        self.events = []
-        self.event_index = {}
-        self.start = np.zeros(0, dtype=np.intp)   # first edge of each item
-        self.count = np.zeros(0, dtype=np.intp)   # and its number of edges
-        # per item its level (-2 when not derivable), then -1: the level of
-        # the missing tail -1
-        self.level = np.full(1, -1, dtype=np.intp)
-        self.tail = np.zeros((2, 0), dtype=np.intp)
-        self.event_ptr = np.zeros(1, dtype=np.intp)
-        self.event_flat = np.zeros(0, dtype=np.intp)
-        # the walk lists of ``_walk_lists``, made on the first take
-        self._kids, self._kid_lo, self._kid_hi = [], [], []
-        self._kid_edges = 0
-
-    def _truncate(self, n_items, n_events):
-        """Forget the items and events interned from ``n_items`` and
-        ``n_events`` on (a build that failed)."""
-        for index, n in ((self.index, n_items), (self.event_index, n_events)):
-            for k in [k for k, i in index.items() if i >= n]:
-                del index[k]
-        del self.items[n_items:]
-        del self.events[n_events:]
-
-    def _extend(self, level, tails, start, counts, n_ev, flat):
-        """Store the edges of the items expanded by one build, the items
-        from ``len(self.start)`` on."""
-        base = len(self.start)
-        cat = np.concatenate
-        self.start = cat((self.start, start + self.tail.shape[1]))
-        self.count = cat((self.count, counts))
-        self.level = cat((self.level[:-1], level[base:]))
-        self.tail = cat((self.tail, tails), axis=1)
-        self.event_ptr = cat((self.event_ptr,
-                              self.event_ptr[-1] + np.cumsum(n_ev)))
-        self.event_flat = cat((self.event_flat, flat))
-
-    def _walk_lists(self):
-        """(the tails of every edge in order, where each item's start, where
-        they end), as plain int lists: the items and tails a build's stack
-        pushes, which ``_take`` walks.  Plain int lists keep the garbage
-        collector from walking them item by item."""
-        done, e0 = len(self._kid_lo), self._kid_edges
-        if done < len(self.start):
-            tails = self.tail[:, e0:].T
-            real = tails >= 0
-            ptr = np.concatenate(([0], np.cumsum(real.sum(axis=1)))) + len(
-                self._kids)
-            start = self.start[done:] - e0
-            self._kid_lo += ptr[start].tolist()
-            self._kid_hi += ptr[start + self.count[done:]].tolist()
-            self._kids += tails[real].tolist()
-            self._kid_edges = self.tail.shape[1]
-        return self._kids, self._kid_lo, self._kid_hi
-
-
-def build_forest(goal, expand, memo=None):
+def build_forest(goal, expand):
     """Memoize a backward-chaining expansion into a Forest.
 
     ``expand(item)`` returns an iterable of ``(tails, events)`` pairs with
@@ -258,155 +197,375 @@ def build_forest(goal, expand, memo=None):
     One depth-first pass expands every reachable item once and records its
     edges as flat int lists; ``_levels`` then decides derivability and
     levels over those arrays.
-
-    ``memo`` (an ``ExpansionMemo``) keeps the expansions for later builds:
-    this build expands only the items the memo has not, then takes the
-    forest out of the memo (``_take``) with the same ids and edge order as a
-    build from nothing.  Builds that share a memo must give every item they
-    share the same expansion.
     """
-    keep = memo is not None
-    if not keep:
-        memo = ExpansionMemo()
-    items, index = memo.items, memo.index
-    events, event_index = memo.events, memo.event_index
-    base, event_base = len(items), len(events)
-    goal_id = index.get(goal)
-    if goal_id is None:
-        goal_id = index[goal] = len(items)
-        items.append(goal)
+    items, index = [goal], {goal: 0}
+    events, event_index = [], {}
     head, tail0, tail1, n_ev, flat = [], [], [], [], []
     # an item's edges are contiguous, from first[item] on
     first = {}
-    stack = [goal_id] if goal_id >= base else []
-    try:
-        while stack:
-            iid = stack.pop()
-            if iid in first:
-                continue
-            first[iid] = len(head)
-            children = []
-            for tails, evs in expand(items[iid]):
-                if len(tails) > 2:
-                    raise ValueError("edge with %d tails at %s"
-                                     % (len(tails), items[iid]))
-                ids = []
-                for t in tails:
-                    tid = index.get(t)
-                    if tid is None:
-                        tid = index[t] = len(items)
-                        items.append(t)
-                    ids.append(tid)
-                children += ids
-                ids += (-1, -1)
-                head.append(iid)
-                tail0.append(ids[0])
-                tail1.append(ids[1])
-                n_ev.append(len(evs))
-                for ev in evs:
-                    eid = event_index.get(ev)
-                    if eid is None:
-                        eid = event_index[ev] = len(events)
-                        events.append(ev)
-                    flat.append(eid)
-            stack += [t for t in children if t >= base and t not in first]
-        if not keep:
-            # free the build's dicts first, which lowers the peak while the
-            # arrays are made
-            index.clear()
-            event_index.clear()
+    stack = [0]
+    while stack:
+        iid = stack.pop()
+        if iid in first:
+            continue
+        first[iid] = len(head)
+        children = []
+        for tails, evs in expand(items[iid]):
+            if len(tails) > 2:
+                raise ValueError("edge with %d tails at %s"
+                                 % (len(tails), items[iid]))
+            ids = []
+            for t in tails:
+                tid = index.get(t)
+                if tid is None:
+                    tid = index[t] = len(items)
+                    items.append(t)
+                ids.append(tid)
+            children += ids
+            ids += (-1, -1)
+            head.append(iid)
+            tail0.append(ids[0])
+            tail1.append(ids[1])
+            n_ev.append(len(evs))
+            for ev in evs:
+                eid = event_index.get(ev)
+                if eid is None:
+                    eid = event_index[ev] = len(events)
+                    events.append(ev)
+                flat.append(eid)
+        stack += [t for t in children if t not in first]
+    # free the build's dicts first, which lowers the peak while the arrays
+    # are made
+    index.clear()
+    event_index.clear()
 
-        n_items = len(items)
-        head = np.array(head, dtype=np.intp)
-        # -1 for a missing tail
-        tails = np.array((tail0, tail1), dtype=np.intp)
-        start = np.zeros(n_items - base, dtype=np.intp)
-        start[np.fromiter(first, np.intp, len(first)) - base] = list(
-            first.values())
-        level = np.full(n_items + 1, -3, dtype=np.intp)
-        level[:base] = memo.level[:-1]
-        level[n_items] = -1
-        counts = _levels(items, level, base, head, tails, start)
-    except BaseException:
-        if keep:
-            memo._truncate(base, event_base)
-        raise
+    n_items = len(items)
+    head = np.array(head, dtype=np.intp)
+    # -1 for a missing tail
+    tails = np.array((tail0, tail1), dtype=np.intp).reshape(2, -1)
+    start = np.zeros(n_items, dtype=np.intp)
+    start[np.fromiter(first, np.intp, len(first))] = list(first.values())
+    level = np.full(n_items + 1, -3, dtype=np.intp)
+    level[n_items] = -1
+    _levels(items, level, head, tails, start)
     n_ev = np.array(n_ev, dtype=np.intp)
     flat = np.array(flat, dtype=np.intp)
-    if keep:
-        memo._extend(level, tails, start, counts, n_ev, flat)
-    if base:
-        return _take(memo, goal, goal_id)
-    # a build from nothing: the memo's order is the forest's order
     keep_edge = (level[tails] >= -1).all(axis=0)
     tails[tails < 0] = n_items
     level = level[:-1]
     level[level < 0] = -1
-    return Forest(goal, list(items) if keep else items,
-                  list(events) if keep else events, level,
-                  (head[keep_edge], tails[0, keep_edge],
-                   tails[1, keep_edge], n_ev[keep_edge],
-                   flat[np.repeat(keep_edge, n_ev)]))
+    return Forest(goal, items, events, level,
+                  (head[keep_edge], tails[0, keep_edge], tails[1, keep_edge],
+                   n_ev[keep_edge], flat[np.repeat(keep_edge, n_ev)]))
 
 
-def _first_seen(ids, size):
-    """The distinct values of ``ids`` (each in 0..size-1) in the order they
-    first occur."""
-    first = np.full(size, len(ids), dtype=np.intp)
-    np.minimum.at(first, ids, np.arange(len(ids)))
-    present = np.flatnonzero(first < len(ids))
-    return present[np.argsort(first[present])]
+class Shifted(collections.abc.Sequence):
+    """Tuples made on demand from translation classes: entry k is the
+    normal form ``forms[cls[k]]`` with its position fields (``positions``
+    of the form) moved by ``offset[k]``.  Tuples are made only when asked
+    for: forests laid out from a ``TranslationClasses`` table keep their
+    items and events this way, and the passes never read them."""
+
+    def __init__(self, forms, positions, cls, offset):
+        self.forms = forms
+        self.positions = positions
+        self.cls = cls
+        self.offset = offset
+
+    def __len__(self):
+        return len(self.cls)
+
+    def __getitem__(self, k):
+        form = self.forms[self.cls[k]]
+        return _moved(form, self.positions(form), int(self.offset[k]))
+
+    def __iter__(self):
+        forms, positions = self.forms, self.positions
+        for c, s in zip(self.cls.tolist(), self.offset.tolist()):
+            form = forms[c]
+            yield _moved(form, positions(form), s)
 
 
-def _take(memo, goal, goal_id):
-    """The forest below ``goal`` (memo id ``goal_id``) as a build from
-    nothing gives it.
+class Chain(collections.abc.Sequence):
+    """Sequences end to end, without copying them."""
 
-    Such a build pops items in the order of a recursive preorder that visits
-    each item's distinct tails, latest occurrence first; its item and event
-    ids are the order in which the tails and events of the popped items'
-    edges first occur, and its edges are the popped items' edges in pop
-    order.  So one walk over the items finds the pop order, and the rest is
-    gathers.
+    def __init__(self, parts):
+        self.parts = parts
+        self._ends = np.cumsum([len(p) for p in parts]).tolist()
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        if not -len(self) <= k < len(self):
+            raise IndexError(k)
+        k %= len(self)
+        part = bisect.bisect_right(self._ends, k)
+        return self.parts[part][k - self._ends[part] + len(self.parts[part])]
+
+    def __iter__(self):
+        for part in self.parts:
+            yield from part
+
+
+def _moved(form, positions, s):
+    """``form`` with its ``positions`` fields moved by ``s``."""
+    if not s:
+        return form
+    out = list(form)
+    for k in positions:
+        out[k] += s
+    return tuple(out)
+
+
+def _normal_form(t, positions):
+    """(normal form, offset) of tuple ``t`` whose position fields are
+    ``positions``: ``t`` moved so that its least position is 1, and how
+    far."""
+    s = min([t[k] for k in positions]) - 1
+    return _moved(t, positions, -s), s
+
+
+class TranslationClasses:
+    """A chart's items modulo translation: each class expanded once, every
+    length's forest laid out from the classes by array arithmetic.
+
+    A class is an item moved so that its least position is 1 (its normal
+    form); the item is the class at an offset, its least position minus 1.
+    A class keeps its derivable edges as (tail class, offset relative to
+    the item) and its events as (event class, relative offset), events
+    being normalized the same way, and its level, which a shift does not
+    change.  Classes are numbered after all their tails' classes, so a
+    class never points at one added after it, and the arrays only grow as
+    longer lengths arrive.
+
+    This is sound when the chart's expansion is translation-equivariant
+    and, but for the goal, the same at every length: an item's edges are
+    its class's edges at its offset.  ``item_positions(item)`` and
+    ``event_positions(event)`` give the indices of the position fields of
+    an item and of an event.
     """
-    kids, lo, hi = memo._walk_lists()
-    seen = bytearray(len(lo))
-    order = []
-    stack = [goal_id]
-    pop, visit, push = stack.pop, order.append, stack.extend
-    while stack:
-        iid = pop()
-        if not seen[iid]:
-            seen[iid] = 1
-            visit(iid)
-            push(kids[lo[iid]:hi[iid]])
-    order = np.array(order, dtype=np.intp)
-    counts = memo.count[order]
-    edges = _ranges(memo.start[order], counts)
-    tails = memo.tail[:, edges]
-    seq = tails.T.ravel()
-    item_ids = _first_seen(np.concatenate(([goal_id], seq[seq >= 0])),
-                           len(lo))
-    local = np.empty(len(lo) + 1, dtype=np.intp)
-    local[item_ids] = np.arange(len(item_ids))
-    local[-1] = len(item_ids)  # the sentinel, for the missing tail -1
-    ptr = memo.event_ptr
-    n_ev = ptr[edges + 1] - ptr[edges]
-    flat = memo.event_flat[_ranges(ptr[edges], n_ev)]
-    event_ids = _first_seen(flat, len(memo.events))
-    event_local = np.empty(len(memo.events), dtype=np.intp)
-    event_local[event_ids] = np.arange(len(event_ids))
-    keep = (memo.level[tails] >= -1).all(axis=0)
-    head = np.repeat(local[order], counts)
-    tails = local[tails]
-    flat = event_local[flat]
-    level = memo.level[item_ids]
-    level[level < 0] = -1
-    items, events = memo.items, memo.events
-    return Forest(goal, [items[i] for i in item_ids.tolist()],
-                  [events[k] for k in event_ids.tolist()], level,
-                  (head[keep], tails[0, keep], tails[1, keep], n_ev[keep],
-                   flat[np.repeat(keep, n_ev)]))
+
+    def __init__(self, item_positions, event_positions):
+        self._item_positions = item_positions
+        self._event_positions = event_positions
+        self.items = []         # class -> normal form
+        self._index = {}        # normal form -> class
+        self.events = []        # event class -> normal form
+        self._event_index = {}
+        # rows per class: (level, -1 when not derivable; largest position;
+        # first edge; number of edges); per edge: (first tail's class, -1
+        # for none, and relative offset; the same of the second tail; first
+        # event; number of events); per event of an edge: (event class,
+        # relative offset)
+        self._rows = ([], [], [])
+        self._uses = []         # class -> its distinct (tail class, offset)
+        self._arrays = [np.zeros((k, 0), dtype=np.intp) for k in (4, 6, 2)]
+
+    def _event(self, event):
+        """(event class, offset) of ``event``."""
+        form, s = _normal_form(event, self._event_positions(event))
+        c = self._event_index.get(form)
+        if c is None:
+            c = self._event_index[form] = len(self.events)
+            self.events.append(form)
+        return c, s
+
+    def _normalizer(self):
+        """A function (item, its edges) -> the edges as ((tail normal
+        form, offset) pairs, (event class, offset) pairs).  It keeps what
+        each tail and event became, since a tuple recurs in many edges."""
+        tails_seen, events_seen = {}, {}
+        item_positions, event_class = self._item_positions, self._event
+
+        def tail(t):
+            form = tails_seen[t] = _normal_form(t, item_positions(t))
+            return form
+
+        def event(ev):
+            c = events_seen[ev] = event_class(ev)
+            return c
+
+        def normalize(item, edges):
+            out = []
+            for tails, evs in edges:
+                if len(tails) > 2:
+                    raise ValueError("edge with %d tails at %s"
+                                     % (len(tails), item))
+                out.append(([tails_seen.get(t) or tail(t) for t in tails],
+                            [events_seen.get(ev) or event(ev) for ev in evs]))
+            return out
+
+        return normalize
+
+    def _expand(self, forms, expand, normalize):
+        """Expand the classes of the normal forms ``forms`` and every
+        class below them that the table lacks, depth first, numbering each
+        class after its tails' classes.  Raises ValueError on a cycle."""
+        index = self._index
+        pending = {}
+        stack = list(forms)
+        while stack:
+            form = stack[-1]
+            if form in index:
+                stack.pop()
+                continue
+            edges = pending.get(form)
+            if edges is None:
+                edges = pending[form] = normalize(form, expand(form))
+                todo = [t for tails, _ in edges for t, _ in tails
+                        if t not in index]
+                if todo:
+                    stack += todo
+                    continue
+            elif any(t not in index for tails, _ in edges for t, _ in tails):
+                raise ValueError("cyclic chart expansion at %s" % (form,))
+            stack.pop()
+            del pending[form]
+            self._add(form, edges)
+
+    def _add(self, form, edges):
+        """Number the class of ``form``, whose tails' classes are numbered,
+        and keep its derivable edges."""
+        classes, edge_rows, event_rows = self._rows
+        index = self._index
+        top, first_edge = -1, len(edge_rows)
+        uses = {}
+        for tails, evs in edges:
+            row = [-1, 0, -1, 0, len(event_rows), len(evs)]
+            above = 0
+            for j, (t, s) in enumerate(tails):
+                c = index[t]
+                level = classes[c][0]
+                if level < 0:
+                    break
+                above = max(above, level + 1)
+                row[2 * j] = c
+                row[2 * j + 1] = s
+            else:
+                top = max(top, above)
+                for j in range(len(tails)):
+                    uses[row[2 * j], row[2 * j + 1]] = None
+                edge_rows.append(row)
+                event_rows += evs
+        self._uses.append(tuple(uses))
+        positions = self._item_positions(form)
+        index[form] = len(self.items)
+        self.items.append(form)
+        classes.append((top, max([form[k] for k in positions]), first_edge,
+                        len(edge_rows) - first_edge))
+
+    def _sync(self):
+        """The row lists as arrays, one row of the array per field,
+        extended by what was added since."""
+        for k, rows in enumerate(self._rows):
+            old = self._arrays[k]
+            if old.shape[1] < len(rows):
+                new = np.array(rows[old.shape[1]:], dtype=np.intp)
+                self._arrays[k] = np.concatenate(
+                    (old, new.reshape(len(new), -1).T), axis=1)
+        return self._arrays
+
+    def _reach(self, rows, tails, n):
+        """Whether the goal reaches each candidate class ``rows[r]`` at
+        offset s, as a boolean grid (r, s), given the goal's tails as
+        (class, offset) pairs.  The offsets at which the goal reaches a
+        class are kept as the bits of an int and passed, shifted, to its
+        tails, top level first: a class's tails have lower levels."""
+        reached = [0] * len(self.items)
+        for c, s in tails:
+            reached[c] |= 1 << s
+        uses, rows = self._uses, rows.tolist()
+        for c in reversed(rows):
+            if reached[c]:
+                for t, rel in uses[c]:
+                    reached[t] |= reached[c] << rel
+        size = (n + 7) // 8
+        bits = b"".join([reached[c].to_bytes(size, "little") for c in rows])
+        return np.unpackbits(np.frombuffer(bits, dtype=np.uint8),
+                             bitorder="little").reshape(
+                                 len(rows), size * 8)[:, :n]
+
+    def forest(self, goal, expand, n):
+        """The forest below ``goal`` of a length-``n`` sentence, whose
+        positions are 1..n.  ``expand`` is the chart's expansion over that
+        sentence: it gives the goal's edges and the edges of every class the
+        table lacks.
+
+        The candidate items are every derivable class at every offset that
+        fits in 1..n, a grid of (class, offset) cells, of which the items
+        are those the goal reaches (``_reach``).  They are numbered by
+        (level, class, offset) after the goal, id 0, so the edges come out
+        sorted as ``Forest`` lays them out, with no sort.
+        """
+        normalize = self._normalizer()
+        goal_edges = normalize(goal, expand(goal))
+        self._expand([t for tails, _ in goal_edges for t, _ in tails],
+                     expand, normalize)
+        classes, edges, events = self._sync()
+        level = classes[0]
+        goal_edges = [([(self._index[t], s) for t, s in tails], evs)
+                      for tails, evs in goal_edges]
+        goal_edges = [(tails, evs) for tails, evs in goal_edges
+                      if all(level[c] >= 0 for c, _ in tails)]
+        rows = np.flatnonzero((level >= 0) & (classes[1] <= n))
+        rows = rows[np.argsort(level[rows], kind="stable")]
+        grid = len(rows) * n
+        # the cell of each candidate class at offset 0; past the grid for
+        # the others, and for class -1, a missing tail
+        at = np.full(len(level) + 1, grid, dtype=np.intp)
+        at[rows] = np.arange(len(rows)) * n
+        reach = self._reach(rows, [t for tails, _ in goal_edges
+                                   for t in tails], n)
+        hit = np.flatnonzero(reach)
+        c, s = rows[hit // n], hit % n
+        sentinel = len(hit) + 1
+        # the item id of each cell, and the sentinel for a missing tail,
+        # whose cells lie past the grid
+        ids = np.concatenate((np.cumsum(reach, dtype=np.intp),
+                              np.full(n + 1, sentinel, dtype=np.intp)))
+        # the cells of each edge's tails at offset 0
+        tail_at = (at[edges[0]] + edges[1], at[edges[2]] + edges[3])
+        k = classes[3][c]
+        e = _ranges(classes[2][c], k)
+        s_e = np.repeat(s, k)
+        n_ev = edges[5][e]
+        flat = _ranges(edges[4][e], n_ev)
+
+        # the goal's edges last: it is the only item of the top level
+        def cat(rows, goal_rows):
+            return np.concatenate((rows, np.array(goal_rows, dtype=np.intp)))
+
+        goal_tails = [[ids[at[t] + rel] for t, rel in tails]
+                      + [sentinel] * (2 - len(tails))
+                      for tails, _ in goal_edges]
+        goal_events = [ev for _, evs in goal_edges for ev in evs]
+        head = cat(np.repeat(np.arange(1, len(hit) + 1), k),
+                   [0] * len(goal_edges))
+        tails = np.stack([cat(ids[cells[e] + s_e], [g[j] for g in goal_tails])
+                          for j, cells in enumerate(tail_at)])
+        n_ev = cat(n_ev, [len(evs) for _, evs in goal_edges])
+        ev_class = cat(events[0][flat], [ev for ev, _ in goal_events])
+        ev_at = cat(np.repeat(s_e, n_ev[:len(e)]) + events[1][flat],
+                    [rel for _, rel in goal_events])
+        # event ids in the order of (event class, offset)
+        width = int(ev_at.max(initial=0)) + 1
+        key = ev_class * width + ev_at
+        used = np.zeros(len(self.events) * width, dtype=bool)
+        used[key] = True
+        event_ids = np.cumsum(used) - 1
+        used = np.flatnonzero(used)
+        item_level = level[c]
+        goal_level = (1 + int(item_level.max(initial=-1)) if goal_edges
+                      else -1)
+        forest = Forest.__new__(Forest)
+        forest._lay_out(
+            goal,
+            Chain(([goal], Shifted(self.items, self._item_positions, c, s))),
+            Shifted(self.events, self._event_positions, used // width,
+                    used % width),
+            cat([goal_level], item_level), head, tails, n_ev, event_ids[key])
+        return forest
 
 
 def disjoint_union(forests):
@@ -435,8 +594,8 @@ def disjoint_union(forests):
     cat = np.concatenate
     union = Forest.__new__(Forest)
     union._lay_out(
-        None, [it for f in forests for it in f.items],
-        [ev for f in forests for ev in f.events],
+        None, Chain([f.items for f in forests]),
+        Chain([f.events for f in forests]),
         cat([f.item_level for f in forests]),
         cat([f.edge_head + b for f, b in zip(forests, item_base)])[edges],
         cat([np.where(f.edge_tail == f.sentinel, sentinel, f.edge_tail + b)
@@ -462,25 +621,21 @@ def _ranges(starts, counts):
         starts - ends + counts, counts)
 
 
-def _levels(items, level, base, head, tails, start):
-    """Decide the level of every item from ``base`` on, one wavefront at a
-    time: an item is decided once every tail of its edges is.  Returns the
-    number of edges of each of those items.
+def _levels(items, level, head, tails, start):
+    """Decide the level of every item, one wavefront at a time: an item is
+    decided once every tail of its edges is.
 
-    ``level`` has one entry per item, then -1 for the missing tail -1;
-    items before ``base`` are decided, the others -3 (undecided).  Items
-    that are not derivable get -2.  ``head`` and ``tails`` (2 x edges, -1
-    for a missing tail) are the edges of the items from ``base`` on, each
-    item's edges contiguous from ``start[item - base]``.  Raises ValueError
-    naming an item on a cycle when a cycle leaves items undecided.
+    ``level`` has one entry per item, -3 (undecided), then -1 for the
+    missing tail -1.  Items that are not derivable get -2.  ``head`` and
+    ``tails`` (2 x edges, -1 for a missing tail) are the edges, each item's
+    edges contiguous from ``start[item]``.  Raises ValueError naming an
+    item on a cycle when a cycle leaves items undecided.
     """
-    n = len(items) - base
-    head = head - base
+    n = len(items)
     counts = np.bincount(head, minlength=n)
-    # the uses of each undecided item as a tail, as the heads of the using
-    # edges
-    real = tails.reshape(-1) >= base
-    used = tails.reshape(-1)[real] - base
+    # the uses of each item as a tail, as the heads of the using edges
+    real = tails.reshape(-1) >= 0
+    used = tails.reshape(-1)[real]
     order = np.argsort(used, kind="stable")
     users = np.tile(head, 2)[real][order]
     use_count = np.bincount(used, minlength=n)
@@ -498,23 +653,21 @@ def _levels(items, level, base, head, tails, start):
         some = k > 0
         best = np.full(len(front), -2, dtype=np.intp)
         best[some] = np.maximum.reduceat(edge_level, (np.cumsum(k) - k)[some])
-        level[front + base] = best
+        level[front] = best
         up = users[_ranges(use_start[front], use_count[front])]
         up, hits = np.unique(up, return_counts=True)
         pending[up] -= hits
         front = up[pending[up] == 0]
-    undecided = level[base:-1] == -3
+    undecided = level[:-1] == -3
     if undecided.any():
         # walk down undecided tails until an item repeats: it is on a cycle
         iid, seen = int(np.argmax(undecided)), set()
         while iid not in seen:
             seen.add(iid)
             a = start[iid]
-            iid = next(t - base
-                       for t in tails[:, a:a + counts[iid]].T.ravel()
+            iid = next(t for t in tails[:, a:a + counts[iid]].T.ravel()
                        if level[t] == -3)
-        raise ValueError("cyclic chart expansion at %s" % (items[iid + base],))
-    return counts
+        raise ValueError("cyclic chart expansion at %s" % (items[iid],))
 
 
 def _logsumexp_groups(w, starts, sizes):

@@ -357,14 +357,15 @@ _UNTRAINED = "tag %r has no DMV parameters: the model was not trained on it"
 
 # (length, DepthPolicy or None, blocked positions) -> forest
 _FORESTS = {}
-# DepthPolicy, or None for the head-split chart -> ExpansionMemo
-_MEMOS = {}
+# DepthPolicy, or None for the head-split chart -> TranslationClasses
+_CLASSES = {}
 
 
 def clear_forest_cache():
-    """Drop the cached forests and the expansions they were taken from."""
+    """Drop the cached forests and the translation-class tables they were
+    laid out from."""
     _FORESTS.clear()
-    _MEMOS.clear()
+    _CLASSES.clear()
 
 
 def _chart_forest(n, policy=None, blocked=frozenset()):
@@ -378,11 +379,12 @@ def _chart_forest(n, policy=None, blocked=frozenset()):
     depends only on the automata's structure, so one serves every sentence
     of its length and is re-priced per sentence.
 
-    Only the goal ``("ROOT", n)`` depends on n, so with no blocked position
-    every length's forest is taken from one ``hypergraph.ExpansionMemo`` per
-    chart and policy, which expands each shared item once.  Blocked
-    positions change the expansions, so a blocked set gets a build of its
-    own.
+    With no blocked position, every item but the goal ``("ROOT", n)`` has
+    the same edges at every length, and a shifted item the edges shifted
+    alike.  So every length's forest is laid out from one
+    ``hypergraph.TranslationClasses`` table per chart and policy, which
+    expands each item shape once.  A blocked position breaks the
+    translation symmetry, so a blocked set gets a build of its own.
     """
     blocked = frozenset(blocked)
     if blocked or (policy is not None and policy.max_depth is not None):
@@ -392,14 +394,20 @@ def _chart_forest(n, policy=None, blocked=frozenset()):
     key = (n, policy, blocked)
     forest = _FORESTS.get(key)
     if forest is None:
-        memo = (None if blocked
-                else _MEMOS.setdefault(policy, hypergraph.ExpansionMemo()))
         sent = sbg.weighted_sentence_automata(n, lambda h, d: 0.0,
                                               lambda d: 0.0)
-        if policy is None:
-            forest = sbg.eisner_forest(sent, memo)
+        if blocked:
+            forest = lc_chart.lc_forest(sent, policy, blocked)
         else:
-            forest = lc_chart.lc_forest(sent, policy, blocked, memo)
+            classes = _CLASSES.get(policy)
+            if classes is None:
+                positions = (sbg.HEAD_SPLIT_POSITIONS if policy is None
+                             else lc_chart.POSITIONS)
+                classes = _CLASSES[policy] = hypergraph.TranslationClasses(
+                    lambda item: positions[item[0]], sbg.event_positions)
+            expand = (sbg._eisner_expand(sent) if policy is None
+                      else lc_chart._lc_expand(sent, policy, blocked))
+            forest = classes.forest(("ROOT", n), expand, n)
         _FORESTS[key] = forest
     return forest
 
@@ -543,8 +551,8 @@ class CorpusGraph:
     def viterbi(self, eventw):
         """The heads of the best tree of every group under event
         log-weights ``eventw``, as ``sbg.forest_viterbi`` decodes one
-        forest: ties prefer the smaller sorted arc list.  Raises ValueError
-        when a group has no derivation of nonzero weight."""
+        forest: ties prefer the smaller sorted arc list.  A group with no
+        derivation of nonzero weight gets None."""
         return sbg._viterbi_heads(self.forest, eventw, self._dep, self._head,
                                   self._lengths)
 
@@ -710,13 +718,15 @@ def train(corpus, cfg=None):
 def decode(params, corpus):
     """Viterbi trees under the plain model (constraints are a training
     device; decoding is unconstrained): ``decode_constrained`` with an
-    empty constraint set."""
+    empty constraint set.  Raises ValueError naming the corpus index and
+    tags of the first sentence that has no derivation of nonzero weight."""
     return _viterbi_trees(params, corpus, ConstraintSet())
 
 
 def decode_constrained(params, corpus, cs, policy=None, length_bias=None):
     """Viterbi under the same restricted charts used in training; exposed so
-    constraint soundness can be asserted on decoded trees."""
+    constraint soundness can be asserted on decoded trees.  Raises
+    ValueError as ``decode`` does."""
     return _viterbi_trees(params, corpus, cs, policy, length_bias)
 
 
@@ -732,8 +742,13 @@ def _viterbi_trees(params, corpus, cs, policy=None, length_bias=None):
     space = FeatureSpace(params.root)
     graph = CorpusGraph(groups, space, policy, cs, length_bias)
     eventw = graph.prices(_decision_logw(space, params))
-    trees = {tags: tree_from_heads(heads, tags=tags) for (tags, _), heads
-             in zip(groups, graph.viterbi(eventw))}
+    best = dict(zip([tags for tags, _ in groups], graph.viterbi(eventw)))
+    for k, tags in enumerate(corpus):
+        if best[tags] is None:
+            raise ValueError("%s for sentence %d of the corpus, tags %r"
+                             % (sbg.NO_DERIVATION, k, tags))
+    trees = {tags: tree_from_heads(heads, tags=tags)
+             for tags, heads in best.items()}
     return [trees[tags] for tags in corpus]
 
 

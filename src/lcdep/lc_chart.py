@@ -56,9 +56,11 @@ skipped.
 
 The chart runs left to right and only the goal mentions the root position
 n+1, so on DMV automata every item but the goal has the same edges at every
-length (an unbounded policy has no depth check, so this holds for it too).
-With no blocked position, each length's forest can therefore be taken from
-one expansion memo per depth policy, which expands every shared item once.
+length (an unbounded policy has no depth check, so this holds for it too),
+and with no blocked position an item shifted along the sentence has its
+edges shifted alike.  ``POSITIONS`` names each item kind's position fields,
+so that a ``hypergraph.TranslationClasses`` table can lay out every
+length's forest from one expansion of each item shape.
 """
 
 import dataclasses
@@ -66,6 +68,12 @@ import math
 
 from . import hypergraph
 from .sbg import LEFT, RIGHT, _root_edges
+
+# the position fields of each item kind but the goal's, which a
+# ``hypergraph.TranslationClasses`` table moves
+POSITIONS = {"LI": (1, 2), "RF": (1, 2), "RQ": (2, 3), "TRI": (1, 2, 3),
+             "RECT": (1, 2, 3), "PR": (2, 3, 4), "HR": (1, 2, 3),
+             "HPR": (2, 3, 4)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -304,15 +312,12 @@ def _lc_expand(sent, policy, blocked):
     return expand
 
 
-def lc_forest(sent, policy=None, blocked=frozenset(), memo=None):
+def lc_forest(sent, policy=None, blocked=frozenset()):
     """The left-corner forest of ``sent`` under ``policy`` (None is
-    unbounded), taken from ``memo`` (an ``hypergraph.ExpansionMemo`` of DMV
-    automata under this policy, with no blocked position) when one is
-    given.
+    unbounded).
 
     blocked is a collection of positions whose token must head at least one
     dependent; derivations where such a token stays childless are removed.
     """
     return hypergraph.build_forest(
-        ("ROOT", sent.n), _lc_expand(sent, policy or DepthPolicy(), blocked),
-        memo)
+        ("ROOT", sent.n), _lc_expand(sent, policy or DepthPolicy(), blocked))

@@ -467,6 +467,11 @@ def brute_force_viterbi(tags, sent, tree_filter=None):
 # chart grows left halves outward: ("LQ", q, i, h) extends to a farther
 # dependent d < i.  Every head but the goal's lies in 1..n.
 
+# the position fields of each item kind but the goal's, which a
+# ``hypergraph.TranslationClasses`` table moves
+HEAD_SPLIT_POSITIONS = {"LF": (1, 2), "LQ": (2, 3), "LT": (2, 3),
+                        "RF": (1, 2), "RQ": (2, 3), "RT": (2, 3)}
+
 
 def _eisner_expand(sent):
     """Backward-chaining expansion of the head-split chart.
@@ -544,11 +549,9 @@ def _eisner_expand(sent):
     return expand
 
 
-def eisner_forest(sent, memo=None):
-    """The head-split forest of ``sent``, taken from ``memo`` (an
-    ``hypergraph.ExpansionMemo`` of DMV automata) when one is given."""
-    return hypergraph.build_forest(("ROOT", sent.n), _eisner_expand(sent),
-                                   memo)
+def eisner_forest(sent):
+    """The head-split forest of ``sent``."""
+    return hypergraph.build_forest(("ROOT", sent.n), _eisner_expand(sent))
 
 
 def eisner_inside(tags, sent, semiring="logsum"):
@@ -570,16 +573,41 @@ _SIDE = {LEFT: 0, RIGHT: 1}
 _EVENT_FIELDS = weakref.WeakKeyDictionary()
 
 
+# the position fields of each event kind (event[2]): the head, and a
+# transition's dependent
+EVENT_POSITIONS = {"init": (1,), "final": (1,), "trans": (1, 5)}
+
+
+def event_positions(event):
+    """The indices of the position fields of ``event``."""
+    return EVENT_POSITIONS[event[2]]
+
+
+def _fields_of(events):
+    """(kind, side, head, source state, dependent) of event tuples as int
+    rows; the dependent is 0 when there is none."""
+    rows = [(_KIND[ev[2]], _SIDE[ev[0]], ev[1], ev[3],
+             ev[5] if ev[2] == "trans" else 0) for ev in events]
+    return np.array(rows, dtype=np.intp).reshape(-1, 5).T
+
+
 def _event_fields(forest):
-    """(kind, side, head, source state, dependent) of every event of a chart
-    forest as int rows; the dependent is 0 when there is none.  Read from
-    the event tuples once per forest."""
+    """``_fields_of`` the events of a chart forest, made once per forest.
+    Events laid out from translation classes (``hypergraph.Shifted``) are
+    read from the fields of their classes, moved by their offsets, so no
+    event tuple is made."""
     fields = _EVENT_FIELDS.get(forest)
     if fields is None:
-        rows = [(_KIND[ev[2]], _SIDE[ev[0]], ev[1], ev[3],
-                 ev[5] if ev[2] == "trans" else 0) for ev in forest.events]
-        fields = _EVENT_FIELDS[forest] = np.array(
-            rows, dtype=np.intp).reshape(-1, 5).T
+        events = forest.events
+        if isinstance(events, hypergraph.Shifted):
+            used, cls = np.unique(events.cls, return_inverse=True)
+            fields = _fields_of([events.forms[c] for c in used.tolist()])[
+                :, cls.reshape(-1)]
+            fields[2] += events.offset
+            fields[4] += np.where(fields[0] == _TRANS, events.offset, 0)
+        else:
+            fields = _fields_of(events)
+        _EVENT_FIELDS[forest] = fields
     return fields
 
 
@@ -605,15 +633,16 @@ def _viterbi_heads(forest, eventw, dep, head, lengths):
     log-weights ``eventw``; goal g has ``lengths[g]`` tokens, and event k
     adds the arc (``dep[k]``, ``head[k]``), head 0 for the root, or no arc
     when ``dep[k]`` is 0.  Ties prefer the arc list whose sorted
-    (dependent, head) pairs are lexicographically smaller.  Raises
-    ValueError when a goal has no derivation of nonzero weight."""
+    (dependent, head) pairs are lexicographically smaller.  A goal with no
+    derivation of nonzero weight gets None."""
     scores, best = hypergraph.inside_max(forest, eventw,
                                          _edge_arcs(forest, dep, head))
     ptr, flat = forest.event_ptr, forest.event_flat
     out = []
     for goal, n in zip(forest.goal_ids.tolist(), lengths):
         if not scores[goal] > NEG_INF:  # -inf, or NaN from NaN weights
-            raise ValueError("no derivation has nonzero weight")
+            out.append(None)
+            continue
         edges = np.array(hypergraph.backtrace(forest, best, goal),
                          dtype=np.intp)
         evs = flat[hypergraph._ranges(ptr[edges], ptr[edges + 1] - ptr[edges])]
@@ -653,13 +682,19 @@ def forest_expected_counts(forest, sent):
     return counts, float(logz)
 
 
+NO_DERIVATION = "no derivation has nonzero weight"
+
+
 def forest_viterbi(forest, sent, tags):
     """Best tree of the forest as a DepTree; ties prefer the arc list whose
-    sorted (dependent, head) pairs are lexicographically smaller."""
+    sorted (dependent, head) pairs are lexicographically smaller.  Raises
+    ValueError when no derivation has nonzero weight."""
     _, _, head, _, dep = _event_fields(forest)
     [heads] = _viterbi_heads(forest, forest.event_weights(sent.event_logw),
                              dep, np.where(head == sent.n + 1, 0, head),
                              [len(tags)])
+    if heads is None:
+        raise ValueError(NO_DERIVATION)
     return tree_from_heads(heads, tags=tags)
 
 

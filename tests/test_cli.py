@@ -312,6 +312,27 @@ def test_parse_constraint_options_match_the_training_constraint_set(
     assert [t.heads for t in parsed] == [t.heads for t in want]
 
 
+def test_parse_names_the_first_sentence_without_a_derivation(
+        corpus_file, tmp_path, capsys):
+    # an ADP must head and the noun must be the root: ADP NOUN has no tree
+    path, _ = corpus_file
+    out = tmp_path / "run"
+    run(["train-dmv", "--init", "uniform", "--em-iters", "1",
+         "--out", str(out), path], capsys)
+    sentences = tmp_path / "sentences.conll"
+    sentences.write_text(serialize_conll([
+        tree_from_heads((2, 0), tags=("DET", "NOUN"), forms=("a", "dog")),
+        tree_from_heads((0, 1), tags=("ADP", "NOUN"), forms=("by", "car")),
+    ]), encoding="utf-8")
+    code, _, err = run(["parse", "--model", str(out / "model.txt"),
+                        "--root", "verb-or-noun", "--adp-head",
+                        str(sentences)], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: ValueError: no derivation has nonzero weight for sentence 1 "
+        "of the corpus, tags ('ADP', 'NOUN')")
+
+
 def test_parse_dmv_roundtrip(corpus_file, tmp_path, capsys):
     path, corpus = corpus_file
     out = tmp_path / "run"

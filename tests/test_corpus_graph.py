@@ -205,6 +205,24 @@ def test_a_group_without_constrained_mass_is_skipped():
                 decoder(params, [("ADP",)], cs, policy)
 
 
+def test_a_decode_names_the_first_sentence_without_a_derivation():
+    # an ADP must head, and the root must be the noun: ADP PROPN has no tree
+    params = sbg.random_dmv_params(TAGSET + ("PROPN",), random.Random(4))
+    cs = induction.TrainConfig(root_constraint="verb-or-noun",
+                               adp_head=True).constraint_set()
+    corpus = [("NOUN", "VERB"), ("ADP", "PROPN"), ("DET", "NOUN"),
+              ("ADP", "PROPN")]
+    for policy in CHARTS.values():
+        for decoder in (induction.decode_constrained, util.reference_decode):
+            assert decoded(decoder, params, corpus, cs, policy) == (
+                "no derivation has nonzero weight for sentence 1 of the "
+                "corpus, tags ('ADP', 'PROPN')")
+    assert decoded(induction.decode, params,
+                   [("NOUN",), ("VERB", "NOUN"), (), ()]) == (
+        "no derivation has nonzero weight for sentence 2 of the corpus, "
+        "tags ()")
+
+
 def _params_with(value, tags=TAGSET):
     """Random parameters whose every probability out of a head or
     dependent tag in ``tags`` is ``value``."""
@@ -241,8 +259,9 @@ def test_degenerate_weights_behave_as_the_reference(chart, value, tags,
     for sentences in [corpus] + [[seq] for seq in corpus]:
         want = decoded(util.reference_decode, params, sentences, cs,
                        CHARTS[chart])
-        assert want == "no derivation has nonzero weight" or (
-            isinstance(want, list) and tags != TAGSET)
+        assert (isinstance(want, str)
+                and want.startswith(sbg.NO_DERIVATION + " for sentence ")
+                or isinstance(want, list) and tags != TAGSET)
         assert decoded(induction.decode_constrained, params, sentences, cs,
                        CHARTS[chart]) == want
         assert decoded(induction.decode, params, sentences) == decoded(

@@ -148,32 +148,92 @@ def test_one_pass_build_matches_reference_dfs(case):
         assert np.array_equal(getattr(forest, name), getattr(ref, name)), name
 
 
-@settings(max_examples=300, deadline=None)
-@given(random_expansions(), st.lists(st.integers(min_value=0, max_value=7),
-                                     max_size=4))
-def test_builds_sharing_a_memo_match_reference_dfs(case, goals):
-    # the goal first, then other items of the same expansion, all taken from
-    # one memo; a build that fails must leave the memo as it was
-    expand, goal = case
-    memo = hypergraph.ExpansionMemo()
-    for g in [goal] + [("i", k) for k in goals]:
+@st.composite
+def random_span_charts(draw):
+    """(expand, lengths) of a random chart that is the same under
+    translation and at every length.  An item ("x", k, i, j) of kind k over
+    the span i..j has the edges drawn for (k, j - i + 1): at most two tails
+    over sub-spans, and events ("e", a position of the span, label).  The
+    goal ("ROOT", n) has an edge to ("x", 0, 1, n) and one to each split
+    ("x", 1, 1, i), ("x", 2, i + 1, n).  An item with no edges is dead, and
+    so is every edge that uses it; unless the chart is drawn acyclic, a
+    tail as wide as its head may have any kind, which makes cycles."""
+    kinds, max_n = 3, 5
+    acyclic = draw(st.booleans())
+    rules = {}
+    for k in range(kinds):
+        for w in range(1, max_n + 1):
+            tail = st.integers(1, w).flatmap(
+                lambda tw, w=w: st.tuples(st.integers(0, kinds - 1),
+                                          st.integers(0, w - tw), st.just(tw)))
+            event = st.tuples(st.integers(0, w - 1), st.integers(0, 1))
+            edges = draw(st.lists(st.tuples(st.lists(tail, max_size=2),
+                                            st.lists(event, max_size=2)),
+                                  max_size=3))
+            rules[k, w] = [
+                (tails, evs) for tails, evs in edges
+                if not (acyclic and any(tw == w and k2 <= k
+                                        for k2, _, tw in tails))]
+    lengths = draw(st.lists(st.integers(0, max_n), min_size=1, max_size=6))
+
+    def expand(item):
+        if item[0] == "ROOT":
+            n = item[1]
+            return ([((("x", 0, 1, n),), (("e", n, 9),))] if n else []) + [
+                ((("x", 1, 1, i), ("x", 2, i + 1, n)), ())
+                for i in range(1, n)]
+        _, k, i, j = item
+        return [(tuple(("x", k2, i + a, i + a + tw - 1) for k2, a, tw in tails),
+                 tuple(("e", i + a, label) for a, label in evs))
+                for tails, evs in rules[k, j - i + 1]]
+
+    return expand, lengths
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_span_charts())
+def test_translation_classes_lay_out_the_reference_forests(case):
+    # one table serves the lengths in the order drawn; a length whose
+    # expansion has a cycle fails and leaves the table usable
+    expand, lengths = case
+    table = hypergraph.TranslationClasses(lambda item: (2, 3),
+                                          lambda event: (1,))
+    for n in lengths:
+        goal = ("ROOT", n)
         try:
-            expand(g)
-        except KeyError:
-            continue
-        try:
-            ref = util.reference_build_forest(g, expand)
+            want = util.reference_build_forest(goal, expand)
         except ValueError:
-            with pytest.raises(ValueError):
-                hypergraph.build_forest(g, expand, memo)
+            with pytest.raises(ValueError, match="cyclic"):
+                table.forest(goal, expand, n)
             continue
-        forest = hypergraph.build_forest(g, expand, memo)
-        assert forest.items == ref.items
-        assert forest.events == ref.events
-        for name in ("item_level", "edge_head", "edge_tail", "event_ptr",
-                     "event_flat", "group_head", "group_ptr", "level_ptr"):
-            assert np.array_equal(getattr(forest, name),
-                                  getattr(ref, name)), name
+        got = table.forest(goal, expand, n)
+        levels, edges = util.forest_sets(got)
+        assert (levels, edges) == util.forest_sets(want)
+        # the goal reaches every item, and every event once
+        assert len(levels) == got.n_items
+        assert sorted(got.events) == sorted(
+            {ev for item_edges in edges.values()
+             for _, evs in item_edges for ev in evs})
+        assert (hypergraph.inside_count(got)[got.goal_id]
+                == hypergraph.inside_count(want)[want.goal_id])
+
+        def eventw(forest):
+            return np.array([0.25 * ev[1] - 0.5 * ev[2]
+                             for ev in forest.events])
+
+        assert hypergraph.inside_logsum(got, eventw(got))[got.goal_id] == (
+            pytest.approx(hypergraph.inside_logsum(
+                want, eventw(want))[want.goal_id], abs=1e-12))
+
+
+def test_translation_classes_reject_an_edge_with_three_tails():
+    def expand(item):
+        return [((("x", 1, 1), ("x", 1, 1), ("x", 1, 1)), ())]
+
+    table = hypergraph.TranslationClasses(lambda item: (1, 2),
+                                          lambda event: (1,))
+    with pytest.raises(ValueError, match="edge with 3 tails at"):
+        table.forest(("ROOT", 1), expand, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +322,8 @@ def test_disjoint_union_matches_the_sorted_reference(cases):
                for expand, goal, _ in cases]
     union = hypergraph.disjoint_union(forests)
     ref = util.reference_disjoint_union(forests)
-    assert union.items == ref.items
-    assert union.events == ref.events
+    assert list(union.items) == ref.items
+    assert list(union.events) == ref.events
     for name in ("item_level", "edge_head", "edge_tail", "event_ptr",
                  "event_flat", "group_head", "group_ptr", "level_ptr"):
         assert np.array_equal(getattr(union, name), getattr(ref, name)), name

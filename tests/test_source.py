@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -47,6 +48,52 @@ def test_unused_import_check_sees_every_import_form():
         "    return os.sep, q",
     ])
     assert unused_imports(source) == [(3, "a"), (4, "z"), (5, "r")]
+
+
+def third_party_imports(source):
+    """Top-level names of the modules that ``source`` imports from outside
+    the standard library and this package; relative imports are the
+    package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return {name for name in names
+            if name not in sys.stdlib_module_names and name != "lcdep"}
+
+
+def declared_dependencies():
+    """The module names of the ``dependencies`` in ``pyproject.toml``."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    return {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
+            .replace("-", "_") for dep in project["dependencies"]}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # an undeclared import works only where it happens to be installed, and
+    # a heavy one costs every command its import time
+    imported = {name for path in sorted(SRC.glob("*.py"))
+                for name in third_party_imports(
+                    path.read_text(encoding="utf-8"))}
+    assert sorted(imported - declared_dependencies()) == []
+
+
+def test_third_party_import_check_sees_every_import_form():
+    source = "\n".join([
+        "import os.path",
+        "import numpy.linalg as la",
+        "from scipy import optimize",
+        "from . import sbg",
+        "from .hypergraph import NEG_INF",
+        "import lcdep.cli",
+        "def f():",
+        "    import yaml",
+    ])
+    assert third_party_imports(source) == {"numpy", "scipy", "yaml"}
 
 
 def module_constants(source):

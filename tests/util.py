@@ -415,14 +415,36 @@ def edge_events(forest, e):
 
 def edges_by_head(forest):
     """item -> [(tail items, event tuples)] of its edges, in edge order."""
+    items = list(forest.items) + [None]  # None for the sentinel
+    events = list(forest.events)
+    events = [events[k] for k in forest.event_flat.tolist()]
+    ptr = forest.event_ptr.tolist()
     out = {}
     for e, (h, t0, t1) in enumerate(zip(forest.edge_head.tolist(),
                                         *forest.edge_tail.tolist())):
-        tails = tuple(forest.items[t] for t in (t0, t1)
-                      if t != forest.sentinel)
-        events = tuple(forest.events[k] for k in edge_events(forest, e))
-        out.setdefault(forest.items[h], []).append((tails, events))
+        tails = tuple(items[t] for t in (t0, t1) if t != forest.sentinel)
+        out.setdefault(items[h], []).append(
+            (tails, tuple(events[ptr[e]:ptr[e + 1]])))
     return out
+
+
+def forest_sets(forest):
+    """What the goal of ``forest`` reaches, in tuples rather than ids:
+    (item -> level, item -> [(tail items, event tuples)] of its edges in
+    edge order).  Forests that differ only in their ids, in the order of
+    their items, events and heads, or in items the goal does not reach
+    through derivable edges give the same."""
+    edges = edges_by_head(forest)
+    level = dict(zip(forest.items, forest.item_level.tolist()))
+    reached, stack = {forest.goal}, [forest.goal]
+    while stack:
+        for tails, _ in edges.get(stack.pop(), ()):
+            for t in tails:
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+    return ({item: level[item] for item in reached},
+            {item: edges[item] for item in reached if item in edges})
 
 
 class ListForest:
@@ -646,10 +668,16 @@ def reference_decode(params, corpus, cs, policy=None, length_bias=None):
     automata (``apply_constraints``) and cached forest: the reference for
     ``induction.decode`` and ``induction.decode_constrained``."""
     out = []
-    for tags in _tag_sequences(corpus):
+    for k, tags in enumerate(_tag_sequences(corpus)):
         sent, blocked = apply_constraints(params, tags, cs, length_bias)
         forest = induction._chart_forest(len(tags), policy, blocked)
-        out.append(sbg.forest_viterbi(forest, sent, tags))
+        try:
+            out.append(sbg.forest_viterbi(forest, sent, tags))
+        except ValueError as exc:
+            if str(exc) != sbg.NO_DERIVATION:
+                raise
+            raise ValueError("%s for sentence %d of the corpus, tags %r"
+                             % (sbg.NO_DERIVATION, k, tags)) from None
     return out
 
 
