@@ -1,7 +1,8 @@
 """Cold-build throughput of the cached DMV chart forests.
 
-For each chart: the left-corner chart at depth bound 1, cutoff 3 (D1/C3)
-and at D2/C2, and the head-split chart. One run empties the forest cache
+For each chart: the left-corner chart at depth bound 1, cutoff 3 (D1/C3),
+at D2/C2 and unbounded (which serves sentences with a must-head token and
+no depth bound), and the head-split chart. One run empties the forest cache
 (``induction.clear_forest_cache``) and then builds the forests of lengths
 2-20 through ``induction._chart_forest``, in ascending order, as the
 training corpus of the ``induce-depth1`` benchmark workload brings them.
@@ -22,17 +23,20 @@ import time
 from lcdep import induction
 from lcdep.lc_chart import DepthPolicy
 
-CHARTS = {"D1/C3": DepthPolicy(1, 3), "D2/C2": DepthPolicy(2, 2),
-          "head-split": None}
+# chart -> the (policy, must_head) arguments of ``induction._chart_forest``
+CHARTS = {"D1/C3": (DepthPolicy(1, 3), False),
+          "D2/C2": (DepthPolicy(2, 2), False),
+          "unbounded LC": (None, True), "head-split": (None, False)}
 LENGTHS = range(2, 21)
 
 
-def cold_build(policy):
+def cold_build(policy, must_head):
     """(CPU seconds, items, edges) of building every length from an empty
     cache."""
     induction.clear_forest_cache()
     start = time.process_time()
-    forests = [induction._chart_forest(n, policy) for n in LENGTHS]
+    forests = [induction._chart_forest(n, policy, must_head)
+               for n in LENGTHS]
     seconds = time.process_time() - start
     induction.clear_forest_cache()
     return (seconds, sum(f.n_items for f in forests),
@@ -47,8 +51,8 @@ def main(argv=None):
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     out = {"runs": args.runs, "lengths": [LENGTHS[0], LENGTHS[-1]]}
-    for name, policy in CHARTS.items():
-        runs = [cold_build(policy) for _ in range(args.runs)]
+    for name, chart in CHARTS.items():
+        runs = [cold_build(*chart) for _ in range(args.runs)]
         seconds = statistics.median(s for s, _, _ in runs)
         _, items, edges = runs[0]
         out[name] = {"seconds": round(seconds, 5), "items": items,

@@ -73,7 +73,7 @@ def main(argv=None):
         for name in names:
             cfg = TrainConfig(em_iterations=args.em_iters, **CONFIGS[name])
             model = induction.train(train, cfg)
-            preds = induction.decode(model.params, test)
+            preds = induction.decode((model.space, model.weights), test)
             scores.append(induction.evaluate_uas(preds, test))
             totals[name] += scores[-1]
         count += 1

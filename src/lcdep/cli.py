@@ -496,7 +496,7 @@ def _cmd_parse(resolved, args):
         space, weights = induction.model_from_lines(lines)
         cfg = _dmv_config(resolved)
         parsed = induction.decode_constrained(
-            space.weights_to_params(weights),
+            (space, weights),
             sentences,
             cfg.constraint_set(),
             policy=cfg.policy(),

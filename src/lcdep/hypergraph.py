@@ -19,8 +19,8 @@ derived (see ``lc_chart`` and ``sbg``): every dead item is expanded all the
 same and then dropped.
 
 Translation classes.  When a chart's expansion is the same under
-translation and at every length but for the goal, as on DMV automata with
-no blocked position, ``TranslationClasses`` serves every length from one
+translation and at every length but for the goal, as on DMV automata,
+``TranslationClasses`` serves every length from one
 table: it expands each item shape (a class: an item moved so that its least
 position is 1) once, keeping its edges as (tail class, relative offset) and
 its events as (event class, relative offset), and lays out a length's

@@ -8,24 +8,29 @@ feature weights to those counts by Newton's method under a Gaussian prior.
 Both work on one flat layout of all softmax decisions (``FeatureSpace``): a
 single segment log-softmax gives both the M-step objective and the DMV
 probabilities, and the expected counts are one vector over the layout.
-``train`` runs EM in that layout alone; ``DmvParams`` and ``DmvCounts``
-appear only at the public edges (``estep``, ``sentence_expectations``,
-decoding and ``TrainedModel.params``).
+``train`` runs EM in that layout alone, and the decoders price a trained
+model's weights the same way; ``DmvParams`` and ``DmvCounts`` appear only
+at the public edges (``estep``, ``sentence_expectations``, decoding
+hand-made parameters and ``TrainedModel.params``).
 
 The E-step runs inside-outside once over a *corpus graph*
 (``CorpusGraph``): the disjoint union of the cached chart forests
-(``_chart_forest``) of every distinct tag sequence, with the constraints
-and the length bias folded into its prices once, when it is built.  Each
-event is priced by gathering two decision log-weights (plus the bias), and
-its expected count lands on the same decisions, so no sentence's automata
-are priced and no count dict is merged.  ``train`` builds its E-step graph
-once; ``estep``, ``sentence_expectations`` and the decoders, one per call.
+(``_chart_forest``, one per length and chart) of every distinct tag
+sequence, with the constraints and the length bias folded into its prices
+once, when it is built.  Each event is priced by gathering two decision
+log-weights (plus the bias), and its expected count lands on the same
+decisions, so no sentence's automata are priced and no count dict is
+merged.  ``train`` builds its E-step graph once; ``estep``,
+``sentence_expectations`` and the decoders, one per call.
 
 Constraints follow the cost framing: they multiply tree weights by factors
 in [0, 1] and are never renormalized, so the E-step posterior is simply the
-restricted chart's posterior.  Decoding runs the same graphs and prices
-under the max semiring: ``decode`` under the unconstrained model,
-``decode_constrained`` under the training restrictions.
+restricted chart's posterior.  Every constraint is a price: a stop-at-once
+tag's continue decisions, an excluded root choice and the leaf mark of a
+token that must head a dependent all weigh -inf.  Decoding runs the same
+graphs and prices under the max semiring: ``decode`` under the
+unconstrained model, ``decode_constrained`` under the training
+restrictions.
 """
 
 import collections
@@ -355,7 +360,7 @@ class ConstraintSet:
 _UNTRAINED = "tag %r has no DMV parameters: the model was not trained on it"
 
 
-# (length, DepthPolicy or None, blocked positions) -> forest
+# (length, DepthPolicy or None) -> forest
 _FORESTS = {}
 # DepthPolicy, or None for the head-split chart -> TranslationClasses
 _CLASSES = {}
@@ -368,54 +373,52 @@ def clear_forest_cache():
     _CLASSES.clear()
 
 
-def _chart_forest(n, policy=None, blocked=frozenset()):
+def _chart_forest(n, policy=None, must_head=False):
     """The cached DMV forest of length ``n`` of the chart that serves
-    (policy, blocked).
+    ``policy`` for a sentence with (``must_head``) or without a token that
+    must head a dependent.
 
-    With no depth bound and no blocked position every projective tree is
+    With no depth bound and no must-head token every projective tree is
     admissible, so the head-split chart serves: it gives the same
     marginals, counts and Viterbi trees as the unbounded left-corner chart
-    with far fewer edges.  Otherwise the left-corner chart does.  A forest
-    depends only on the automata's structure, so one serves every sentence
-    of its length and is re-priced per sentence.
+    with far fewer edges.  Otherwise the left-corner chart does; its leaf
+    marks (``sbg.leaf_mark``) let the corpus graph price the must-head
+    constraint.  A forest depends only on the automata's structure, so one
+    serves every sentence of its length and chart, and is re-priced per
+    sentence.
 
-    With no blocked position, every item but the goal ``("ROOT", n)`` has
-    the same edges at every length, and a shifted item the edges shifted
-    alike.  So every length's forest is laid out from one
-    ``hypergraph.TranslationClasses`` table per chart and policy, which
-    expands each item shape once.  A blocked position breaks the
-    translation symmetry, so a blocked set gets a build of its own.
+    Every item but the goal ``("ROOT", n)`` has the same edges at every
+    length, and a shifted item the edges shifted alike.  So every length's
+    forest is laid out from one ``hypergraph.TranslationClasses`` table per
+    chart and policy, which expands each item shape once.
     """
-    blocked = frozenset(blocked)
-    if blocked or (policy is not None and policy.max_depth is not None):
+    if must_head or (policy is not None and policy.max_depth is not None):
         policy = policy or DepthPolicy()
     else:
         policy = None  # every unbounded policy shares the head-split forest
-    key = (n, policy, blocked)
+    key = (n, policy)
     forest = _FORESTS.get(key)
     if forest is None:
+        classes = _CLASSES.get(policy)
+        if classes is None:
+            positions = (sbg.HEAD_SPLIT_POSITIONS if policy is None
+                         else lc_chart.POSITIONS)
+            classes = _CLASSES[policy] = hypergraph.TranslationClasses(
+                lambda item: positions[item[0]], sbg.event_positions)
         sent = sbg.weighted_sentence_automata(n, lambda h, d: 0.0,
                                               lambda d: 0.0)
-        if blocked:
-            forest = lc_chart.lc_forest(sent, policy, blocked)
-        else:
-            classes = _CLASSES.get(policy)
-            if classes is None:
-                positions = (sbg.HEAD_SPLIT_POSITIONS if policy is None
-                             else lc_chart.POSITIONS)
-                classes = _CLASSES[policy] = hypergraph.TranslationClasses(
-                    lambda item: positions[item[0]], sbg.event_positions)
-            expand = (sbg._eisner_expand(sent) if policy is None
-                      else lc_chart._lc_expand(sent, policy, blocked))
-            forest = classes.forest(("ROOT", n), expand, n)
-        _FORESTS[key] = forest
+        expand = (sbg._eisner_expand(sent) if policy is None
+                  else lc_chart._lc_expand(sent, policy))
+        forest = _FORESTS[key] = classes.forest(("ROOT", n), expand, n)
     return forest
 
 
 def _decision_logw(space, params):
     """Log-weight of every decision of ``space`` under ``params``: the log
     of its probability (-inf for zero), a continue decision's probability
-    being one minus its stop's."""
+    being one minus its stop's.  That loses digits as a stop probability
+    nears 1, so models that have weights are priced from them instead
+    (``_decision_prices``)."""
     out = []
     try:
         for field, key in space.keys:
@@ -439,18 +442,20 @@ class CorpusGraph:
     ``space``: what an E-step, the harmonic initialisation and a decode
     run on.
 
-    The forests are those of ``policy``'s chart with the positions ``cs``
-    blocks (``ConstraintSet.blocked_positions``).  The rest of ``cs`` and
-    the length bias beta are folded into the prices here, once.
-    ``count_a`` and ``count_b`` are the decisions an event's expected count
-    goes to (ZERO for none): attach and continue for a real-head
-    transition, stop for a final, the root choice for a root transition.
-    ``dist`` is |h - d| for a real-head transition, else 0.
+    The forests are the cached ones of ``policy``'s chart
+    (``_chart_forest``), the left-corner chart for a group with a token
+    ``cs`` says must head a dependent.  The constraints of ``cs`` and the
+    length bias beta are folded into the prices here, once.  ``count_a``
+    and ``count_b`` are the decisions an event's expected count goes to
+    (ZERO for none): attach and continue for a real-head transition, stop
+    for a final, the root choice for a root transition.  ``dist`` is
+    |h - d| for a real-head transition, else 0.
     """
 
     def __init__(self, groups, space, policy=None, cs=None, length_bias=None):
         cs = cs or ConstraintSet()
-        forests = [_chart_forest(len(tags), policy, cs.blocked_positions(tags))
+        forests = [_chart_forest(len(tags), policy,
+                                 bool(cs.blocked_positions(tags)))
                    for tags, _ in groups]
         self.groups = groups
         self.log_mult = np.log([float(mult) for _, mult in groups])
@@ -484,14 +489,19 @@ class CorpusGraph:
         self.count_a, self.count_b = a, b
         self.dist = np.where(trans, np.abs(h - d), 0)
         # the two decisions that price each event: a head whose tag stops
-        # at once finishes at weight 0 and continues at -inf, and a root
-        # transition to a position the root restriction excludes weighs -inf
+        # at once finishes at weight 0 and continues at -inf, a leaf mark
+        # weighs -inf on a token that must head a dependent (else 0), and a
+        # root transition to a position the root restriction excludes
+        # weighs -inf
         a, b = a.copy(), b.copy()
         stop_ids = [tag_id[t] for t in cs.stop_one_tags if t in tag_id]
         if stop_ids:
             stops = np.isin(ht, stop_ids)
             a[stops & final] = zero
             b[stops & trans] = zero + 1
+        must_ids = [tag_id[t] for t in cs.must_head_tags if t in tag_id]
+        if must_ids:
+            a[(kind == sbg._LEAF) & np.isin(ht, must_ids)] = zero + 1
         base = np.cumsum([0] + sizes)
         for g, (tags, _) in enumerate(groups):
             allowed = cs.root_allowed(tags)
@@ -543,7 +553,7 @@ class CorpusGraph:
         """Counts per decision of one E-step where attaching positions h
         and d weighs 1/|h - d| and every other decision 1.  It reads only
         ``dist``, never the prices; the harmonic initialisation runs it on
-        a graph over the head-split chart with no blocked position."""
+        a graph over the head-split chart."""
         far = int(self.dist.max(initial=0))
         logw = [0.0] + [-math.log(k) for k in range(1, far + 1)]
         return self.expectations(np.array(logw)[self.dist])[0]
@@ -715,34 +725,47 @@ def train(corpus, cfg=None):
 # decoding and evaluation
 
 
-def decode(params, corpus):
+def decode(model, corpus):
     """Viterbi trees under the plain model (constraints are a training
     device; decoding is unconstrained): ``decode_constrained`` with an
     empty constraint set.  Raises ValueError naming the corpus index and
     tags of the first sentence that has no derivation of nonzero weight."""
-    return _viterbi_trees(params, corpus, ConstraintSet())
+    return _viterbi_trees(model, corpus, ConstraintSet())
 
 
-def decode_constrained(params, corpus, cs, policy=None, length_bias=None):
+def decode_constrained(model, corpus, cs, policy=None, length_bias=None):
     """Viterbi under the same restricted charts used in training; exposed so
     constraint soundness can be asserted on decoded trees.  Raises
-    ValueError as ``decode`` does."""
-    return _viterbi_trees(params, corpus, cs, policy, length_bias)
+    ValueError as ``decode`` does.
+
+    ``model`` is a (FeatureSpace, weights) pair, priced as EM prices it,
+    by the weights' log-softmax, or hand-made DmvParams."""
+    return _viterbi_trees(model, corpus, cs, policy, length_bias)
 
 
-def _viterbi_trees(params, corpus, cs, policy=None, length_bias=None):
+def _decision_prices(model):
+    """(FeatureSpace, log-weight per decision) of a decoder's ``model``: a
+    (FeatureSpace, weights) pair, or DmvParams over the tagset of their
+    root choice."""
+    if isinstance(model, DmvParams):
+        space = FeatureSpace(model.root)
+        return space, _decision_logw(space, model)
+    space, w = model
+    return space, space._log_softmax(np.asarray(w, dtype=float))
+
+
+def _viterbi_trees(model, corpus, cs, policy=None, length_bias=None):
     # the body of both decoders, so that timing either public function
     # never counts the other's calls inside it.  One max pass runs over the
-    # corpus graph of the distinct tag sequences, priced as in the E-step
-    # over the FeatureSpace of the model's tagset.
+    # corpus graph of the distinct tag sequences, priced as in the E-step.
     corpus = list(sbg._tag_sequences(corpus))
     if not corpus:
         return []
     groups = corpus_groups(corpus)
-    space = FeatureSpace(params.root)
+    space, logw = _decision_prices(model)
     graph = CorpusGraph(groups, space, policy, cs, length_bias)
-    eventw = graph.prices(_decision_logw(space, params))
-    best = dict(zip([tags for tags, _ in groups], graph.viterbi(eventw)))
+    best = dict(zip([tags for tags, _ in groups],
+                    graph.viterbi(graph.prices(logw))))
     for k, tags in enumerate(corpus):
         if best[tags] is None:
             raise ValueError("%s for sentence %d of the corpus, tags %r"

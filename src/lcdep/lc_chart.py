@@ -47,27 +47,35 @@ bigger item always stores the forward *source* state.
 
 Weights live on the same (side, h, init/final/trans) events as the head-split
 chart, so the passes in ``sbg`` (inside, expected counts, Viterbi) run on
-either chart's forest.  ``lc_forest`` only builds; ``induction`` keeps the
-forests, keyed by sentence length, depth policy and blocked positions, and
-re-prices one per sentence and model.  Items are emitted only when their
-automaton states are reachable, judged from the transition structure alone
-(see ``_lc_expand``), so re-pricing a forest never needs an item that was
-skipped.
+either chart's forest.  Three steps fix a token as a leaf (no dependent on
+either side): folding in a left dependent h with b == 0 and j == h, filling
+a prediction j that has consumed no left dependent (``RQ`` from ``PR`` with
+v), and the one-token subtree ``TRI(h, h, h)``.  Each charges the leaf mark
+``sbg.leaf_mark`` of its token, so every leaf carries exactly one mark in
+every derivation.  Automata price the mark at 0; ``induction`` prices it
+-inf where a token must head a dependent, which removes exactly the trees
+where that token stays childless.
+
+``lc_forest`` only builds; ``induction`` keeps the forests, keyed by
+sentence length and depth policy, and re-prices one per sentence and model.
+Items are emitted only when their automaton states are reachable, judged
+from the transition structure alone (see ``_lc_expand``), so re-pricing a
+forest never needs an item that was skipped.
 
 The chart runs left to right and only the goal mentions the root position
 n+1, so on DMV automata every item but the goal has the same edges at every
 length (an unbounded policy has no depth check, so this holds for it too),
-and with no blocked position an item shifted along the sentence has its
-edges shifted alike.  ``POSITIONS`` names each item kind's position fields,
-so that a ``hypergraph.TranslationClasses`` table can lay out every
-length's forest from one expansion of each item shape.
+and an item shifted along the sentence has its edges shifted alike.
+``POSITIONS`` names each item kind's position fields, so that a
+``hypergraph.TranslationClasses`` table can lay out every length's forest
+from one expansion of each item shape.
 """
 
 import dataclasses
 import math
 
 from . import hypergraph
-from .sbg import LEFT, RIGHT, _root_edges
+from .sbg import LEFT, RIGHT, _root_edges, leaf_mark
 
 # the position fields of each item kind but the goal's, which a
 # ``hypergraph.TranslationClasses`` table moves
@@ -94,7 +102,7 @@ class DepthPolicy:
             raise ValueError("size cutoff must be >= 1")
 
 
-def _lc_expand(sent, policy, blocked):
+def _lc_expand(sent, policy):
     """Backward-chaining expansion of the depth-bounded chart.
 
     An ``RQ(q, h, j)`` item is emitted only when its state is reachable:
@@ -124,11 +132,11 @@ def _lc_expand(sent, policy, blocked):
                     dd = d + 1 if b + (j - h) >= C else d
                     if dd > D:
                         continue
-                    if h in blocked and b == 0 and j == h:
-                        continue
+                    # b == 0 and j == h: h has no dependent
+                    leaf = (leaf_mark(h),) if b == 0 and j == h else ()
                     edges.append((
                         (prefix + (i, h, p, qt, d, b, dd), ("RF", h, j, dd)),
-                        ((LEFT, p, "trans", q, qt, h),),
+                        ((LEFT, p, "trans", q, qt, h),) + leaf,
                     ))
 
     def expand(item):
@@ -178,8 +186,7 @@ def _lc_expand(sent, policy, blocked):
                     if qR not in finals_r:
                         continue
                     for v in pr_flags(h, j - 1):
-                        if v and j in blocked:
-                            continue
+                        # with v, j has no left dependent either
                         edges.append(
                             (
                                 (("PR", q, h, j - 1, j, qL, d, v),),
@@ -187,16 +194,15 @@ def _lc_expand(sent, policy, blocked):
                                     (LEFT, j, "init", qL),
                                     (RIGHT, j, "init", qR),
                                     (RIGHT, j, "final", qR),
-                                ),
+                                ) + ((leaf_mark(j),) if v else ()),
                             )
                         )
             return edges
 
         if kind == "TRI":
             _, i, h, j, d = item
-            if i == h == j and h in blocked:
-                return edges
-            edges.append(((("LI", i, h, d), ("RF", h, j, d)), ()))
+            edges.append(((("LI", i, h, d), ("RF", h, j, d)),
+                          (leaf_mark(h),) if i == h == j else ()))
             return edges
 
         if kind == "RECT":
@@ -312,12 +318,8 @@ def _lc_expand(sent, policy, blocked):
     return expand
 
 
-def lc_forest(sent, policy=None, blocked=frozenset()):
+def lc_forest(sent, policy=None):
     """The left-corner forest of ``sent`` under ``policy`` (None is
-    unbounded).
-
-    blocked is a collection of positions whose token must head at least one
-    dependent; derivations where such a token stays childless are removed.
-    """
+    unbounded)."""
     return hypergraph.build_forest(
-        ("ROOT", sent.n), _lc_expand(sent, policy or DepthPolicy(), blocked))
+        ("ROOT", sent.n), _lc_expand(sent, policy or DepthPolicy()))

@@ -124,7 +124,8 @@ class SentenceAutomata:
         (side, h, "init", q) / (side, h, "final", q) /
         (side, h, "trans", q, r, d)
 
-    and ``event_logw`` supplies the log-weight of each.
+    (the left-corner chart also ``leaf_mark(h)``), and ``event_logw``
+    supplies the log-weight of each, 0 for a leaf mark.
     """
 
     def __init__(self, n):
@@ -197,12 +198,23 @@ class SentenceAutomata:
         if kind == "trans":
             q, r, d = event[3], event[4], event[5]
             return self._fwd[side, h].get((q, d), {}).get(r, NEG_INF)
+        if kind == "leaf":
+            return 0.0
         raise ValueError("unknown event %r" % (event,))
 
 
 def _add_root_machine(sent, n, root_logw):
     trans = [(ROOT_STATE0, d, ROOT_STATE1, root_logw(d)) for d in range(1, n + 1)]
     sent.add_machine(LEFT, n + 1, {ROOT_STATE0: 0.0}, {ROOT_STATE1: 0.0}, trans)
+
+
+def leaf_mark(h):
+    """The event that marks token h as a leaf, with no dependent on either
+    side.  It decides nothing, so automata price it at 0; a chart charges
+    it once in every derivation where h is a leaf, so pricing it -inf
+    removes exactly those derivations (``induction`` does so for tokens
+    that must head a dependent)."""
+    return (LEFT, h, "leaf", 0)
 
 
 def _root_edges(n, subtree):
@@ -565,8 +577,8 @@ def eisner_inside(tags, sent, semiring="logsum"):
 
 
 # event kinds and sides as ``_event_fields`` numbers them
-_INIT, _FINAL, _TRANS = 0, 1, 2
-_KIND = {"init": _INIT, "final": _FINAL, "trans": _TRANS}
+_INIT, _FINAL, _TRANS, _LEAF = 0, 1, 2, 3
+_KIND = {"init": _INIT, "final": _FINAL, "trans": _TRANS, "leaf": _LEAF}
 _SIDE = {LEFT: 0, RIGHT: 1}
 
 # forest -> its _event_fields, dropped with the forest
@@ -575,7 +587,8 @@ _EVENT_FIELDS = weakref.WeakKeyDictionary()
 
 # the position fields of each event kind (event[2]): the head, and a
 # transition's dependent
-EVENT_POSITIONS = {"init": (1,), "final": (1,), "trans": (1, 5)}
+EVENT_POSITIONS = {"init": (1,), "final": (1,), "trans": (1, 5),
+                   "leaf": (1,)}
 
 
 def event_positions(event):

@@ -232,6 +232,7 @@ def test_criterion_06_bounded_expectations_and_em_monotonicity():
                 for cutoff in (1, 2, 3):
                     got, logz = forest_expected_counts(
                         lc_forest(sent, DepthPolicy(bound, cutoff)), sent)
+                    got = util.without_leaf_marks(got)
                     want, wlogz = sbg.brute_force_expected_counts(
                         tags, sent, tree_filter=lambda h: depths[h, cutoff] <= bound
                     )
@@ -307,8 +308,7 @@ def test_criterion_08_length_bias_is_an_exact_reweighting():
         params = sbg.random_dmv_params(VOCAB, rng)
         plain = sbg.dmv_sentence_automata(tags, params)
         for beta in (0.1, 1.0):
-            biased, blocked = util.apply_constraints(params, tags, cs, length_bias=beta)
-            assert blocked == frozenset()
+            biased = util.apply_constraints(params, tags, cs, length_bias=beta)
             for heads in projective_trees(n):
                 dist = sum(
                     1 if heads[d - 1] == 0 else abs(heads[d - 1] - d)

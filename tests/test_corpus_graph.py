@@ -146,6 +146,7 @@ def test_repeated_sequences_are_decoded_once_in_input_order(monkeypatch):
 
 def test_event_weights_equal_the_priced_automata_exactly():
     cs = induction.ConstraintSet(stop_one_tags=frozenset({"DET"}),
+                                 must_head_tags=frozenset({"ADP"}),
                                  root_mode="verb-or-noun")
     groups = corpus_groups(5)
     params = sbg.random_dmv_params(TAGSET, random.Random(5))
@@ -154,9 +155,8 @@ def test_event_weights_equal_the_priced_automata_exactly():
     got = graph.prices(induction._decision_logw(space, params))
     want = []
     for tags, _ in groups:
-        sent, blocked = util.apply_constraints(params, tags, cs, 0.5)
-        forest = induction._chart_forest(len(tags), DepthPolicy(1, 3),
-                                         blocked)
+        sent = util.apply_constraints(params, tags, cs, 0.5)
+        forest = induction._chart_forest(len(tags), DepthPolicy(1, 3))
         want.append(forest.event_weights(sent.event_logw))
     np.testing.assert_array_equal(got, np.concatenate(want))
 
@@ -237,14 +237,21 @@ def _params_with(value, tags=TAGSET):
     )
 
 
+# no constraint, and the must-head constraint, whose -inf leaf marks then
+# share edges with -inf events
+DEGENERATE = {"none": induction.ConstraintSet(),
+              "adp-head": CONSTRAINTS["adp-head"][0]}
+
+
+@pytest.mark.parametrize("constraint", sorted(DEGENERATE))
 @pytest.mark.parametrize("tags", [TAGSET, ("ADP",)], ids=["all", "adp"])
 @pytest.mark.parametrize("value", [float("nan"), 0.0], ids=["nan", "zero"])
 @pytest.mark.parametrize("chart", sorted(CHARTS))
 def test_degenerate_weights_behave_as_the_reference(chart, value, tags,
-                                                    recwarn):
+                                                    constraint, recwarn):
     groups = corpus_groups(9)
     params = _params_with(value, tags)
-    cs = induction.ConstraintSet()
+    cs = DEGENERATE[constraint]
     got = induction.estep(groups, params, cs, CHARTS[chart])
     want = util.reference_estep(groups, params, cs, CHARTS[chart])
     assert_estep_close(got, want)
@@ -265,24 +272,28 @@ def test_degenerate_weights_behave_as_the_reference(chart, value, tags,
         assert decoded(induction.decode_constrained, params, sentences, cs,
                        CHARTS[chart]) == want
         assert decoded(induction.decode, params, sentences) == decoded(
-            util.reference_decode, params, sentences, cs)
+            util.reference_decode, params, sentences,
+            induction.ConstraintSet())
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("constraint", sorted(DEGENERATE))
 @pytest.mark.parametrize("chart", sorted(CHARTS))
-def test_nan_event_weights_skip_every_group(chart, recwarn):
+def test_nan_event_weights_skip_every_group(chart, constraint, recwarn):
     # probabilities price to -inf, never NaN (sbg._log), so NaN event
     # weights are set directly; each sentence's forest then has a NaN
     # log marginal, which the reference skips too
     groups = corpus_groups(21)
+    cs = DEGENERATE[constraint]
     graph = induction.CorpusGraph(groups, util.feature_space(groups),
-                                  CHARTS[chart])
+                                  CHARTS[chart], cs)
     counts, loglik, skipped = graph.expectations(
         np.full(len(graph.forest.events), np.nan))
     assert skipped == sum(mult for _, mult in groups)
     assert loglik == 0.0 and not counts.any()
     for tags, _ in groups:
-        forest = induction._chart_forest(len(tags), CHARTS[chart])
+        forest = induction._chart_forest(len(tags), CHARTS[chart],
+                                         bool(cs.blocked_positions(tags)))
         logz, _ = hypergraph.event_posteriors(
             forest, np.full(len(forest.events), np.nan))
         assert math.isnan(logz)
@@ -336,3 +347,56 @@ def test_sentence_expectations_match_the_reference():
             continue
         assert math.isclose(logz, want_logz, abs_tol=1e-9)
         assert_estep_close((counts, 0.0, 0), (want, 0.0, 0))
+
+
+def automata_from_decisions(space, logw, tags, cs):
+    """DMV automata of ``tags`` priced from one log-weight per decision of
+    ``space``, as EM prices them: a transition weighs its attachment plus
+    its continue decision, a final its stop decision.  A tag of
+    ``cs.stop_one_tags`` stops at once: weight 0 to stop, -inf to go on."""
+    n = len(tags)
+    ids = [space.tag_id[t] for t in tags]
+    sent = sbg.SentenceAutomata(n)
+    for h in range(1, n + 1):
+        stop_one = tags[h - 1] in cs.stop_one_tags
+        for s, side in enumerate((sbg.LEFT, sbg.RIGHT)):
+            deps = range(1, h) if side == sbg.LEFT else range(h + 1, n + 1)
+            final = {q: 0.0 if stop_one
+                     else logw[space.stop_at[ids[h - 1], s, q]]
+                     for q in (0, 1)}
+            trans = [(q, d, 1, logw[space.attach_at[ids[h - 1], s,
+                                                    ids[d - 1]]]
+                      + (NEG_INF if stop_one
+                         else logw[space.cont_at[ids[h - 1], s, q]]))
+                     for d in deps for q in (0, 1)]
+            sent.add_machine(side, h, {0: 0.0}, final, trans)
+    sbg._add_root_machine(sent, n,
+                          lambda d: logw[space.root_at[ids[d - 1]]])
+    return sent
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+def test_decoding_from_weights_prices_as_em(seed):
+    # at weight scale 20 some stop probabilities round to 1, so pricing a
+    # continue decision as log(1 - p_stop) gives -inf where the weights'
+    # log-softmax does not; decoding from the weights keeps EM's prices
+    rng = random.Random(seed)
+    space = induction.FeatureSpace(TAGSET)
+    w = 20 * np.array([rng.gauss(0, 1) for _ in range(space.n_features)])
+    logw = space._log_softmax(w)
+    assert np.isfinite(logw).all()
+    assert np.isneginf(induction._decision_logw(
+        space, space.weights_to_params(w))).any()
+    corpus = [tuple(rng.choice(TAGSET) for _ in range(rng.randint(1, 6)))
+              for _ in range(12)]
+    plain = induction.ConstraintSet()
+    for cs in (plain,
+               induction.ConstraintSet(stop_one_tags=frozenset({"DET"}))):
+        want = [sbg.brute_force_viterbi(
+            tags, automata_from_decisions(space, logw, tags, cs))[1]
+            for tags in corpus]
+        got = induction.decode_constrained((space, w), corpus, cs)
+        assert [tree.heads for tree in got] == want
+        if cs == plain:
+            got = induction.decode((space, w), corpus)
+            assert [tree.heads for tree in got] == want

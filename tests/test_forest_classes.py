@@ -1,14 +1,15 @@
 """Forests laid out from translation classes against reference builds, and
 the one forest cache of ``induction``.
 
-``induction._chart_forest`` lays out every length's DMV forest with no
-blocked position from one ``hypergraph.TranslationClasses`` table per chart
-and policy.  Whatever order the lengths arrive in, each forest must equal
-``util.reference_build_forest`` as sets (``util.forest_sets``): the same
-items at the same levels, each item's edges in the same order, and the same
-events.  The table numbers items by (level, class, offset), so ids differ
-from a build's and arrays are not compared one for one.  A blocked set gets
-a build of its own, which equals the reference array for array.
+``induction._chart_forest`` lays out every length's DMV forest from one
+``hypergraph.TranslationClasses`` table per chart and policy, must-head
+sentences included, since the constraint is priced on leaf marks and not
+built into the forest.  Whatever order the lengths arrive in, each forest
+must equal ``util.reference_build_forest`` as sets (``util.forest_sets``):
+the same items at the same levels, each item's edges in the same order, and
+the same events.  The table numbers items by (level, class, offset), so ids
+differ from a build's and arrays are not compared one for one.  Builds over
+random automata equal the reference array for array.
 """
 
 import collections
@@ -21,7 +22,7 @@ from lcdep import hypergraph, induction, lc_chart, sbg
 from lcdep.lc_chart import DepthPolicy
 
 from tests import util
-from tests.test_chart_golden import POLICIES, blocked_sets
+from tests.test_chart_golden import POLICIES
 
 ARRAYS = ("item_level", "edge_head", "edge_tail", "event_ptr", "event_flat",
           "group_head", "group_ptr", "level_ptr")
@@ -58,11 +59,11 @@ def orders(max_n):
             "shuffled": random.Random(max_n).sample(lengths, max_n + 1)}
 
 
-def reference(sent, policy, blocked=frozenset()):
+def reference(sent, policy):
     """A fresh build of the chart that ``induction._chart_forest`` uses
     for ``policy``: the head-split chart for None."""
     expand = (sbg._eisner_expand(sent) if policy is None
-              else lc_chart._lc_expand(sent, policy, blocked))
+              else lc_chart._lc_expand(sent, policy))
     return util.reference_build_forest(("ROOT", sent.n), expand)
 
 
@@ -80,8 +81,7 @@ def test_only_the_goal_charges_root_events(n):
     # so that every other item has the same edges at every length
     sent = dmv(n)
     forests = [sbg.eisner_forest(sent)] + [
-        lc_chart.lc_forest(sent, policy, blocked)
-        for policy in POLICIES for blocked in blocked_sets(n)]
+        lc_chart.lc_forest(sent, policy) for policy in POLICIES]
     for forest in forests:
         assert root_event_heads(forest, n + 1) == (
             {forest.goal} if forest.n_edges else set())
@@ -100,15 +100,15 @@ def test_cached_forests_equal_fresh_builds_in_every_length_order(policy):
 
 
 def test_unbounded_lc_forests_from_one_table_equal_fresh_builds():
-    # the cache serves unbounded unblocked lengths by the head-split chart,
-    # so the unbounded left-corner chart's table is exercised here
+    # the table the cache keeps for must-head sentences with no depth
+    # bound, filled in every length order
     policy = DepthPolicy()
     want = {n: summary(reference(dmv(n), policy)) for n in range(11)}
     for lengths in orders(10).values():
         table = hypergraph.TranslationClasses(
             lambda item: lc_chart.POSITIONS[item[0]], sbg.event_positions)
         for n in lengths:
-            expand = lc_chart._lc_expand(dmv(n), policy, frozenset())
+            expand = lc_chart._lc_expand(dmv(n), policy)
             assert summary(table.forest(("ROOT", n), expand, n)) == want[n]
 
 
@@ -151,18 +151,19 @@ def test_laid_out_forests_price_as_fresh_builds(policy, weights):
     induction.clear_forest_cache()
 
 
-def test_blocked_and_random_automata_build_fresh_forests():
+def test_must_head_and_random_automata_forests_equal_fresh_builds():
+    # must-head sentences take the left-corner forest from its table
     induction.clear_forest_cache()
-    policy = DepthPolicy(1, 3)
-    for n in (9, 4, 7):
-        blocked = frozenset({2, n})
-        assert_same_arrays(induction._chart_forest(n, policy, blocked),
-                           reference(dmv(n), policy, blocked))
-        sent = sbg.random_sentence_automata(n, 3, random.Random(n))
-        assert_same_arrays(lc_chart.lc_forest(sent, policy),
-                           reference(sent, policy))
-        assert_same_arrays(sbg.eisner_forest(sent), reference(sent, None))
-    assert not induction._CLASSES
+    for policy in (DepthPolicy(1, 3), DepthPolicy()):
+        for n in (9, 4, 7):
+            assert summary(induction._chart_forest(n, policy, True)) == (
+                summary(reference(dmv(n), policy)))
+            sent = sbg.random_sentence_automata(n, 3, random.Random(n))
+            assert_same_arrays(lc_chart.lc_forest(sent, policy),
+                               reference(sent, policy))
+            assert_same_arrays(sbg.eisner_forest(sent), reference(sent,
+                                                                  None))
+    assert set(induction._CLASSES) == {DepthPolicy(1, 3), DepthPolicy()}
     induction.clear_forest_cache()
 
 
@@ -173,10 +174,37 @@ def test_every_unbounded_policy_shares_one_forest_and_table():
         6, DepthPolicy(None, 3))
     forest(5, DepthPolicy())
     assert list(induction._CLASSES) == [None]
-    blocked = frozenset({2})
-    assert forest(6, None, blocked) is forest(6, DepthPolicy(), blocked)
+    assert forest(6, None, True) is forest(6, DepthPolicy(), True)
     # a left-corner forest: the head-split chart has no LI item
-    assert "LI" in {item[0] for item in forest(6, None, blocked).items}
+    assert "LI" in {item[0] for item in forest(6, None, True).items}
+    assert list(induction._CLASSES) == [None, DepthPolicy()]
+    induction.clear_forest_cache()
+
+
+@pytest.mark.parametrize("policy", [None, DepthPolicy(1, 3)], ids=str)
+def test_must_head_training_keeps_one_forest_per_length_and_chart(policy):
+    # the ADPs of one length sit at different positions; their sentences
+    # share the left-corner forest of that length, priced per sentence
+    corpus = [("ADP", "NOUN", "VERB"), ("NOUN", "ADP", "NOUN"),
+              ("VERB", "NOUN", "ADP"), ("NOUN", "VERB", "NOUN"),
+              ("ADP", "DET", "NOUN", "VERB"), ("DET", "NOUN", "ADP", "NOUN"),
+              ("VERB", "ADP", "DET", "NOUN"), ("NOUN", "VERB")]
+    induction.clear_forest_cache()
+    cfg = induction.TrainConfig(em_iterations=2, adp_head=True,
+                                depth_bound=policy and policy.max_depth,
+                                size_cutoff=3)
+    model = induction.train(corpus, cfg)
+    induction.decode_constrained((model.space, model.weights), corpus,
+                                 cfg.constraint_set(), cfg.policy())
+    induction.decode((model.space, model.weights), corpus)
+    # the harmonic initialisation and the plain decode use the head-split
+    # chart; the E-steps and the constrained decode use the left-corner
+    # chart for every sentence under a depth bound, else for those with an
+    # ADP
+    lc = policy or DepthPolicy()
+    want = {(len(tags), None) for tags in corpus} | {
+        (len(tags), lc) for tags in corpus if policy or "ADP" in tags}
+    assert set(induction._FORESTS) == want
     induction.clear_forest_cache()
 
 
@@ -195,7 +223,7 @@ def test_a_second_corpus_graph_builds_no_automata(monkeypatch):
     space = util.feature_space(groups)
     for policy, cs in ((None, induction.ConstraintSet()),
                        (DepthPolicy(1, 3), induction.ConstraintSet()),
-                       (DepthPolicy(1, 3), induction.ConstraintSet(
+                       (None, induction.ConstraintSet(
                            must_head_tags=frozenset({"V"})))):
         induction.CorpusGraph(groups, space, policy, cs)
         assert built

@@ -426,10 +426,9 @@ def test_length_bias_rescales_every_tree_exactly(n, beta):
     params = sbg.random_dmv_params(("N", "V"), rng)
     tags = tuple(rng.choice(("N", "V")) for _ in range(n))
     plain = sbg.dmv_sentence_automata(tags, params)
-    biased, blocked = util.apply_constraints(
+    biased = util.apply_constraints(
         params, tags, induction.ConstraintSet(), length_bias=beta
     )
-    assert blocked == frozenset()
     for heads in projective_trees(n):
         # total arc length with the root arc counted as distance one
         dist = sum(
@@ -446,7 +445,7 @@ def test_length_bias_keeps_all_adjacent_trees_unchanged():
     params = sbg.random_dmv_params(("N",), rng)
     tags = ("N", "N", "N")
     plain = sbg.dmv_sentence_automata(tags, params)
-    biased, _ = util.apply_constraints(
+    biased = util.apply_constraints(
         params, tags, induction.ConstraintSet(), length_bias=1.0
     )
     heads = (2, 3, 0)  # chain: every arc adjacent
@@ -466,8 +465,7 @@ def test_function_word_constraint_zeroes_headed_analyses():
     params = sbg.random_dmv_params(TAGSET, rng)
     cs = induction.ConstraintSet(stop_one_tags=frozenset({"DET"}))
     tags = ("DET", "NOUN")
-    sent, blocked = util.apply_constraints(params, tags, cs)
-    assert blocked == frozenset()
+    sent = util.apply_constraints(params, tags, cs)
     # DET heading NOUN is gone; NOUN heading DET survives
     assert sbg.tree_log_weight((0, 1), tags, sent) == NEG_INF
     assert sbg.tree_log_weight((2, 0), tags, sent) > NEG_INF
@@ -499,7 +497,7 @@ def test_root_constraint_removes_other_roots_from_the_chart():
     params = sbg.random_dmv_params(TAGSET, rng)
     tags = ("DET", "VERB", "NOUN")
     cs = induction.ConstraintSet(root_mode="verb-otherwise-noun")
-    sent, _ = util.apply_constraints(params, tags, cs)
+    sent = util.apply_constraints(params, tags, cs)
     for heads in projective_trees(3):
         root = heads.index(0) + 1
         w = sbg.tree_log_weight(heads, tags, sent)
@@ -551,7 +549,7 @@ def test_constrained_automata_equal_each_restriction_applied_by_hand(seed):
                 cs = induction.ConstraintSet(
                     stop_one_tags=frozenset(stop_one), root_mode=mode)
                 for beta in (None, 0.5, 2.0):
-                    sent, _ = util.apply_constraints(
+                    sent = util.apply_constraints(
                         params, tags, cs, beta)
                     got = (sent._init, sent._final, sent._fwd, sent._rev)
                     assert got == _restricted_by_hand(plain, tags, cs, beta)
@@ -590,19 +588,19 @@ def test_constrained_decode_respects_all_constraints():
                 assert pos in heads
 
 
-@pytest.mark.parametrize("policy,blocked,kind", [
-    (None, (), "LF"),
-    (DepthPolicy(), (), "LF"),
-    (DepthPolicy(None, 3), (), "LF"),
-    (DepthPolicy(2, 1), (), "LI"),
-    (None, (2,), "LI"),
-    (DepthPolicy(), (2,), "LI"),
+@pytest.mark.parametrize("policy,must_head,kind", [
+    (None, False, "LF"),
+    (DepthPolicy(), False, "LF"),
+    (DepthPolicy(None, 3), False, "LF"),
+    (DepthPolicy(2, 1), False, "LI"),
+    (None, True, "LI"),
+    (DepthPolicy(), True, "LI"),
 ])
 def test_head_split_chart_serves_exactly_the_unbounded_unblocked_case(
-        policy, blocked, kind):
+        policy, must_head, kind):
     # LF items belong to the head-split chart only, LI items to the
     # left-corner chart only
-    forest = induction._chart_forest(3, policy, blocked)
+    forest = induction._chart_forest(3, policy, must_head)
     assert {item[0] for item in forest.items} & {"LF", "LI"} == {kind}
 
 
@@ -621,8 +619,7 @@ def test_unbounded_unblocked_e_step_and_decode_match_the_lc_chart(
     cs = induction.ConstraintSet(stop_one_tags=frozenset(function_words),
                                  root_mode=root_mode)
     for tags in random_corpus(rng, n_sent=8, max_len=7):
-        sent, blocked = util.apply_constraints(params, tags, cs, beta)
-        assert not blocked
+        sent = util.apply_constraints(params, tags, cs, beta)
         try:
             want = sbg.forest_viterbi(lc_chart.lc_forest(sent), sent,
                                       tags).heads

@@ -6,6 +6,7 @@ measuring its relaxed post-reduce stack depth, so the chart's depth labels
 are pinned to the operational definition rather than to each other.
 """
 
+import functools
 import math
 import random
 
@@ -18,6 +19,9 @@ from lcdep.lc_chart import DepthPolicy, lc_forest
 from lcdep.sbg import forest_expected_counts, forest_inside, forest_viterbi
 from lcdep.transition import relaxed_depth_re_max, run_lc_oracle
 from lcdep.treebank import tree_from_heads
+
+from tests import util
+from tests.test_chart_golden import POLICIES
 
 VOCAB = ("N", "V", "D")
 
@@ -106,6 +110,7 @@ def test_states_nothing_enters_are_pruned_without_losing_mass(n):
     ref, ref_logz = sbg.brute_force_expected_counts(tags, sent)
     for counts, logz in (forest_expected_counts(forest, sent),
                          forest_expected_counts(eisner, sent)):
+        counts = util.without_leaf_marks(counts)
         assert logz == pytest.approx(ref_logz, abs=1e-10)
         for key in set(counts) | set(ref):
             assert counts.get(key, 0.0) == pytest.approx(
@@ -226,6 +231,7 @@ def test_bounded_expected_counts_match_filtered_enumeration(bound, cutoff):
         )
         got, logz = forest_expected_counts(
             lc_forest(sent, DepthPolicy(bound, cutoff)), sent)
+        got = util.without_leaf_marks(got)
         want, wlogz = sbg.brute_force_expected_counts(
             tags, sent, tree_filter=lambda h: depths[h] <= bound
         )
@@ -247,6 +253,7 @@ def test_unbounded_expected_counts_match_cubic_chart():
             tags, sbg.random_dmv_params(VOCAB, rng)
         )
         got, logz = forest_expected_counts(lc_forest(sent), sent)
+        got = util.without_leaf_marks(got)
         want, wlogz = forest_expected_counts(sbg.eisner_forest(sent), sent)
         assert logz == pytest.approx(wlogz, abs=1e-10)
         for k in set(got) | set(want):
@@ -300,37 +307,104 @@ def test_viterbi_tie_break_prefers_smaller_arc_list():
 
 
 # ---------------------------------------------------------------------------
-# head-must-have-dependent surgery
+# leaf marks and the must-head constraint
 
 
-def test_blocked_positions_remove_childless_analyses():
-    rng = random.Random(5)
-    for _ in range(12):
-        n = rng.randint(2, 5)
+@functools.lru_cache(maxsize=None)
+def chart_trees(n, policy):
+    """The trees of n tokens that the left-corner chart under ``policy``
+    admits (None is unbounded)."""
+    if policy is None:
+        return frozenset(projective_trees(n))
+    return frozenset(admissible_trees(n, policy.max_depth,
+                                      policy.size_cutoff))
+
+
+def some_automata(kind, tags, rng):
+    if kind == "dmv":
+        return sbg.dmv_sentence_automata(tags,
+                                         sbg.random_dmv_params(VOCAB, rng))
+    return sbg.random_sentence_automata(len(tags), 3, rng)
+
+
+@pytest.mark.parametrize("kind", ["dmv", "random"])
+@pytest.mark.parametrize("policy", POLICIES, ids=str)
+def test_leaf_marks_count_leaves(policy, kind):
+    # each leaf carries exactly one mark in every derivation: the expected
+    # marks at a position are the probability that its token has no
+    # dependent, and pricing every mark at log 2 doubles a tree's weight
+    # once per leaf
+    rng = random.Random("leaves %s %s" % (policy, kind))
+    for n in range(1, 7):
         tags = random_tags(n, rng)
-        sent = sbg.dmv_sentence_automata(
-            tags, sbg.random_dmv_params(VOCAB, rng)
-        )
+        sent = some_automata(kind, tags, rng)
+        trees = sorted(chart_trees(n, policy))
+        weights = [sbg.tree_log_weight(h, tags, sent) for h in trees]
+        logz = sbg._logsumexp(weights)
+        if logz == NEG_INF:
+            continue
+        forest = lc_forest(sent, policy)
+        counts, _ = forest_expected_counts(forest, sent)
+        for p in range(1, n + 1):
+            want = sum(math.exp(w - logz)
+                       for h, w in zip(trees, weights) if p not in h)
+            assert counts.get(sbg.leaf_mark(p), 0.0) == pytest.approx(
+                want, abs=1e-9)
+        event_logw = sent.event_logw
+        sent.event_logw = lambda ev: (math.log(2.0) if ev[2] == "leaf"
+                                      else event_logw(ev))
+        _, doubled = forest_inside(forest, sent)
+        assert doubled == pytest.approx(sbg._logsumexp(
+            [w + math.log(2.0) * sum(p not in h for p in range(1, n + 1))
+             for h, w in zip(trees, weights)]), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["dmv", "random"])
+@pytest.mark.parametrize("policy", POLICIES, ids=str)
+def test_blocked_positions_remove_childless_analyses(policy, kind):
+    # -inf on the leaf marks of the blocked positions keeps exactly the
+    # trees where every blocked token heads a dependent
+    rng = random.Random("blocked %s %s" % (policy, kind))
+    pinned = 0
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        tags = random_tags(n, rng)
+        sent = some_automata(kind, tags, rng)
         blocked = frozenset(
             p for p in range(1, n + 1) if tags[p - 1] == "D"
         )
+        admitted = chart_trees(n, policy)
 
         def has_dep(heads):
-            return all(any(hh == p for hh in heads) for p in blocked)
+            return heads in admitted and all(p in heads for p in blocked)
 
-        _, lc = forest_inside(lc_forest(sent, blocked=blocked), sent)
-        bf = sbg.brute_force_marginal(tags, sent, tree_filter=has_dep)
-        if bf == NEG_INF:
+        want_z = sbg.brute_force_marginal(tags, sent, tree_filter=has_dep)
+        want, _ = sbg.brute_force_expected_counts(tags, sent, has_dep)
+        best = util.brute_force_best_derivation(tags, sent, has_dep)
+        forest = lc_forest(sent, policy)
+        sent = util.must_head(sent, blocked)
+        _, lc = forest_inside(forest, sent)
+        if want_z == NEG_INF:
             assert lc == NEG_INF
-        else:
-            assert lc == pytest.approx(bf, abs=1e-10)
+            with pytest.raises(ValueError):
+                forest_viterbi(forest, sent, tags)
+            continue
+        pinned += bool(blocked)
+        assert lc == pytest.approx(want_z, abs=1e-10)
+        got, _ = forest_expected_counts(forest, sent)
+        got = util.without_leaf_marks(got)
+        for k in set(got) | set(want):
+            assert got.get(k, 0.0) == pytest.approx(want.get(k, 0.0),
+                                                    abs=1e-9)
+        assert forest_viterbi(forest, sent, tags).heads == best
+    assert pinned >= 3
 
 
 def test_blocked_single_token_sentence_has_no_parse():
     sent = sbg.dmv_sentence_automata(
         ("D",), sbg.uniform_dmv_params(["D"])
     )
-    _, lc = forest_inside(lc_forest(sent, blocked={1}), sent)
+    _, lc = forest_inside(lc_forest(sent), util.must_head(sent, {1}))
     assert lc == NEG_INF
 
 
@@ -338,21 +412,20 @@ def test_blocked_single_token_sentence_has_no_parse():
 # forest size
 
 
-@pytest.mark.parametrize("n,policy,blocked,n_edges", [
-    (6, None, (), 488),
-    (8, (2, 1), (), 1456),
-    (10, (1, 3), (), 2194),
-    (12, None, (3,), 10602),
-    (15, (1, 3), (2, 5), 7750),
-    (20, (1, 3), (), 21349),
+@pytest.mark.parametrize("n,policy,n_edges", [
+    (6, None, 488),
+    (8, (2, 1), 1456),
+    (10, (1, 3), 2194),
+    (20, (1, 3), 21349),
 ])
-def test_dmv_forest_size_is_pinned_and_few_items_are_dead(
-        n, policy, blocked, n_edges):
+def test_dmv_forest_size_is_pinned_and_few_items_are_dead(n, policy,
+                                                          n_edges):
     # edge counts with the goal deriving the root's one dependent; pruning
-    # unreachable automaton states changes none of them
+    # unreachable automaton states changes none of them, and leaf marks
+    # add events, not edges
     tags = ("N",) * n
     sent = sbg.dmv_sentence_automata(tags, sbg.uniform_dmv_params(["N"]))
-    forest = lc_forest(sent, policy and DepthPolicy(*policy), blocked)
+    forest = lc_forest(sent, policy and DepthPolicy(*policy))
     assert forest.n_edges == n_edges
     assert (forest.item_level < 0).sum() < 0.05 * forest.n_items
 

@@ -225,8 +225,8 @@ def test_length_bias_applies_arc_bias():
     tags = random_tags(4, rng)
     sent = sbg.dmv_sentence_automata(tags, params)
     beta = 0.7
-    biased, _ = util.apply_constraints(params, tags,
-                                       induction.ConstraintSet(), beta)
+    biased = util.apply_constraints(params, tags, induction.ConstraintSet(),
+                                    beta)
     for heads in projective_trees(4):
         base = sbg.tree_log_weight(heads, tags, sent)
         expect = base - beta * sum(

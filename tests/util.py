@@ -12,6 +12,7 @@ import random
 import numpy as np
 
 from lcdep import hypergraph, induction, sbg
+from lcdep.exhaustive import projective_trees
 from lcdep.hypergraph import NEG_INF
 from lcdep.induction import (
     CONTINUE,
@@ -630,15 +631,75 @@ def merge_counts(total, other, mult=1):
     return total
 
 
+def _best_run(sent, side, h, deps):
+    """The log-weight of the best state path of the (side, h) automaton
+    consuming ``deps``."""
+    best = dict(sent.init_states(side, h))
+    for d in deps:
+        nxt = {}
+        for q, wq in best.items():
+            for r, w in sent.steps(side, h, q, d):
+                nxt[r] = max(nxt.get(r, NEG_INF), wq + w)
+        best = nxt
+    finals = dict(sent.final_states(side, h))
+    return max([wq + finals[q] for q, wq in best.items() if q in finals],
+               default=NEG_INF)
+
+
+def brute_force_best_derivation(tags, sent, tree_filter):
+    """The heads of the tree, among the projective trees ``tree_filter``
+    admits, with the best single derivation: one state path per automaton
+    run, as a chart's Viterbi pass scores it (``sbg.brute_force_viterbi``
+    sums each run's paths instead, which differs on automata with several
+    paths per run).  Ties prefer the smaller sorted (dependent, head) arc
+    list; None when every tree weighs -inf."""
+    n = len(tags)
+    best, best_key, best_heads = NEG_INF, None, None
+    for heads in projective_trees(n):
+        if not tree_filter(heads):
+            continue
+        w = sum(_best_run(sent, side, h, deps)
+                for h in range(1, n + 1)
+                for side, deps in zip((LEFT, RIGHT),
+                                      sbg._ordered_deps(heads, h, n)))
+        w += _best_run(sent, LEFT, n + 1, sbg._ordered_deps(heads, n + 1, n))
+        if w == NEG_INF:
+            continue
+        key = sorted((d + 1, h) for d, h in enumerate(heads))
+        if (best_heads is None or w > best + hypergraph.TIE_TOL
+                or (w > best - hypergraph.TIE_TOL and key < best_key)):
+            best, best_key, best_heads = w, key, heads
+    return best_heads
+
+
+def without_leaf_marks(counts):
+    """An event -> count dict without its leaf marks (``sbg.leaf_mark``),
+    which only the left-corner chart charges: what such a chart's counts
+    and the head-split chart's or the brute force's have in common."""
+    return {ev: c for ev, c in counts.items() if ev[2] != "leaf"}
+
+
+def must_head(sent, blocked):
+    """``sent`` with the leaf mark (``sbg.leaf_mark``) of every position of
+    ``blocked`` priced -inf, so that a chart with leaf marks keeps only the
+    trees where each of them heads a dependent."""
+    event_logw = sent.event_logw
+    sent.event_logw = lambda ev: (NEG_INF if ev[2] == "leaf"
+                                  and ev[1] in blocked else event_logw(ev))
+    return sent
+
+
 def apply_constraints(params, tags, cs, length_bias=None):
-    """One sentence's DMV automata with the weight restrictions of ``cs``
-    and the length bias folded in, the reference for the prices of
-    ``induction.CorpusGraph``: returns (automata, blocked positions).
+    """One sentence's DMV automata with the restrictions of ``cs`` and the
+    length bias folded in, the reference for the prices of
+    ``induction.CorpusGraph``.
 
     A tag of ``cs.stop_one_tags`` stops with probability one, and a tag at
     none of the positions ``cs.root_allowed`` gives has root probability
     zero; then every real-head transition gains -beta * (|h - d| - 1),
-    which leaves the root arc and adjacent arcs as they are.
+    which leaves the root arc and adjacent arcs as they are.  The leaf
+    marks of the positions ``cs.blocked_positions`` gives weigh -inf
+    (``must_head``).
     """
     allowed = cs.root_allowed(tags)
     root_tags = (set(params.root) if allowed is None
@@ -660,7 +721,7 @@ def apply_constraints(params, tags, cs, length_bias=None):
                  for r, w in sent.steps(side, h, q, d)]
         sent.add_machine(side, h, sent.init_states(side, h),
                          sent.final_states(side, h), trans)
-    return sent, cs.blocked_positions(tags)
+    return must_head(sent, cs.blocked_positions(tags))
 
 
 def reference_decode(params, corpus, cs, policy=None, length_bias=None):
@@ -669,8 +730,9 @@ def reference_decode(params, corpus, cs, policy=None, length_bias=None):
     ``induction.decode`` and ``induction.decode_constrained``."""
     out = []
     for k, tags in enumerate(_tag_sequences(corpus)):
-        sent, blocked = apply_constraints(params, tags, cs, length_bias)
-        forest = induction._chart_forest(len(tags), policy, blocked)
+        sent = apply_constraints(params, tags, cs, length_bias)
+        forest = induction._chart_forest(
+            len(tags), policy, bool(cs.blocked_positions(tags)))
         try:
             out.append(sbg.forest_viterbi(forest, sent, tags))
         except ValueError as exc:
@@ -686,8 +748,9 @@ def reference_sentence_expectations(tags, params, cs, policy=None,
     """(DmvCounts, log marginal) of one sentence from its own priced
     automata and cached forest, or (None, -inf) when the constraints leave
     no admissible analysis."""
-    sent, blocked = apply_constraints(params, tags, cs, length_bias)
-    forest = induction._chart_forest(len(tags), policy, blocked)
+    sent = apply_constraints(params, tags, cs, length_bias)
+    forest = induction._chart_forest(len(tags), policy,
+                                     bool(cs.blocked_positions(tags)))
     events, logz = sbg.forest_expected_counts(forest, sent)
     if logz == NEG_INF or math.isnan(logz):
         return None, NEG_INF
