@@ -8,31 +8,28 @@ decisions (automaton init/final/transition uses) charged at that step.
 stored as flat integer arrays, so a forest built once for a sentence shape
 can be re-weighted cheaply on every training iteration.
 
-Build.  One depth-first pass pops items from a stack, expands each once and
-interns its tails and events into flat int lists; each item's edges are
-contiguous, in expansion order.  Derivability and levels are then decided
-over those arrays in numpy, one wavefront at a time (Kahn's algorithm): an
-item is decided once every tail of its edges is, an edge is derivable when
-all its tails are, an item when one of its edges is.  A cycle leaves items
-undecided, which is an error.  Charts should emit only items that can be
-derived (see ``lc_chart`` and ``sbg``): every dead item is expanded all the
-same and then dropped.
+Build.  Every forest is laid out from a ``TranslationClasses`` table.  It
+expands each item shape (a class: an item moved so that its least position
+is 1) once, depth first, numbering a class after its tails' classes, which
+finds a cycle as it goes (an error).  It keeps a class's derivable edges as
+(tail class, relative offset) and its events as (event class, relative
+offset): an edge is derivable when all its tails are, an item when one of
+its edges is.  A length's forest is then laid out by array arithmetic, from
+every derivable class at every offset that fits, keeping what the goal
+reaches through derivable edges.  When a chart's expansion is the same
+under translation and at every length but for the goal, as on DMV
+automata, one table serves every length; the forest cache in ``induction``
+keeps one per chart and depth policy.  ``build_forest`` builds a forest of
+any other expansion from a table of its own whose items and events have no
+position field, so that each item is its own class at offset 0.  A table's
+forest makes its items and events on demand (``Shifted``): the passes read
+only arrays.
 
-Translation classes.  When a chart's expansion is the same under
-translation and at every length but for the goal, as on DMV automata,
-``TranslationClasses`` serves every length from one
-table: it expands each item shape (a class: an item moved so that its least
-position is 1) once, keeping its edges as (tail class, relative offset) and
-its events as (event class, relative offset), and lays out a length's
-forest by array arithmetic, from every derivable class at every offset that
-fits, keeping what the goal reaches.  Such a forest's items and events are
-made on demand (``Shifted``): the passes read only arrays.  The forest cache
-in ``induction`` keeps one table per chart and depth policy.
-
-Array layout.  Items keep the ids their build gave them (``items[i]``);
-id ``n_items`` is a sentinel whose value is 0 in log space (1 in the count
-semiring).  Every derivable item gets a topological *level*: 0 when all its
-edges have no tails, otherwise 1 + the highest level among its tails.  Edges
+Array layout.  A built forest numbers its items (``items[i]``) by (level,
+class, offset) after the goal, id 0; id ``n_items`` is a sentinel whose
+value is 0 in log space (1 in the count semiring).  Every derivable item
+gets a topological *level*: 0 when all its edges have no tails, otherwise
+1 + the highest level among its tails.  Edges
 are stably sorted by (level of head, head), so each head's edges form one
 contiguous group in expansion order and each level one contiguous run of
 groups:
@@ -72,9 +69,9 @@ TIE_GAP = 2 * TIE_TOL
 class Forest:
     """An acyclic hypergraph with a single goal item, as flat arrays (see
     the module docstring for the layout); a ``disjoint_union`` has one goal
-    per forest in ``goal_ids``.  ``items`` and ``events`` are sequences of
-    tuples: lists from a build, made on demand from a translation-class
-    layout or a union.  The goal is item 0."""
+    per forest in ``goal_ids``.  ``items`` and ``events`` are sequences,
+    made on demand from a translation-class layout or a union.  The goal
+    is item 0."""
 
     def __init__(self, goal, items, events, level, edges):
         """``level`` gives each item's level (-1 when not derivable);
@@ -190,73 +187,19 @@ def build_forest(goal, expand):
     """Memoize a backward-chaining expansion into a Forest.
 
     ``expand(item)`` returns an iterable of ``(tails, events)`` pairs with
-    at most two tails each.  Items whose every expansion bottoms out in a
-    dead end are pruned (their edges are dropped), so passes only ever see
-    derivable items.  Raises ValueError on a cyclic expansion.
+    at most two tails each.  The forest keeps what the goal reaches through
+    derivable edges, so passes only ever see derivable items.  Raises
+    ValueError on a cyclic expansion.
 
-    One depth-first pass expands every reachable item once and records its
-    edges as flat int lists; ``_levels`` then decides derivability and
-    levels over those arrays.
+    This is a ``TranslationClasses`` table whose items and events have no
+    position field: each item is its own class, at offset 0.
     """
-    items, index = [goal], {goal: 0}
-    events, event_index = [], {}
-    head, tail0, tail1, n_ev, flat = [], [], [], [], []
-    # an item's edges are contiguous, from first[item] on
-    first = {}
-    stack = [0]
-    while stack:
-        iid = stack.pop()
-        if iid in first:
-            continue
-        first[iid] = len(head)
-        children = []
-        for tails, evs in expand(items[iid]):
-            if len(tails) > 2:
-                raise ValueError("edge with %d tails at %s"
-                                 % (len(tails), items[iid]))
-            ids = []
-            for t in tails:
-                tid = index.get(t)
-                if tid is None:
-                    tid = index[t] = len(items)
-                    items.append(t)
-                ids.append(tid)
-            children += ids
-            ids += (-1, -1)
-            head.append(iid)
-            tail0.append(ids[0])
-            tail1.append(ids[1])
-            n_ev.append(len(evs))
-            for ev in evs:
-                eid = event_index.get(ev)
-                if eid is None:
-                    eid = event_index[ev] = len(events)
-                    events.append(ev)
-                flat.append(eid)
-        stack += [t for t in children if t not in first]
-    # free the build's dicts first, which lowers the peak while the arrays
-    # are made
-    index.clear()
-    event_index.clear()
+    return TranslationClasses(_no_positions, _no_positions).forest(
+        goal, expand, 1)
 
-    n_items = len(items)
-    head = np.array(head, dtype=np.intp)
-    # -1 for a missing tail
-    tails = np.array((tail0, tail1), dtype=np.intp).reshape(2, -1)
-    start = np.zeros(n_items, dtype=np.intp)
-    start[np.fromiter(first, np.intp, len(first))] = list(first.values())
-    level = np.full(n_items + 1, -3, dtype=np.intp)
-    level[n_items] = -1
-    _levels(items, level, head, tails, start)
-    n_ev = np.array(n_ev, dtype=np.intp)
-    flat = np.array(flat, dtype=np.intp)
-    keep_edge = (level[tails] >= -1).all(axis=0)
-    tails[tails < 0] = n_items
-    level = level[:-1]
-    level[level < 0] = -1
-    return Forest(goal, items, events, level,
-                  (head[keep_edge], tails[0, keep_edge], tails[1, keep_edge],
-                   n_ev[keep_edge], flat[np.repeat(keep_edge, n_ev)]))
+
+def _no_positions(_):
+    return ()
 
 
 class Shifted(collections.abc.Sequence):
@@ -322,7 +265,7 @@ def _normal_form(t, positions):
     """(normal form, offset) of tuple ``t`` whose position fields are
     ``positions``: ``t`` moved so that its least position is 1, and how
     far."""
-    s = min([t[k] for k in positions]) - 1
+    s = min([t[k] for k in positions], default=1) - 1
     return _moved(t, positions, -s), s
 
 
@@ -452,8 +395,8 @@ class TranslationClasses:
         positions = self._item_positions(form)
         index[form] = len(self.items)
         self.items.append(form)
-        classes.append((top, max([form[k] for k in positions]), first_edge,
-                        len(edge_rows) - first_edge))
+        classes.append((top, max([form[k] for k in positions], default=1),
+                        first_edge, len(edge_rows) - first_edge))
 
     def _sync(self):
         """The row lists as arrays, one row of the array per field,
@@ -619,55 +562,6 @@ def _ranges(starts, counts):
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
         starts - ends + counts, counts)
-
-
-def _levels(items, level, head, tails, start):
-    """Decide the level of every item, one wavefront at a time: an item is
-    decided once every tail of its edges is.
-
-    ``level`` has one entry per item, -3 (undecided), then -1 for the
-    missing tail -1.  Items that are not derivable get -2.  ``head`` and
-    ``tails`` (2 x edges, -1 for a missing tail) are the edges, each item's
-    edges contiguous from ``start[item]``.  Raises ValueError naming an
-    item on a cycle when a cycle leaves items undecided.
-    """
-    n = len(items)
-    counts = np.bincount(head, minlength=n)
-    # the uses of each item as a tail, as the heads of the using edges
-    real = tails.reshape(-1) >= 0
-    used = tails.reshape(-1)[real]
-    order = np.argsort(used, kind="stable")
-    users = np.tile(head, 2)[real][order]
-    use_count = np.bincount(used, minlength=n)
-    use_start = np.cumsum(use_count) - use_count
-    pending = np.bincount(users, minlength=n)
-    # an edge's level is 1 + the max of its tails' levels, and a dead tail
-    # (-2) makes it < -1
-    front = np.flatnonzero(pending == 0)
-    while len(front):
-        k = counts[front]
-        e = _ranges(start[front], k)
-        l0, l1 = level[tails[0, e]], level[tails[1, e]]
-        edge_level = np.maximum(l0, l1) + 1
-        edge_level[np.minimum(l0, l1) < -1] = -2
-        some = k > 0
-        best = np.full(len(front), -2, dtype=np.intp)
-        best[some] = np.maximum.reduceat(edge_level, (np.cumsum(k) - k)[some])
-        level[front] = best
-        up = users[_ranges(use_start[front], use_count[front])]
-        up, hits = np.unique(up, return_counts=True)
-        pending[up] -= hits
-        front = up[pending[up] == 0]
-    undecided = level[:-1] == -3
-    if undecided.any():
-        # walk down undecided tails until an item repeats: it is on a cycle
-        iid, seen = int(np.argmax(undecided)), set()
-        while iid not in seen:
-            seen.add(iid)
-            a = start[iid]
-            iid = next(t for t in tails[:, a:a + counts[iid]].T.ravel()
-                       if level[t] == -3)
-        raise ValueError("cyclic chart expansion at %s" % (items[iid],))
 
 
 def _logsumexp_groups(w, starts, sizes):

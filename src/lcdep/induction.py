@@ -265,6 +265,11 @@ def _newton_direction(product, g):
     return z
 
 
+def _check_sigma2(sigma2):
+    if not sigma2 > 0:
+        raise ValueError("sigma2 must be positive, got %r" % (sigma2,))
+
+
 def mstep(space, counts, w0, sigma2, maxiter=MSTEP_MAX_ITERATIONS):
     """Fit feature weights to expected counts, one per decision of
     ``space``'s flat layout, by line-search Newton-CG on the negated
@@ -276,8 +281,10 @@ def mstep(space, counts, w0, sigma2, maxiter=MSTEP_MAX_ITERATIONS):
     when the Newton decrement -g.d is at most 4 eps max(1, |f|): the
     objective cannot then be improved beyond its rounding.  Returns
     (weights, MstepRun); raises ValueError on counts or initial weights
-    that are not finite.
+    that are not finite, or on a prior variance ``sigma2`` that is not
+    positive (inf, no prior, is allowed).
     """
+    _check_sigma2(sigma2)
     c = np.asarray(counts, dtype=float)
     w = np.array(w0, dtype=float)
     if not (np.isfinite(c).all() and np.isfinite(w).all()):
@@ -453,6 +460,9 @@ class CorpusGraph:
     """
 
     def __init__(self, groups, space, policy=None, cs=None, length_bias=None):
+        if length_bias is not None and not math.isfinite(length_bias):
+            raise ValueError("length_bias (beta) must be finite, got %r"
+                             % (length_bias,))
         cs = cs or ConstraintSet()
         forests = [_chart_forest(len(tags), policy,
                                  bool(cs.blocked_positions(tags)))
@@ -670,6 +680,8 @@ def train(corpus, cfg=None):
     if cfg.jobs != 1:
         raise ValueError("jobs must be 1: EM runs in one process, got %r"
                          % (cfg.jobs,))
+    # before any work: a uniform start prices an objective before an M-step
+    _check_sigma2(cfg.sigma2)
     groups = corpus_groups(corpus)
     if not groups:
         raise ValueError("empty corpus")

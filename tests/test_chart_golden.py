@@ -27,34 +27,34 @@ POLICIES = (None, DepthPolicy(1, 1), DepthPolicy(1, 3), DepthPolicy(2, 1),
             DepthPolicy(2, 2))
 
 GOLDEN = {
-    ('lc', 'dmv', 1): '1a0fa4dbeb887f7448d568a43e776e3f17927b5d5af2a675f7ed9da064eff381',
-    ('lc', 'dmv', 2): '8fa5480c8977b6437ce7cd46c927e6ec70c10f03c19fd2579beec316cf166e49',
-    ('lc', 'dmv', 3): '4ed38d4b1d7aa16641bd975ff0e89069cc773b503a86b9f2953e4465fb08ecf3',
-    ('lc', 'dmv', 4): '8b4d415def91b136e3f12bff96f5a7a5d5d50877028a981a0cf995cafd584103',
-    ('lc', 'dmv', 5): '5dcbcbb7b0c4aea121747aa75a474009acaff2d6e155fac46371e837df8469eb',
-    ('lc', 'dmv', 6): '219e57cb930ef919b0f0f64a1220e0fe02e833fa94b80af90e362fa2d926fad0',
-    ('lc', 'dmv', 7): '706634e1b62f62cad49c736bd53900237d09521119e3c266154a734906ffb7c5',
-    ('lc', 'random', 1): '84b7a5145d5c4942434caba2782a54af6b332ebe176eb8e9eeadc60878dfa254',
-    ('lc', 'random', 2): '5eccf4a923776567dea4a3252f8d19505c0c9376f02ffdea35c032f30469cea7',
-    ('lc', 'random', 3): '2b799465564e2dadfb59932488121f8fd43273d3349560b7ad31899ff3518c2f',
-    ('lc', 'random', 4): '7f466d6ff558210135ee9289d713babe9a7106debe86f345551c58b51ed6efb8',
-    ('lc', 'random', 5): 'c7b9208529da9fdcaa2037e9d6c340fbae30e31b11a9b74c3d8e5bb755b848a9',
-    ('lc', 'random', 6): 'e6895328246598e4d224bf525f7b981143fb3cfbdf5e608c4e2a6a3fbc0d918a',
-    ('lc', 'random', 7): 'd1579abb30924bbb3f6c398e0b2cb3403767e6d4095f7df9197e29f55919bba8',
-    ('eisner', 'dmv', 1): '65065ddff54e3151adec10d236bbcdcb0ace2ce28ff633c3cbb2ee4e5ea30bfe',
-    ('eisner', 'dmv', 2): 'df3a931abe98f4bbb1d7bd1b6a92e84c2ee349bcb3967ec62e3628a067fed191',
-    ('eisner', 'dmv', 3): 'a812521ce8707ae776ca5a886986c36179c64d95f910caf295821cda574a79f9',
-    ('eisner', 'dmv', 4): '0717d946d5b7dc8afad4b1918353fb0d6fd86dc673d2e3eed544b39074d174f0',
-    ('eisner', 'dmv', 5): 'ea3138e37e3a7f132e3d0d36edca289dd900320a8de76d5b2718afa1579574b8',
-    ('eisner', 'dmv', 6): '527bc4c34a83233d77bb293509b9605ba129a6413b47ca3b26e7d4f82b319cef',
-    ('eisner', 'dmv', 7): '44d1b795c539edb9a1022e3e42933b6e808e63f02081a5aac028a4cbc19d029f',
-    ('eisner', 'random', 1): 'ca2be47a138f3b4e0b6dfcb82eef2d48ea5cc11e56bf18969011b1cb016f4db6',
-    ('eisner', 'random', 2): '7e3a23e7b8631086e9d2d10b287894b39cd7e48af9aa5e0cc09bc91271f02429',
-    ('eisner', 'random', 3): 'fd784d12cb7740cf00d3faeea19c140a5547d385531dd6237958a05e012ffa50',
-    ('eisner', 'random', 4): '1d7753b5eac16a327796c8aa81a2c0b08ff4d3494a78c4ab70f62fb01840e82a',
-    ('eisner', 'random', 5): '45ef91e734ba9872f2c8ba7f73f7d6fcf68ea422cf82f4b9041859fbae6b0e5b',
-    ('eisner', 'random', 6): '1ade3b62ec300f671166e03a08fdfe93d1706dffb1216bc61c861a0c5fa13eb8',
-    ('eisner', 'random', 7): 'e4b156da4096e8e6d03af1b76814e0ed260a31e55b190b00520e43ec75334c78',
+    ('lc', 'dmv', 1): '23a8f00c64074f8a5c89fc2c3ec847d27bf2b6eebef517b945b9e049f68a88a1',
+    ('lc', 'dmv', 2): 'ebcc069ec46e07fb3ecb72488db8d6d49f60fab7d94721f9ea8e731fe8e0d7d4',
+    ('lc', 'dmv', 3): '98b1ee3539a172f975a86c70b6cb2703eecf3bbb363cd47b810f60854323126e',
+    ('lc', 'dmv', 4): 'c2f4743a7a5e4845144816559915fbbf0908f382c745cb46245e80d124ac34f2',
+    ('lc', 'dmv', 5): 'f363ff0bfa6eaa2773b09490070750f8b483005e56e99ea0f28f279ec0fa2430',
+    ('lc', 'dmv', 6): 'c30f588a22d0cbfcfdf85e0837d9972d0d8a3c1b85e232c1da7d09789f8efaf4',
+    ('lc', 'dmv', 7): '56feb7717a23dbcb3508df03e67f20e7da350fdec0c828f7b0271d51f48f4ecb',
+    ('lc', 'random', 1): '6d31609f0532142a4b37222a7508fc41f71ed34090e45faf509327508060f68c',
+    ('lc', 'random', 2): 'df439ab1ee272f90d033bba29eb9b6fe6ed14a8ea213e26c3d0956f0209cd6b4',
+    ('lc', 'random', 3): 'f4a3eb4c17f0148434bc5939d0a0cace72d15dfcfeb172ece1b158e04771b3a4',
+    ('lc', 'random', 4): '18e78fae2ae20208766e064387dace48201dbfec28ac0d476ec58238c876d3eb',
+    ('lc', 'random', 5): 'f7c93d9556980a31fadfc7f2cbfdd219b9b6bd073250ac024ddff9f87842e080',
+    ('lc', 'random', 6): 'e1e5c7049bfb05feb6c17df040f4b823445e7febcc514aef6d8d591f53c35063',
+    ('lc', 'random', 7): '95f8b206a93dc713dd620b3bdde936421072162885f3856e2fae8a1c7b6ac6a2',
+    ('eisner', 'dmv', 1): '58414bd6fa83425b5a12cb028fd26dcad1cc75dbfa3cbbd52b60e70637dec843',
+    ('eisner', 'dmv', 2): '333d33b6460cb87fd28cc2a98f8f73ff56b90a5260da1b12e9e9df8ddd49073f',
+    ('eisner', 'dmv', 3): 'abac9aee36a22e4ab27d1f7bdcd1ce067844ebe0a5bc3ee7bd51a8440faf8132',
+    ('eisner', 'dmv', 4): 'a82238dffbbaaf7cd1a75225b2d11bc48061374aa18d86f432c3a6aebfff2d2d',
+    ('eisner', 'dmv', 5): 'c287f26ba6d8c4dc511057c6b91e6442de57c962fbd5c8e4eeb14121a6571d0f',
+    ('eisner', 'dmv', 6): 'd2f9b5aa37cf9b667f3d12fa0efbc6e956411d9d84c8e5dc8d65b33a664dcc83',
+    ('eisner', 'dmv', 7): 'b3eabd67fe02f6e0ef2173c5a232002050b365e8fea9e3e62681e4f6b03a6ecf',
+    ('eisner', 'random', 1): 'bbddb691288408d0b991cea8c24943ad6e70c7d5bda125c390a21e7c7a5d3bca',
+    ('eisner', 'random', 2): 'cb2daf99895f7c3dbc8453eba7fccd5e674b8881ed0b7029fcc30ecb7e639131',
+    ('eisner', 'random', 3): 'ddc42d211685a0150583d3af34af77545818ea0028d8c0662034bf61825ecb7f',
+    ('eisner', 'random', 4): '371c7ec88fef3e872b6a1863fdf545d9d813d8781c6c318e566bdd7cf344a441',
+    ('eisner', 'random', 5): '2a6d307d984d7381b186a9f0e8fbe5b7a2ecacd579056fa466b320e4becff0c3',
+    ('eisner', 'random', 6): '2879af56b8254d181d34ac3c3cd8ce22642cbb94b3a80af37e544c0e806e7a87',
+    ('eisner', 'random', 7): 'cdfb395c34ab70cd2a328b865f386dad1b0241333e178cd8cd8c3ef9060623cc',
 }
 
 
@@ -73,7 +73,7 @@ def automata(kind, tags):
 
 def forest_line(forest):
     return "%r|%r|%r|%r|%r|%r" % (
-        forest.items, forest.events, forest.edge_head.tolist(),
+        list(forest.items), list(forest.events), forest.edge_head.tolist(),
         forest.edge_tail.tolist(), forest.event_ptr.tolist(),
         forest.event_flat.tolist())
 

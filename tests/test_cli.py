@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -261,6 +262,37 @@ def test_train_dmv_has_no_iteration_cap_option(corpus_file, tmp_path, capsys):
         main(["train-dmv", "--lbfgs-iters", "3", path])
     assert exc.value.code == 2
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("sigma2", ["0", "-1", "nan"])
+def test_train_dmv_rejects_a_prior_variance_that_is_not_positive(
+        corpus_file, tmp_path, capsys, sigma2):
+    path, _ = corpus_file
+    out = tmp_path / "run"
+    # fails before any pass runs: no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(["train-dmv", "--sigma2", sigma2, "--em-iters",
+                            "1", "--out", str(out), path], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: ValueError: sigma2 must be positive, got %r" % float(sigma2))
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_parse_rejects_a_length_bias_that_is_not_finite(corpus_file,
+                                                         tmp_path, capsys,
+                                                         beta):
+    path, _ = corpus_file
+    out = tmp_path / "run"
+    run(["train-dmv", "--init", "uniform", "--em-iters", "1",
+         "--out", str(out), path], capsys)
+    code, _, err = run(["parse", "--model", str(out / "model.txt"),
+                        "--beta=" + beta, path], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: ValueError: length_bias (beta) must be finite, got %r"
+        % float(beta))
 
 
 def test_importing_the_cli_loads_no_scipy():

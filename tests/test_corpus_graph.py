@@ -327,6 +327,27 @@ def test_training_assembles_each_corpus_graph_once(monkeypatch):
     assert all(e_s > 0 and m_s > 0 for _, e_s, m_s in model.step_seconds)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_a_length_bias_that_is_not_finite_is_rejected(beta):
+    # every E-step and decode prices through a corpus graph
+    corpus = [("DET", "NOUN", "VERB")]
+    params = sbg.uniform_dmv_params(TAGSET)
+    space = util.feature_space([(corpus[0], 1)])
+    cs = induction.ConstraintSet()
+    with pytest.raises(ValueError, match=r"length_bias \(beta\) must be"):
+        induction.CorpusGraph([(corpus[0], 1)], space, None, cs, beta)
+    with pytest.raises(ValueError, match="must be finite"):
+        induction.estep([(corpus[0], 1)], params, cs, length_bias=beta)
+    with pytest.raises(ValueError, match="must be finite"):
+        induction.train(corpus, induction.TrainConfig(
+            init="uniform", em_iterations=1, length_bias=beta))
+    model = induction.train(corpus, induction.TrainConfig(em_iterations=1))
+    with pytest.raises(ValueError, match="must be finite"):
+        induction.decode_constrained((model.space, model.weights), corpus,
+                                     cs, DepthPolicy(1, 3), beta)
+
+
 def test_empty_corpus_estep_is_zero():
     counts, loglik, skipped = induction.estep([], sbg.uniform_dmv_params(
         TAGSET), induction.ConstraintSet())

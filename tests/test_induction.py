@@ -887,6 +887,33 @@ def test_mstep_rejects_weights_or_counts_that_are_not_finite(
     assert not calls  # it failed before the first evaluation
 
 
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan")],
+                         ids=["zero", "negative", "nan"])
+def test_mstep_and_train_reject_a_prior_variance_that_is_not_positive(
+        sigma2, monkeypatch):
+    space = induction.FeatureSpace(("A", "B"))
+    counts = util.count_vector(space, random_counts(space, random.Random(0)))
+    calls = []
+    monkeypatch.setattr(induction, "mstep_objective",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        induction.mstep(space, counts, np.zeros(space.n_features), sigma2)
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        induction.train([("A", "B")], induction.TrainConfig(
+            init="uniform", em_iterations=1, sigma2=sigma2))
+    assert not calls  # both failed before the first evaluation
+
+
+def test_mstep_without_a_prior_converges():
+    # sigma2 = inf is no prior at all, and stays allowed
+    space = induction.FeatureSpace(("A", "B"))
+    counts = util.count_vector(space, random_counts(space, random.Random(1)))
+    w, run = induction.mstep(space, counts, np.zeros(space.n_features),
+                             float("inf"))
+    assert run.status == 0
+    assert np.isfinite(w).all()
+
+
 def _params_with(tagset, value):
     """DMV parameters whose every probability is ``value``."""
     base = sbg.uniform_dmv_params(tagset)
