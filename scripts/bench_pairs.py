@@ -20,7 +20,13 @@ The ``verdict`` column applies each metric's ``bound`` from
 - ``gain``: as above;
 - ``same``: otherwise.
 
-The script exits with status 1 when any metric is ``worse``.
+Every run also reports ``correct`` and its ``failed`` and ``attempted``
+operations.  Per side, the summary gives the ``failed/attempted`` totals
+and the number of runs that were not correct.
+
+The script exits with status 1 when any metric is ``worse``, when a run of
+the change is not correct, or when the change fails a larger share of its
+operations than the parent.
 
 Usage:
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \\
@@ -78,6 +84,26 @@ def summarize(pairs, better, bound=math.inf):
             "verdict": verdict}
 
 
+def tally(results):
+    """(failed operations, attempted operations, runs not correct) over
+    one side's run results."""
+    return (sum(r["failed"] for r in results),
+            sum(r["attempted"] for r in results),
+            sum(1 for r in results if not r["correct"]))
+
+
+def refusals(parent, change):
+    """What refuses the change, from the tallies of both sides: a run
+    that is not correct, or a larger share of failed operations."""
+    out = []
+    if change[2]:
+        out.append("%d change run(s) not correct" % change[2])
+    if change[0] * parent[1] > parent[0] * change[1]:
+        out.append("the change fails %d/%d operations, the parent %d/%d"
+                   % (change[0], change[1], parent[0], parent[1]))
+    return out
+
+
 def run_bench(checkout, workload, seed, seconds):
     """The JSON result of one ``bench/run.py`` run in ``checkout``, or None
     when the run failed."""
@@ -111,6 +137,13 @@ def format_rows(summaries, units):
     return rows
 
 
+def format_tallies(tallies):
+    rows = ["side\tfailed/attempted\truns not correct"]
+    for side, (failed, attempted, incorrect) in tallies.items():
+        rows.append("%s\t%d/%d\t%d" % (side, failed, attempted, incorrect))
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=pathlib.Path)
@@ -126,11 +159,14 @@ def main(argv=None):
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values = {name: [] for name in better}
     checkouts = {PARENT: args.parent, CHANGE: args.change}
+    runs = {PARENT: [], CHANGE: []}
     for k in range(args.pairs):
         res = {}
         for side in order(k):
             res[side] = run_bench(checkouts[side], args.workload, args.seed,
                                   args.seconds)
+            if res[side] is not None:
+                runs[side].append(res[side])
         if None in res.values():
             print("pair %d: a run failed; pair dropped" % k, file=sys.stderr)
             continue
@@ -150,7 +186,12 @@ def main(argv=None):
     summaries = {name: summarize(pairs, better[name], bounds[name])
                  for name, pairs in values.items()}
     print("\n".join(format_rows(summaries, units)))
-    if any(s["verdict"] == "worse" for s in summaries.values()):
+    tallies = {side: tally(results) for side, results in runs.items()}
+    print("\n".join(format_tallies(tallies)))
+    refused = refusals(tallies[PARENT], tallies[CHANGE])
+    for reason in refused:
+        print("refused: %s" % reason, file=sys.stderr)
+    if refused or any(s["verdict"] == "worse" for s in summaries.values()):
         sys.exit(1)
 
 

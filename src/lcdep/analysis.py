@@ -169,14 +169,15 @@ def coverage_report(corpus, bounds, relax_c=1, max_len=None):
     return report
 
 
-def random_baseline(corpus, seed, trials, system=LEFT_CORNER):
+def random_baseline(corpus, seed, trials, system=LEFT_CORNER, max_len=None):
     """Depth histogram over randomly reordered versions of the corpus.
 
-    Punctuation is stripped first, then every trial reorders each tree
-    (projectivity-preserving), appends the root token and replays the
-    oracle.  Deterministic given the seed.
+    Punctuation is stripped, then sentences longer than max_len dropped;
+    every trial reorders each tree (projectivity-preserving), appends the
+    root token and replays the oracle.  Deterministic given the seed.
     """
     stripped = [strip_punctuation(projectivize(tree)) for tree in corpus]
+    stripped = [t for t in stripped if max_len is None or t.n <= max_len]
     rng = random.Random(seed)
     hist = DepthHistogram()
     for _ in range(trials):

@@ -159,7 +159,8 @@ def _command_table():
             _cmd_coverage,
         ),
         "random-baseline": (
-            _COMMON + _CORPUS_OPTS + (
+            # all but strip-punct: it always strips, before --max-len
+            _COMMON + _CORPUS_OPTS[:2] + (
                 Opt("system", _system, LEFT_CORNER),
                 Opt("seed", int, 0),
                 Opt("trials", int, 10),
@@ -363,13 +364,12 @@ def _cmd_coverage(resolved, args):
 
 def _cmd_random_baseline(resolved, args):
     corpus = _load_corpus(args["input"], resolved)
-    if resolved["max-len"] is not None:
-        corpus = [t for t in corpus if t.n <= resolved["max-len"]]
     hist = analysis.random_baseline(
         corpus,
         seed=resolved["seed"],
         trials=resolved["trials"],
         system=resolved["system"],
+        max_len=resolved["max-len"],
     )
     rows = analysis.histogram_rows(
         resolved["lang"],
@@ -587,12 +587,28 @@ def _build_parser(table):
     return parser
 
 
+def _values_joined(argv, table):
+    """``argv`` with ``--name V`` as ``--name=V`` for every option that
+    takes a value, so that V is its value even when it starts with '-',
+    which argparse reads as an option unless it looks like a number."""
+    opts = table[argv[0]][0] if argv and argv[0] in table else ()
+    valued = {"--" + opt.name for opt in opts if not opt.flag}
+    out = list(argv[:1])
+    for arg in argv[1:]:
+        if out[-1] in valued:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     level = os.environ.get("LCDEP_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     table = _command_table()
     parser = _build_parser(table)
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_values_joined(
+        sys.argv[1:] if argv is None else argv, table))
     if not ns.command:
         parser.print_usage(sys.stderr)
         return 2

@@ -15,24 +15,25 @@ finds a cycle as it goes (an error).  It keeps a class's derivable edges as
 (tail class, relative offset) and its events as (event class, relative
 offset): an edge is derivable when all its tails are, an item when one of
 its edges is.  A length's forest is then laid out by array arithmetic, from
-every derivable class at every offset that fits, keeping what the goal
-reaches through derivable edges.  When a chart's expansion is the same
-under translation and at every length but for the goal, as on DMV
+every derivable class at every offset that fits, keeping the cells that the
+goal's cell reaches through derivable edges; a chart's goal has no position
+field, so each length's goal is a class at offset 0.  When a chart's
+expansion is the same under translation and at every length, as on DMV
 automata, one table serves every length; the forest cache in ``induction``
-keeps one per chart and depth policy.  ``build_forest`` builds a forest of
-any other expansion from a table of its own whose items and events have no
-position field, so that each item is its own class at offset 0.  A table's
-forest makes its items and events on demand (``Shifted``): the passes read
-only arrays.
+keeps one per chart and depth policy.  ``build_forest`` builds any other
+expansion from a table of its own whose items and events have no position
+field, so that each item is its own class at offset 0.  A table's forest
+makes its items and events on demand (``Shifted``): the passes read only
+arrays.
 
 Array layout.  A built forest numbers its items (``items[i]``) by (level,
-class, offset) after the goal, id 0; id ``n_items`` is a sentinel whose
-value is 0 in log space (1 in the count semiring).  Every derivable item
-gets a topological *level*: 0 when all its edges have no tails, otherwise
-1 + the highest level among its tails.  Edges
-are stably sorted by (level of head, head), so each head's edges form one
-contiguous group in expansion order and each level one contiguous run of
-groups:
+class, offset), so the goal, alone on the top level, is the last item; id
+``n_items`` is a sentinel whose value is 0 in log space (1 in the count
+semiring).  Every derivable item gets a topological *level*: 0 when all
+its edges have no tails, otherwise 1 + the highest level among its tails.
+Edges are stably sorted by (level of head, head), so each head's edges form
+one contiguous group in expansion order and each level one contiguous run
+of groups:
 
 - ``edge_head[e]`` the head of edge ``e``; ``edge_tail[:, e]`` its two
   tails, padded with the sentinel;
@@ -68,13 +69,14 @@ TIE_GAP = 2 * TIE_TOL
 
 class Forest:
     """An acyclic hypergraph with a single goal item, as flat arrays (see
-    the module docstring for the layout); a ``disjoint_union`` has one goal
-    per forest in ``goal_ids``.  ``items`` and ``events`` are sequences,
-    made on demand from a translation-class layout or a union.  The goal
-    is item 0."""
+    the module docstring for the layout); ``goal_ids`` holds the goal's
+    item id, or one per forest of a ``disjoint_union``.  ``items`` and
+    ``events`` are sequences, made on demand from a translation-class
+    layout or a union."""
 
     def __init__(self, goal, items, events, level, edges):
-        """``level`` gives each item's level (-1 when not derivable);
+        """A forest whose goal is item 0.  ``level`` gives each item's
+        level (-1 when not derivable);
         ``edges`` is (heads, first tails, second tails, event counts, event
         ids) of the derivable edges as flat sequences in expansion order,
         with missing tails set to the sentinel ``len(items)``."""
@@ -84,16 +86,16 @@ class Forest:
         order = _level_order(head, level)
         first = (np.cumsum(n_ev) - n_ev)[order]
         n_ev = n_ev[order]
-        self._lay_out(goal, items, events, level, head[order],
+        self._lay_out(goal, [0], items, events, level, head[order],
                       np.stack((tail0[order], tail1[order])), n_ev,
                       flat[_ranges(first, n_ev)])
 
-    def _lay_out(self, goal, items, events, level, head, tails, n_ev, flat):
-        """Keep edges sorted by (level of head, head): their heads, tails
-        (2 x edges), event counts and event ids, edge after edge."""
+    def _lay_out(self, goal, goal_ids, items, events, level, head, tails,
+                 n_ev, flat):
+        """Keep the goals' ids and the edges sorted by (level of head,
+        head): their heads, tails (2 x edges), event counts and event ids."""
         self.goal = goal
-        self.goal_id = 0
-        self.goal_ids = np.zeros(1, dtype=np.intp)
+        self.goal_ids = np.asarray(goal_ids, dtype=np.intp)
         self.items = items
         self.events = events
         self.sentinel = len(items)
@@ -106,6 +108,10 @@ class Forest:
         self.group_head, self.group_ptr, self.level_ptr = _groups(head, level)
         self._levels = _plan(self.group_head, self.group_ptr, self.level_ptr)
         self._uses = None
+
+    @property
+    def goal_id(self):
+        return int(self.goal_ids[0])
 
     @property
     def n_items(self):
@@ -283,8 +289,8 @@ class TranslationClasses:
     longer lengths arrive.
 
     This is sound when the chart's expansion is translation-equivariant
-    and, but for the goal, the same at every length: an item's edges are
-    its class's edges at its offset.  ``item_positions(item)`` and
+    and the same at every length: an item's edges are its class's edges at
+    its offset.  ``item_positions(item)`` and
     ``event_positions(event)`` give the indices of the position fields of
     an item and of an event.
     """
@@ -409,15 +415,14 @@ class TranslationClasses:
                     (old, new.reshape(len(new), -1).T), axis=1)
         return self._arrays
 
-    def _reach(self, rows, tails, n):
-        """Whether the goal reaches each candidate class ``rows[r]`` at
-        offset s, as a boolean grid (r, s), given the goal's tails as
-        (class, offset) pairs.  The offsets at which the goal reaches a
-        class are kept as the bits of an int and passed, shifted, to its
-        tails, top level first: a class's tails have lower levels."""
+    def _reach(self, rows, goal, s, n):
+        """Whether the goal, class ``goal`` at offset ``s``, reaches each
+        candidate class ``rows[r]`` at offset t, as a boolean grid (r, t)
+        of ``n`` offsets.  The offsets at which the goal reaches a class
+        are kept as the bits of an int and passed, shifted, to its tails,
+        top level first: a class's tails have lower levels."""
         reached = [0] * len(self.items)
-        for c, s in tails:
-            reached[c] |= 1 << s
+        reached[goal] = 1 << s
         uses, rows = self._uses, rows.tolist()
         for c in reversed(rows):
             if reached[c]:
@@ -432,82 +437,61 @@ class TranslationClasses:
     def forest(self, goal, expand, n):
         """The forest below ``goal`` of a length-``n`` sentence, whose
         positions are 1..n.  ``expand`` is the chart's expansion over that
-        sentence: it gives the goal's edges and the edges of every class the
-        table lacks.
+        sentence: it gives the edges of every class the table lacks.
 
-        The candidate items are every derivable class at every offset that
-        fits in 1..n, a grid of (class, offset) cells, of which the items
-        are those the goal reaches (``_reach``).  They are numbered by
-        (level, class, offset) after the goal, id 0, so the edges come out
-        sorted as ``Forest`` lays them out, with no sort.
+        The candidate items are the goal and every derivable class at every
+        offset that fits in 1..n, a grid of (class, offset) cells, of which
+        the items are those the goal reaches (``_reach``).  They are
+        numbered by (level, class, offset), so the edges come out sorted as
+        ``Forest`` lays them out, with no sort, and the goal comes last.
         """
-        normalize = self._normalizer()
-        goal_edges = normalize(goal, expand(goal))
-        self._expand([t for tails, _ in goal_edges for t, _ in tails],
-                     expand, normalize)
+        form, goal_at = _normal_form(goal, self._item_positions(goal))
+        self._expand([form], expand, self._normalizer())
         classes, edges, events = self._sync()
         level = classes[0]
-        goal_edges = [([(self._index[t], s) for t, s in tails], evs)
-                      for tails, evs in goal_edges]
-        goal_edges = [(tails, evs) for tails, evs in goal_edges
-                      if all(level[c] >= 0 for c, _ in tails)]
-        rows = np.flatnonzero((level >= 0) & (classes[1] <= n))
+        goal_class = self._index[form]
+        fits = (level >= 0) & (classes[1] <= n)
+        fits[goal_class] = True  # derivable or not
+        rows = np.flatnonzero(fits)
         rows = rows[np.argsort(level[rows], kind="stable")]
-        grid = len(rows) * n
+        cols = max(n, 1)  # an empty sentence's goal needs a cell too
+        grid = len(rows) * cols
         # the cell of each candidate class at offset 0; past the grid for
         # the others, and for class -1, a missing tail
         at = np.full(len(level) + 1, grid, dtype=np.intp)
-        at[rows] = np.arange(len(rows)) * n
-        reach = self._reach(rows, [t for tails, _ in goal_edges
-                                   for t in tails], n)
+        at[rows] = np.arange(len(rows)) * cols
+        reach = self._reach(rows, goal_class, goal_at, cols)
         hit = np.flatnonzero(reach)
-        c, s = rows[hit // n], hit % n
-        sentinel = len(hit) + 1
+        c, s = rows[hit // cols], hit % cols
+        sentinel = len(hit)
         # the item id of each cell, and the sentinel for a missing tail,
         # whose cells lie past the grid
-        ids = np.concatenate((np.cumsum(reach, dtype=np.intp),
-                              np.full(n + 1, sentinel, dtype=np.intp)))
-        # the cells of each edge's tails at offset 0
-        tail_at = (at[edges[0]] + edges[1], at[edges[2]] + edges[3])
+        ids = np.concatenate((np.cumsum(reach, dtype=np.intp) - 1,
+                              np.full(cols + 1, sentinel, dtype=np.intp)))
         k = classes[3][c]
         e = _ranges(classes[2][c], k)
         s_e = np.repeat(s, k)
         n_ev = edges[5][e]
         flat = _ranges(edges[4][e], n_ev)
-
-        # the goal's edges last: it is the only item of the top level
-        def cat(rows, goal_rows):
-            return np.concatenate((rows, np.array(goal_rows, dtype=np.intp)))
-
-        goal_tails = [[ids[at[t] + rel] for t, rel in tails]
-                      + [sentinel] * (2 - len(tails))
-                      for tails, _ in goal_edges]
-        goal_events = [ev for _, evs in goal_edges for ev in evs]
-        head = cat(np.repeat(np.arange(1, len(hit) + 1), k),
-                   [0] * len(goal_edges))
-        tails = np.stack([cat(ids[cells[e] + s_e], [g[j] for g in goal_tails])
-                          for j, cells in enumerate(tail_at)])
-        n_ev = cat(n_ev, [len(evs) for _, evs in goal_edges])
-        ev_class = cat(events[0][flat], [ev for ev, _ in goal_events])
-        ev_at = cat(np.repeat(s_e, n_ev[:len(e)]) + events[1][flat],
-                    [rel for _, rel in goal_events])
+        # the cells of each edge's tails
+        tails = np.stack([ids[at[edges[j][e]] + edges[j + 1][e] + s_e]
+                          for j in (0, 2)])
+        ev_at = np.repeat(s_e, n_ev) + events[1][flat]
         # event ids in the order of (event class, offset)
         width = int(ev_at.max(initial=0)) + 1
-        key = ev_class * width + ev_at
+        key = events[0][flat] * width + ev_at
         used = np.zeros(len(self.events) * width, dtype=bool)
         used[key] = True
         event_ids = np.cumsum(used) - 1
         used = np.flatnonzero(used)
-        item_level = level[c]
-        goal_level = (1 + int(item_level.max(initial=-1)) if goal_edges
-                      else -1)
         forest = Forest.__new__(Forest)
         forest._lay_out(
-            goal,
-            Chain(([goal], Shifted(self.items, self._item_positions, c, s))),
+            goal, [ids[at[goal_class] + goal_at]],
+            Shifted(self.items, self._item_positions, c, s),
             Shifted(self.events, self._event_positions, used // width,
                     used % width),
-            cat([goal_level], item_level), head, tails, n_ev, event_ids[key])
+            level[c], np.repeat(np.arange(len(hit)), k), tails, n_ev,
+            event_ids[key])
         return forest
 
 
@@ -537,7 +521,8 @@ def disjoint_union(forests):
     cat = np.concatenate
     union = Forest.__new__(Forest)
     union._lay_out(
-        None, Chain([f.items for f in forests]),
+        None, item_base[:-1] + [f.goal_id for f in forests],
+        Chain([f.items for f in forests]),
         Chain([f.events for f in forests]),
         cat([f.item_level for f in forests]),
         cat([f.edge_head + b for f, b in zip(forests, item_base)])[edges],
@@ -545,7 +530,6 @@ def disjoint_union(forests):
              for f, b in zip(forests, item_base)], axis=1)[:, edges],
         cat([np.diff(f.event_ptr) for f in forests])[edges],
         cat([f.event_flat + b for f, b in zip(forests, event_base)])[flat])
-    union.goal_ids = item_base[:-1] + [f.goal_id for f in forests]
     return union
 
 

@@ -394,10 +394,10 @@ def _chart_forest(n, policy=None, must_head=False):
     serves every sentence of its length and chart, and is re-priced per
     sentence.
 
-    Every item but the goal ``("ROOT", n)`` has the same edges at every
-    length, and a shifted item the edges shifted alike.  So every length's
-    forest is laid out from one ``hypergraph.TranslationClasses`` table per
-    chart and policy, which expands each item shape once.
+    Every item has the same edges at every length (the goal names its
+    length), and a shifted item the edges shifted alike.  So every
+    length's forest is laid out from one ``hypergraph.TranslationClasses``
+    table per chart and policy, which expands each item shape once.
     """
     if must_head or (policy is not None and policy.max_depth is not None):
         policy = policy or DepthPolicy()

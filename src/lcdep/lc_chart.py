@@ -62,13 +62,13 @@ Items are emitted only when their automaton states are reachable, judged
 from the transition structure alone (see ``_lc_expand``), so re-pricing a
 forest never needs an item that was skipped.
 
-The chart runs left to right and only the goal mentions the root position
-n+1, so on DMV automata every item but the goal has the same edges at every
-length (an unbounded policy has no depth check, so this holds for it too),
-and an item shifted along the sentence has its edges shifted alike.
-``POSITIONS`` names each item kind's position fields, so that a
-``hypergraph.TranslationClasses`` table can lay out every length's forest
-from one expansion of each item shape.
+The chart runs left to right and only the goal, which names the length,
+mentions the root position n+1, so on DMV automata every item has the same
+edges at every length (an unbounded policy has no depth check, so this
+holds for it too), and an item shifted along the sentence has its edges
+shifted alike.  ``POSITIONS`` names each item kind's position fields (the
+goal has none), so that a ``hypergraph.TranslationClasses`` table can lay
+out every length's forest from one expansion of each item shape.
 """
 
 import dataclasses
@@ -77,11 +77,11 @@ import math
 from . import hypergraph
 from .sbg import LEFT, RIGHT, _root_edges, leaf_mark
 
-# the position fields of each item kind but the goal's, which a
-# ``hypergraph.TranslationClasses`` table moves
-POSITIONS = {"LI": (1, 2), "RF": (1, 2), "RQ": (2, 3), "TRI": (1, 2, 3),
-             "RECT": (1, 2, 3), "PR": (2, 3, 4), "HR": (1, 2, 3),
-             "HPR": (2, 3, 4)}
+# the position fields of each item kind, which a
+# ``hypergraph.TranslationClasses`` table moves; the goal has none
+POSITIONS = {"ROOT": (), "LI": (1, 2), "RF": (1, 2), "RQ": (2, 3),
+             "TRI": (1, 2, 3), "RECT": (1, 2, 3), "PR": (2, 3, 4),
+             "HR": (1, 2, 3), "HPR": (2, 3, 4)}
 
 
 @dataclasses.dataclass(frozen=True)

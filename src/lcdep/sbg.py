@@ -222,8 +222,8 @@ def _root_edges(n, subtree):
     n+1 takes exactly one dependent, so the goal has one edge per dependent
     d in ascending order: its tails are ``subtree(d)``, the items of d's
     subtree over 1..n, and its events the root's init, transition on d and
-    final.  No other item mentions position n+1, so every other item has
-    the same edges at every length."""
+    final.  No other item mentions position n+1, so every item has the
+    same edges at every length, the goal naming its own."""
     root = n + 1
     return [(subtree(d), ((LEFT, root, "init", ROOT_STATE0),
                           (LEFT, root, "trans", ROOT_STATE0, ROOT_STATE1, d),
@@ -479,9 +479,9 @@ def brute_force_viterbi(tags, sent, tree_filter=None):
 # chart grows left halves outward: ("LQ", q, i, h) extends to a farther
 # dependent d < i.  Every head but the goal's lies in 1..n.
 
-# the position fields of each item kind but the goal's, which a
-# ``hypergraph.TranslationClasses`` table moves
-HEAD_SPLIT_POSITIONS = {"LF": (1, 2), "LQ": (2, 3), "LT": (2, 3),
+# the position fields of each item kind, which a
+# ``hypergraph.TranslationClasses`` table moves; the goal has none
+HEAD_SPLIT_POSITIONS = {"ROOT": (), "LF": (1, 2), "LQ": (2, 3), "LT": (2, 3),
                         "RF": (1, 2), "RQ": (2, 3), "RT": (2, 3)}
 
 

@@ -133,8 +133,6 @@ def tree_from_heads(heads, tags=None, forms=None) -> DepTree:
 @dataclass
 class Corpus:
     sentences: list[DepTree]
-    pos_column: int = 3
-    max_len: int | None = None
 
     def __iter__(self):
         return iter(self.sentences)
@@ -143,8 +141,7 @@ class Corpus:
         return len(self.sentences)
 
     def filtered(self, max_len: int) -> "Corpus":
-        kept = [t for t in self.sentences if len(t) <= max_len]
-        return Corpus(kept, pos_column=self.pos_column, max_len=max_len)
+        return Corpus([t for t in self.sentences if len(t) <= max_len])
 
 
 _POS_COLUMN_ALIASES = {
@@ -216,7 +213,7 @@ def parse_conll(text: str, pos_column=3, max_len: int | None = None) -> Corpus:
         rows.append((idx, fields[1], fields[col], head))
     flush(line_no=len(text.splitlines()) + 1)
 
-    corpus = Corpus(sentences, pos_column=col, max_len=max_len)
+    corpus = Corpus(sentences)
     if max_len is not None:
         corpus = corpus.filtered(max_len)
     return corpus

@@ -110,14 +110,19 @@ def test_a_clear_gain_within_the_bound_is_a_gain():
     assert bench_pairs.summarize(pairs, "higher", 0.25)["verdict"] == "gain"
 
 
-def _main(tmp_path, monkeypatch, change_value):
+def _main(tmp_path, monkeypatch, change_value, change_correct=True,
+          change_failed=0, parent_failed=0):
     spec = {"end_to_end": [{"name": "setup_s", "unit": "s",
                             "better": "lower", "bound": 0.25}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
 
     def run_bench(checkout, workload, seed, seconds):
-        value = change_value if checkout == tmp_path else 1.0
-        return {"correct": True, "failed": 0, "attempted": 1,
+        if checkout == tmp_path:
+            value, correct, failed = (change_value, change_correct,
+                                      change_failed)
+        else:
+            value, correct, failed = 1.0, True, parent_failed
+        return {"correct": correct, "failed": failed, "attempted": 4,
                 "metrics": {"setup_s": {"value": value}}}
 
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
@@ -128,8 +133,33 @@ def _main(tmp_path, monkeypatch, change_value):
 def test_main_exits_nonzero_when_a_metric_is_worse(tmp_path, monkeypatch,
                                                    capsys):
     _main(tmp_path, monkeypatch, 1.1)  # within the bound: returns
-    assert capsys.readouterr().out.splitlines()[-1].endswith("\tsame")
+    assert capsys.readouterr().out.splitlines()[-4].endswith("\tsame")
     with pytest.raises(SystemExit) as exc:
         _main(tmp_path, monkeypatch, 1.5)
     assert exc.value.code == 1
-    assert capsys.readouterr().out.splitlines()[-1].endswith("\tworse")
+    assert capsys.readouterr().out.splitlines()[-4].endswith("\tworse")
+
+
+def test_main_exits_nonzero_when_a_change_run_is_not_correct(
+        tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _main(tmp_path, monkeypatch, 1.0, change_correct=False)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-3:] == [
+        "side\tfailed/attempted\truns not correct", "parent\t0/12\t0",
+        "change\t0/12\t3"]
+    assert err.splitlines()[-1] == "refused: 3 change run(s) not correct"
+
+
+def test_main_exits_nonzero_when_the_change_fails_a_larger_share(
+        tmp_path, monkeypatch, capsys):
+    # the same share of failures on both sides passes
+    _main(tmp_path, monkeypatch, 1.0, change_failed=1, parent_failed=1)
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "parent\t3/12\t0", "change\t3/12\t0"]
+    with pytest.raises(SystemExit) as exc:
+        _main(tmp_path, monkeypatch, 1.0, change_failed=2, parent_failed=1)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "refused: the change fails 6/12 operations, the parent 3/12")

@@ -27,34 +27,34 @@ POLICIES = (None, DepthPolicy(1, 1), DepthPolicy(1, 3), DepthPolicy(2, 1),
             DepthPolicy(2, 2))
 
 GOLDEN = {
-    ('lc', 'dmv', 1): '23a8f00c64074f8a5c89fc2c3ec847d27bf2b6eebef517b945b9e049f68a88a1',
-    ('lc', 'dmv', 2): 'ebcc069ec46e07fb3ecb72488db8d6d49f60fab7d94721f9ea8e731fe8e0d7d4',
-    ('lc', 'dmv', 3): '98b1ee3539a172f975a86c70b6cb2703eecf3bbb363cd47b810f60854323126e',
-    ('lc', 'dmv', 4): 'c2f4743a7a5e4845144816559915fbbf0908f382c745cb46245e80d124ac34f2',
-    ('lc', 'dmv', 5): 'f363ff0bfa6eaa2773b09490070750f8b483005e56e99ea0f28f279ec0fa2430',
-    ('lc', 'dmv', 6): 'c30f588a22d0cbfcfdf85e0837d9972d0d8a3c1b85e232c1da7d09789f8efaf4',
-    ('lc', 'dmv', 7): '56feb7717a23dbcb3508df03e67f20e7da350fdec0c828f7b0271d51f48f4ecb',
-    ('lc', 'random', 1): '6d31609f0532142a4b37222a7508fc41f71ed34090e45faf509327508060f68c',
+    ('lc', 'dmv', 1): '3cb43ea69c4fc3f614699378958d93f73815cb882d843f95ce7b9f76eaaaa063',
+    ('lc', 'dmv', 2): 'c24e6145ffc4d0bf9b35a8c59470f337455586573bfd311f8cd1de9f6f1c71fe',
+    ('lc', 'dmv', 3): 'd585db1769b01b1aa612e9265ee88beba3e3a2c76038ac7d325d84bc0dbd87b0',
+    ('lc', 'dmv', 4): '56ac7d9794ac6a6ce7e1e7a254efe74ed4a4880c24f0463ed235aca253b2edfe',
+    ('lc', 'dmv', 5): 'd08e45c7dd7cf9c29b8821fb819054a0c3dd08875768c47ba8da02ead5ce0dca',
+    ('lc', 'dmv', 6): 'f3855eb4d5bcdba2fe40f5802de05f262a59d6946db7b15badda123a888aca98',
+    ('lc', 'dmv', 7): '692aba5b609f88ed3568fd462e6ee7729aca91c00a520076714bdc9973fa1001',
+    ('lc', 'random', 1): '9deedee4aa4aa32adda45bd26cd22bcb45cc3879b08fddd1d78d28bb1c4b6820',
     ('lc', 'random', 2): 'df439ab1ee272f90d033bba29eb9b6fe6ed14a8ea213e26c3d0956f0209cd6b4',
     ('lc', 'random', 3): 'f4a3eb4c17f0148434bc5939d0a0cace72d15dfcfeb172ece1b158e04771b3a4',
     ('lc', 'random', 4): '18e78fae2ae20208766e064387dace48201dbfec28ac0d476ec58238c876d3eb',
     ('lc', 'random', 5): 'f7c93d9556980a31fadfc7f2cbfdd219b9b6bd073250ac024ddff9f87842e080',
-    ('lc', 'random', 6): 'e1e5c7049bfb05feb6c17df040f4b823445e7febcc514aef6d8d591f53c35063',
-    ('lc', 'random', 7): '95f8b206a93dc713dd620b3bdde936421072162885f3856e2fae8a1c7b6ac6a2',
-    ('eisner', 'dmv', 1): '58414bd6fa83425b5a12cb028fd26dcad1cc75dbfa3cbbd52b60e70637dec843',
-    ('eisner', 'dmv', 2): '333d33b6460cb87fd28cc2a98f8f73ff56b90a5260da1b12e9e9df8ddd49073f',
-    ('eisner', 'dmv', 3): 'abac9aee36a22e4ab27d1f7bdcd1ce067844ebe0a5bc3ee7bd51a8440faf8132',
-    ('eisner', 'dmv', 4): 'a82238dffbbaaf7cd1a75225b2d11bc48061374aa18d86f432c3a6aebfff2d2d',
-    ('eisner', 'dmv', 5): 'c287f26ba6d8c4dc511057c6b91e6442de57c962fbd5c8e4eeb14121a6571d0f',
-    ('eisner', 'dmv', 6): 'd2f9b5aa37cf9b667f3d12fa0efbc6e956411d9d84c8e5dc8d65b33a664dcc83',
-    ('eisner', 'dmv', 7): 'b3eabd67fe02f6e0ef2173c5a232002050b365e8fea9e3e62681e4f6b03a6ecf',
-    ('eisner', 'random', 1): 'bbddb691288408d0b991cea8c24943ad6e70c7d5bda125c390a21e7c7a5d3bca',
+    ('lc', 'random', 6): '975348f27e0dbcb6845a96397b1aaab78ee464525956400cbab7052152640212',
+    ('lc', 'random', 7): 'a7ba44669bce13076606d59f9c380d04eb52d56957d6e82b767b109422bd651e',
+    ('eisner', 'dmv', 1): '9a395281a67aa58ddd282a431358007a391979f7c79c8f8f858a73d7145e6f55',
+    ('eisner', 'dmv', 2): '9e8a0d92133cf1ef8ef0c069973812fb4a660c766da6c5e7b2028464481d05d7',
+    ('eisner', 'dmv', 3): '87618536361a0dc6ef2382b4dd9bb2b287008ec778c261c8a32c4d61e1ab0484',
+    ('eisner', 'dmv', 4): 'cd3d69e73b03c92a6ceb9dbae5a9434d31bb1b429302ff2a7300af5ffd0067d7',
+    ('eisner', 'dmv', 5): 'a116a06293a10366caebd22234e301c2b1e6409d2630276ccf636e4b01a4811c',
+    ('eisner', 'dmv', 6): '1d801e98be1bbfd54c1eb7f59e19a75859029dd787b8acb4b9720a43991066fd',
+    ('eisner', 'dmv', 7): '58dcc42d43bde772ae554e3bb02fb27e0430797f3d4f09fc90a2415101d15d59',
+    ('eisner', 'random', 1): '92bd6058bcab19b3bac680851def347e0faa71a0233439c81043496ee2352a76',
     ('eisner', 'random', 2): 'cb2daf99895f7c3dbc8453eba7fccd5e674b8881ed0b7029fcc30ecb7e639131',
     ('eisner', 'random', 3): 'ddc42d211685a0150583d3af34af77545818ea0028d8c0662034bf61825ecb7f',
     ('eisner', 'random', 4): '371c7ec88fef3e872b6a1863fdf545d9d813d8781c6c318e566bdd7cf344a441',
     ('eisner', 'random', 5): '2a6d307d984d7381b186a9f0e8fbe5b7a2ecacd579056fa466b320e4becff0c3',
-    ('eisner', 'random', 6): '2879af56b8254d181d34ac3c3cd8ce22642cbb94b3a80af37e544c0e806e7a87',
-    ('eisner', 'random', 7): 'cdfb395c34ab70cd2a328b865f386dad1b0241333e178cd8cd8c3ef9060623cc',
+    ('eisner', 'random', 6): 'bf44b0fc0adcd8745589979e7e8dbbe0713cd5792447b892bbcb77d37f56f9bb',
+    ('eisner', 'random', 7): 'c820da31bb652648e7233408fa8a17d6179216858fdaca770a7bf7a349e90c1e',
 }
 
 

@@ -103,6 +103,46 @@ def test_random_baseline_deterministic(corpus_file, capsys):
     assert "randomConfigDepth" in out1
 
 
+def test_random_baseline_always_strips_punctuation(corpus_file, tmp_path,
+                                                   capsys):
+    path, _ = corpus_file
+    with pytest.raises(SystemExit) as exc:
+        main(["random-baseline", "--strip-punct", path])
+    assert exc.value.code == 2
+    cfg = tmp_path / "strip.cfg"
+    cfg.write_text("strip-punct=true\n", encoding="utf-8")
+    code, _, err = run(["random-baseline", "--config", str(cfg), path],
+                       capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: %s: unknown config key 'strip-punct'" % cfg)
+
+
+def test_max_len_counts_tokens_after_punctuation_is_stripped(tmp_path,
+                                                             capsys):
+    # both sentences have 3 tokens once their punctuation is stripped
+    corpus = [
+        tree_from_heads((2, 0, 2, 2), tags=("DET", "NOUN", "ADJ", "PUNCT")),
+        tree_from_heads((0, 1, 1, 1), tags=("VERB", "NOUN", "PUNCT", "ADV")),
+    ]
+    path = tmp_path / "punct.conll"
+    path.write_text(serialize_conll(corpus), encoding="utf-8")
+    outs = {}
+    for cmd, extra in (("random-baseline", ()),
+                       ("analyze-depth", ("--strip-punct",))):
+        for max_len in ("3", "2"):
+            code, outs[cmd, max_len], _ = run(
+                [cmd, *extra, "--max-len", max_len, str(path)], capsys)
+            assert code == 0
+    # --max-len 3 keeps both sentences; 2 drops both
+    assert outs["random-baseline", "3"] == run(
+        ["random-baseline", str(path)], capsys)[1]
+    assert outs["analyze-depth", "3"] == run(
+        ["analyze-depth", "--strip-punct", str(path)], capsys)[1]
+    for cmd in ("random-baseline", "analyze-depth"):
+        assert outs[cmd, "2"] != outs[cmd, "3"]
+
+
 def test_oracle_trace_format(corpus_file, capsys):
     path, _ = corpus_file
     code, out, _ = run(["oracle-trace", "--system", "left-corner", path], capsys)
@@ -264,7 +304,7 @@ def test_train_dmv_has_no_iteration_cap_option(corpus_file, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("sigma2", ["0", "-1", "nan"])
+@pytest.mark.parametrize("sigma2", ["0", "-1", "nan", "-inf"])
 def test_train_dmv_rejects_a_prior_variance_that_is_not_positive(
         corpus_file, tmp_path, capsys, sigma2):
     path, _ = corpus_file
@@ -287,12 +327,28 @@ def test_parse_rejects_a_length_bias_that_is_not_finite(corpus_file,
     out = tmp_path / "run"
     run(["train-dmv", "--init", "uniform", "--em-iters", "1",
          "--out", str(out), path], capsys)
-    code, _, err = run(["parse", "--model", str(out / "model.txt"),
-                        "--beta=" + beta, path], capsys)
-    assert code == 2
-    assert err.splitlines()[-1] == (
-        "error: ValueError: length_bias (beta) must be finite, got %r"
-        % float(beta))
+    for value in (["--beta=" + beta], ["--beta", beta]):
+        code, _, err = run(["parse", "--model", str(out / "model.txt"),
+                            *value, path], capsys)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "error: ValueError: length_bias (beta) must be finite, got %r"
+            % float(beta))
+
+
+def test_a_value_that_starts_with_a_dash_is_the_options_value(
+        corpus_file, tmp_path, capsys):
+    # argparse alone reads "-1e-3" as an option, not a negative number
+    path, _ = corpus_file
+    models = []
+    for k, beta in enumerate((["--beta", "-1e-3"], ["--beta=-1e-3"])):
+        out = tmp_path / str(k)
+        code, _, err = run(["train-dmv", *beta, "--em-iters", "1",
+                            "--out", str(out), path], capsys)
+        assert code == 0
+        assert "beta=-0.001" in err
+        models.append((out / "model.txt").read_text(encoding="utf-8"))
+    assert models[0] == models[1]
 
 
 def test_importing_the_cli_loads_no_scipy():

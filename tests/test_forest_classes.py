@@ -234,15 +234,38 @@ def test_a_second_corpus_graph_builds_no_automata(monkeypatch):
 
 
 @pytest.mark.parametrize("policy", [None, DepthPolicy(1, 3)], ids=str)
-def test_shorter_lengths_add_no_class(policy):
-    # every class of a shorter length's forest fits in a longer one
+def test_shorter_lengths_add_only_their_goal_class(policy):
+    # every other class of a shorter length's forest fits in a longer one;
+    # the goal has no position field, so each length's goal is a class
     induction.clear_forest_cache()
     induction._chart_forest(20, policy)
     table = induction._CLASSES[policy]
     classes, events = len(table.items), len(table.events)
     for n in range(19, -1, -1):
         induction._chart_forest(n, policy)
-    assert (len(table.items), len(table.events)) == (classes, events)
+        assert table.items[classes:] == [("ROOT", n)]
+        classes += 1
+    assert len(table.events) == events
+    induction.clear_forest_cache()
+
+
+@pytest.mark.parametrize("policy", [None, DepthPolicy(1, 3)], ids=str)
+def test_the_goal_is_the_last_item_and_alone_on_the_top_level(policy):
+    # from the table of either chart, and from fresh builds of DMV and
+    # random automata; an empty sentence's goal has no derivation
+    induction.clear_forest_cache()
+    for n in range(8):
+        random_sent = sbg.random_sentence_automata(n, 3, random.Random(n))
+        forests = [induction._chart_forest(n, policy)] + [
+            sbg.eisner_forest(sent) if policy is None
+            else lc_chart.lc_forest(sent, policy)
+            for sent in (dmv(n), random_sent)]
+        for forest in forests:
+            assert forest.goal_ids.tolist() == [forest.n_items - 1]
+            assert forest.items[forest.goal_id] == forest.goal == ("ROOT", n)
+            level = forest.item_level
+            assert (level[:-1] < level[-1]).all()
+            assert n or level.tolist() == [-1]
     induction.clear_forest_cache()
 
 

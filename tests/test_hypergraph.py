@@ -216,8 +216,9 @@ def test_translation_classes_lay_out_the_reference_forests(case):
     # one table serves the lengths in the order drawn; a length whose
     # expansion has a cycle fails and leaves the table usable
     expand, lengths = case
-    table = hypergraph.TranslationClasses(lambda item: (2, 3),
-                                          lambda event: (1,))
+    # the goal has no position field: each length's goal is a class
+    table = hypergraph.TranslationClasses(
+        lambda item: () if item[0] == "ROOT" else (2, 3), lambda event: (1,))
     for n in lengths:
         goal = ("ROOT", n)
         try:
@@ -250,8 +251,8 @@ def test_translation_classes_reject_an_edge_with_three_tails():
     def expand(item):
         return [((("x", 1, 1), ("x", 1, 1), ("x", 1, 1)), ())]
 
-    table = hypergraph.TranslationClasses(lambda item: (1, 2),
-                                          lambda event: (1,))
+    table = hypergraph.TranslationClasses(
+        lambda item: () if item[0] == "ROOT" else (1, 2), lambda event: (1,))
     with pytest.raises(ValueError, match="edge with 3 tails at"):
         table.forest(("ROOT", 1), expand, 1)
 
@@ -348,7 +349,8 @@ def test_disjoint_union_matches_the_sorted_reference(cases):
                  "event_flat", "group_head", "group_ptr", "level_ptr"):
         assert np.array_equal(getattr(union, name), getattr(ref, name)), name
     bases = np.cumsum([0] + [f.n_items for f in forests[:-1]])
-    assert union.goal_ids.tolist() == bases.tolist()
+    assert union.goal_ids.tolist() == (
+        bases + [f.goal_id for f in forests]).tolist()
 
 
 def test_nan_weight_cut_off_from_the_goal_gets_no_count():
